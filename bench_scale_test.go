@@ -179,33 +179,55 @@ func scaleGateModel(workers int) *model.TSA {
 	return model.Build(len(ps), run).Prune(4)
 }
 
-// BenchmarkScaleGateAdmission: the guide-gated commit path end to end
-// — Admit consults the model snapshot, OnCommit advances the automaton
-// through the per-state snapshot cache — under disjoint RMW load. The
-// tentpole pins this path at zero allocations per transaction.
-func BenchmarkScaleGateAdmission(b *testing.B) {
-	const workers = 8
-	ctrl := guide.New(scaleGateModel(workers), guide.Options{K: 1, HealthWindow: -1})
+// gateOptions enumerates the gate configurations the admission rows
+// cover: the shipped default, whose health monitor counts every admit,
+// and the monitor switched off, which isolates the gate proper.
+var gateOptions = []struct {
+	name string
+	opts guide.Options
+}{
+	{"default", guide.Options{K: 1}},
+	{"monitor-off", guide.Options{K: 1, HealthWindow: -1}},
+}
+
+// newGatedSTM returns a TL2 instance gated and traced by a controller
+// over scaleGateModel(workers).
+func newGatedSTM(workers int, opts guide.Options) *tl2.STM {
+	ctrl := guide.New(scaleGateModel(workers), opts)
 	s := tl2.New(tl2.Options{YieldEvery: -1})
 	s.SetGate(ctrl)
 	s.SetTracer(ctrl)
-	vars := make([]*tl2.Var, workers)
-	for i := range vars {
-		vars[i] = tl2.NewVar(0)
-	}
-	var ids workerIDs
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := ids.get() % workers
-		v := vars[id]
-		for pb.Next() {
-			_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
-				tx.Write(v, tx.Read(v)+1)
-				return nil
+	return s
+}
+
+// BenchmarkScaleGateAdmission: the guide-gated commit path end to end
+// — Admit consults the model snapshot, OnCommit advances the automaton
+// through the per-pair snapshot cache — under disjoint RMW load. The
+// tentpole pins this path at zero allocations per transaction.
+func BenchmarkScaleGateAdmission(b *testing.B) {
+	const workers = 8
+	for _, g := range gateOptions {
+		b.Run(g.name, func(b *testing.B) {
+			s := newGatedSTM(workers, g.opts)
+			vars := make([]*tl2.Var, workers)
+			for i := range vars {
+				vars[i] = tl2.NewVar(0)
+			}
+			var ids workerIDs
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				id := ids.get() % workers
+				v := vars[id]
+				for pb.Next() {
+					_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
+						tx.Write(v, tx.Read(v)+1)
+						return nil
+					})
+				}
 			})
-		}
-	})
+		})
+	}
 }
 
 // scaleBatchLen is the envelope size the batch rows coalesce: long
@@ -330,21 +352,23 @@ func TestScaleTL2RMWAllocFree(t *testing.T) {
 }
 
 // TestScaleGateAdmissionAllocFree pins the guide-gated commit path:
-// with the automaton cycling through its per-state snapshot cache,
-// Admit + OnCommit must add zero allocations to the transaction.
+// with the automaton cycling through its per-pair snapshot cache,
+// Admit + OnCommit must add zero allocations to the transaction, with
+// the health monitor on (the shipped default) or off.
 func TestScaleGateAdmissionAllocFree(t *testing.T) {
 	skipIfRace(t)
-	ctrl := guide.New(scaleGateModel(2), guide.Options{K: 1, HealthWindow: -1})
-	s := tl2.New(tl2.Options{YieldEvery: -1})
-	s.SetGate(ctrl)
-	s.SetTracer(ctrl)
-	v := tl2.NewVar(0)
-	if avg := allocsPerTx(func() {
-		_ = s.Atomic(0, 0, func(tx *tl2.Tx) error {
-			tx.Write(v, tx.Read(v)+1)
-			return nil
+	for _, g := range gateOptions {
+		t.Run(g.name, func(t *testing.T) {
+			s := newGatedSTM(2, g.opts)
+			v := tl2.NewVar(0)
+			if avg := allocsPerTx(func() {
+				_ = s.Atomic(0, 0, func(tx *tl2.Tx) error {
+					tx.Write(v, tx.Read(v)+1)
+					return nil
+				})
+			}); avg != 0 {
+				t.Errorf("gate-admitted RMW allocates %.1f/op at steady state, want 0", avg)
+			}
 		})
-	}); avg != 0 {
-		t.Errorf("gate-admitted RMW allocates %.1f/op at steady state, want 0", avg)
 	}
 }

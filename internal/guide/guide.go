@@ -15,7 +15,6 @@
 package guide
 
 import (
-	"encoding/binary"
 	"math"
 	"runtime"
 	"sync"
@@ -127,8 +126,11 @@ type Options struct {
 
 // Stats counts controller decisions, for reporting and tests. Every
 // Admit call lands in exactly one disposition bucket, so
-// Admits == ImmediateAdmits + Holds + ReadOnlyAdmits always holds —
-// including across SwapModel calls, which touch no counters.
+// Admits == ImmediateAdmits + Holds + ReadOnlyAdmits holds in every
+// quiescent snapshot — including across SwapModel calls, which touch no
+// counters. The counters live in per-thread stripes that Stats sums
+// without stopping the gate, so a snapshot taken while Admit calls are
+// in flight may be short of the partition by those calls.
 type Stats struct {
 	// Admits is the total number of Admit calls.
 	Admits uint64
@@ -168,7 +170,10 @@ type Stats struct {
 	MaxHoldRechecks uint64
 	// ThreadEscapes[t] counts thread t's progress escapes and
 	// ThreadHoldTime[t] its cumulative time spent held — the
-	// starvation evidence per thread.
+	// starvation evidence per thread. Both are as long as the larger of
+	// the model's and the prior's thread count; a thread ID at or past
+	// that aliases onto slot ID mod length (as does every per-thread sum
+	// behind the totals above, harmlessly).
 	ThreadEscapes []uint64
 	// ThreadHoldTime is indexed like ThreadEscapes.
 	ThreadHoldTime []time.Duration
@@ -190,11 +195,9 @@ type Stats struct {
 
 // snapshot is the controller's view of the current state; replaced
 // wholesale on every update so Admit can read without locking.
-// Snapshots for plain (abort-free) commit states are cached and reused
-// per state key (see snapshotForCommitLocked), so the commit path
-// allocates nothing at steady state; the anchoring commit's instance
-// lives in Controller.curInstance (under mu), not here, because a
-// cached snapshot outlives any one commit.
+// Snapshots for plain (abort-free) commit states are cached per pair
+// (see commitCache) and reused, so the commit path allocates nothing at
+// steady state.
 type snapshot struct {
 	state tts.State
 	// allowed is the union of pairs in all high-probability destination
@@ -203,7 +206,27 @@ type snapshot struct {
 	// relaxed is the same union under the RelaxFactor× Tfactor,
 	// consulted at LevelRelaxed; always a superset of allowed.
 	relaxed map[uint32]struct{}
-	gen     uint64
+
+	// anchor is the instance of the commit anchoring this state, matched
+	// against an abort's killer. A cached snapshot's anchor is rewritten
+	// by every commit of its pair — only that pair's thread commits it,
+	// so its line has one writer — and the pads keep it a cache line
+	// away from the fields above, which every Admit on every thread
+	// reads, in this snapshot and in whichever one the allocator puts
+	// next.
+	_      [128 - 48]byte
+	anchor atomic.Uint64
+	_      [64 - 8]byte
+}
+
+// commitCache is the lock-free front of the commit path: the snapshot of
+// every commit-only state seen so far, by pair key. Immutable once
+// published; a miss republishes a grown copy under Controller.mu.
+type commitCache struct {
+	snaps map[uint32]*snapshot
+	// bucket is the blend-weight bucket the entries were built under
+	// (always 0 without a prior); a step invalidates them all.
+	bucket int
 }
 
 // blendSets is one cached blended admission-set pair for a state key.
@@ -228,48 +251,31 @@ type modelTables struct {
 	base *model.TSA
 	// gen is the swap generation, used to invalidate the blend cache.
 	gen uint64
+	// commits caches the snapshots built from these tables (never nil);
+	// hanging it here is what lets SwapModel drop it by replacing the
+	// tables.
+	commits atomic.Pointer[commitCache]
 }
 
-// Controller guides an STM using a trained, analyzed model.
+// Controller guides an STM using a trained, analyzed model. An immediate
+// admit and a cached-state commit take no lock and touch one cache line
+// another thread writes: cur, the shared variable the mechanism is made
+// of. Everything else they touch is read-mostly or the calling thread's
+// own stripe.
 type Controller struct {
-	// tables holds the active model's derived state; see modelTables.
+	// Read-mostly: set by New or moved by rare control-plane events. No
+	// field in this block may be written per transaction.
 	tables    atomic.Pointer[modelTables]
 	k         int
 	holdDelay time.Duration
 	inject    *fault.Injector
 	yield     func()
-
 	// Static-prior blending (nil prior disables all of it; the
 	// precomputed tables maps are then the only lookup path).
 	prior         *model.TSA
 	tf, rf        float64
 	blendEvidence int
 	stream        atomic.Bool // base started empty: learn it from traced commits
-	evidence      atomic.Uint64
-	blendMu       sync.Mutex // guards blendCache/blendBucket/blendGen; nested inside mu
-	blendCache    map[string]blendSets
-	blendBucket   int
-	blendGen      uint64
-	havePrev      bool      // under mu: a finalized state exists to stream from
-	prevFinal     tts.State // under mu: last finalized (superseded) state
-
-	mu  sync.Mutex // serializes state updates
-	cur atomic.Pointer[snapshot]
-	gen atomic.Uint64
-
-	// Zero-alloc commit path (all under mu): curInstance is the
-	// instance of the commit anchoring the current state (moved out of
-	// snapshot so cached snapshots can be reused across commits);
-	// snapCache maps a commit-only state key to its materialized
-	// snapshot; snapKeyBuf is the scratch the key is encoded into for
-	// the allocation-free map lookup; snapGen/snapBucket record the
-	// tables generation and blend bucket the cache was built under.
-	curInstance uint64
-	snapCache   map[string]*snapshot
-	snapKeyBuf  []byte
-	snapGen     uint64
-	snapBucket  int
-
 	// level is the degradation-ladder position (see health.go); the
 	// health monitor moves it, Admit polls it. quarantined latches the
 	// ladder at passthrough until an external supervisor (the online
@@ -277,23 +283,30 @@ type Controller struct {
 	level       atomic.Int32
 	quarantined atomic.Bool
 	health      *healthMonitor
-	perThread   []threadCounters
-
+	// perThread holds every per-transaction counter, one stripe per
+	// thread (see stripe).
+	perThread []stripe
 	// ro is the manifest's certified-readonly ID set; nil when no
 	// manifest (or nothing certified), which is the whole fast-path
 	// cost for ungated deployments.
 	ro *effect.ROSet
 
-	admits          atomic.Uint64
-	irrevAdmits     atomic.Uint64
-	roAdmits        atomic.Uint64
-	immediateAdmits atomic.Uint64
-	holds           atomic.Uint64
-	escapes         atomic.Uint64
-	unknownPasses   atomic.Uint64
-	relaxedAdmits   atomic.Uint64
-	passAdmits      atomic.Uint64
-	sheds           atomic.Uint64
+	// cur is the current state, alone on its cache line: every Admit
+	// loads it and every state-changing commit stores it.
+	_   [64]byte
+	cur atomic.Pointer[snapshot]
+	_   [64 - 8]byte
+
+	// Slow path: commit-cache misses, blended and streamed commits,
+	// abort extension and model swaps serialize on mu.
+	mu          sync.Mutex
+	havePrev    bool       // under mu: a finalized state exists to stream from
+	prevFinal   tts.State  // under mu: last finalized (superseded) state
+	blendMu     sync.Mutex // guards blendCache/blendBucket/blendGen; nested inside mu
+	blendCache  map[string]blendSets
+	blendBucket int
+	blendGen    uint64
+
 	degradations    atomic.Uint64
 	rearms          atomic.Uint64
 	swaps           atomic.Uint64
@@ -330,30 +343,23 @@ func New(m *model.TSA, opts Options) *Controller {
 	if rf <= 0 {
 		rf = DefaultRelaxFactor
 	}
-	threads := 0
+	threads := 1
 	if m != nil {
-		threads = m.Threads
-	} else if opts.Prior != nil {
-		threads = opts.Prior.Threads
+		threads = max(threads, m.Threads)
 	}
-	if threads < 1 {
-		threads = 1
+	if opts.Prior != nil {
+		threads = max(threads, opts.Prior.Threads)
 	}
-	if threads > maxThreadCounters {
-		threads = maxThreadCounters
-	}
+	threads = min(threads, maxThreadCounters)
 	c := &Controller{
-		k:          k,
-		holdDelay:  hd,
-		inject:     opts.Inject,
-		yield:      opts.Yield,
-		perThread:  make([]threadCounters, threads),
-		tf:         tf,
-		rf:         rf,
-		ro:         effect.NewROSet(opts.Manifest),
-		snapCache:  make(map[string]*snapshot),
-		snapKeyBuf: make([]byte, pairKeyBytes),
-		snapBucket: -1,
+		k:         k,
+		holdDelay: hd,
+		inject:    opts.Inject,
+		yield:     opts.Yield,
+		perThread: make([]stripe, threads),
+		tf:        tf,
+		rf:        rf,
+		ro:        effect.NewROSet(opts.Manifest),
 	}
 	tb := &modelTables{base: m}
 	if opts.Prior != nil {
@@ -372,6 +378,7 @@ func New(m *model.TSA, opts Options) *Controller {
 		tb.allowed = buildAllowed(m, tf)
 		tb.relaxed = buildAllowed(m, tf*rf)
 	}
+	tb.commits.Store(&commitCache{})
 	c.tables.Store(tb)
 	if opts.HealthWindow >= 0 {
 		w := opts.HealthWindow
@@ -392,6 +399,7 @@ func New(m *model.TSA, opts Options) *Controller {
 		}
 		c.health = &healthMonitor{
 			window:       uint64(w),
+			batch:        uint64(w) / healthBatchDivisor,
 			unknownTrip:  ut,
 			escapeTrip:   et,
 			rearmWindows: rw,
@@ -426,11 +434,10 @@ func buildAllowed(m *model.TSA, tf float64) map[string]map[uint32]struct{} {
 	return out
 }
 
-// setsFor resolves the admission-set pair for a state key: the
-// precomputed maps when no prior is configured, otherwise the blended
-// sets (cached per weight bucket and swap generation).
-func (c *Controller) setsFor(key string) (allowed, relaxed map[uint32]struct{}) {
-	tb := c.tables.Load()
+// setsFor resolves the admission-set pair for a state key under tables
+// tb: the precomputed maps when no prior is configured, otherwise the
+// blended sets (cached per weight bucket and swap generation).
+func (c *Controller) setsFor(tb *modelTables, key string) (allowed, relaxed map[uint32]struct{}) {
 	if c.prior == nil {
 		return tb.allowed[key], tb.relaxed[key]
 	}
@@ -460,7 +467,7 @@ func (c *Controller) weightBucket() int {
 	if c.blendEvidence < 0 {
 		return blendBuckets
 	}
-	ev := c.evidence.Load()
+	ev := c.evidence()
 	if ev >= uint64(c.blendEvidence) {
 		return 0
 	}
@@ -548,7 +555,7 @@ func destPairs(prior, base *model.TSA, key string) []tts.Pair {
 // counts it exactly once per traced commit, whether or not the base is
 // streamed, swapped, or absent, so repeated SwapModel calls can never
 // double-count a commit.
-func (c *Controller) observeCommitLocked() {
+func (c *Controller) observeCommitLocked(base *model.TSA) {
 	if !c.stream.Load() {
 		return
 	}
@@ -557,60 +564,58 @@ func (c *Controller) observeCommitLocked() {
 		c.havePrev = false
 		return
 	}
-	base := c.tables.Load().base
 	final := snap.state
 	if c.havePrev && base.NumStates() < maxStreamStates {
 		base.AddRun([]tts.State{c.prevFinal, final})
-		prevKey := c.prevFinal.Key()
 		c.blendMu.Lock()
-		delete(c.blendCache, prevKey)
+		delete(c.blendCache, c.prevFinal.Key())
 		c.blendMu.Unlock()
-		// The streamed transition changed the base model's node for the
-		// superseded state, so its cached snapshot (if commit-only) was
-		// built from sets that no longer hold.
-		delete(c.snapCache, prevKey)
 	}
 	c.prevFinal = final
 	c.havePrev = true
 }
 
-// Stats returns a snapshot of the decision counters.
+// evidence sums the stripes' non-readonly commit counts.
+func (c *Controller) evidence() (n uint64) {
+	for i := range c.perThread {
+		n += c.perThread[i].evidence.Load()
+	}
+	return n
+}
+
+// Stats returns a snapshot of the decision counters, summed over the
+// per-thread stripes.
 func (c *Controller) Stats() Stats {
 	st := Stats{
-		Admits:            c.admits.Load(),
-		ImmediateAdmits:   c.immediateAdmits.Load(),
-		Holds:             c.holds.Load(),
-		Escapes:           c.escapes.Load(),
-		UnknownPasses:     c.unknownPasses.Load(),
-		IrrevocableAdmits: c.irrevAdmits.Load(),
-		ReadOnlyAdmits:    c.roAdmits.Load(),
-		Sheds:             c.sheds.Load(),
-		RelaxedAdmits:     c.relaxedAdmits.Load(),
-		PassthroughAdmits: c.passAdmits.Load(),
-		Degradations:      c.degradations.Load(),
-		Rearms:            c.rearms.Load(),
-		Level:             c.Level(),
-		MaxHoldRechecks:   c.maxHoldRechecks.Load(),
-		ThreadEscapes:     make([]uint64, len(c.perThread)),
-		ThreadHoldTime:    make([]time.Duration, len(c.perThread)),
-		Evidence:          c.evidence.Load(),
-		ModelSwaps:        c.swaps.Load(),
-		Quarantined:       c.quarantined.Load(),
+		Degradations:    c.degradations.Load(),
+		Rearms:          c.rearms.Load(),
+		Level:           c.Level(),
+		MaxHoldRechecks: c.maxHoldRechecks.Load(),
+		ThreadEscapes:   make([]uint64, len(c.perThread)),
+		ThreadHoldTime:  make([]time.Duration, len(c.perThread)),
+		ModelSwaps:      c.swaps.Load(),
+		Quarantined:     c.quarantined.Load(),
 	}
 	for i := range c.perThread {
-		st.ThreadEscapes[i] = c.perThread[i].escapes.Load()
-		st.ThreadHoldTime[i] = time.Duration(c.perThread[i].holdNanos.Load())
+		t := &c.perThread[i]
+		st.Admits += t.admits.Load()
+		st.ImmediateAdmits += t.immediate.Load()
+		st.Holds += t.holds.Load()
+		st.UnknownPasses += t.unknown.Load()
+		st.IrrevocableAdmits += t.irrevocable.Load()
+		st.ReadOnlyAdmits += t.readOnly.Load()
+		st.Sheds += t.sheds.Load()
+		st.RelaxedAdmits += t.relaxed.Load()
+		st.PassthroughAdmits += t.passthrough.Load()
+		st.Evidence += t.evidence.Load()
+		st.ThreadEscapes[i] = t.escapes.Load()
+		st.Escapes += st.ThreadEscapes[i]
+		st.ThreadHoldTime[i] = time.Duration(t.holdNanos.Load())
 	}
 	if c.prior != nil {
 		st.PriorWeight = float64(c.weightBucket()) / blendBuckets
 	}
 	return st
-}
-
-// replaceLocked installs a new snapshot. Caller holds c.mu; held
-// transactions observe the swap on their next polled re-check.
-func (c *Controller) replaceLocked(next *snapshot) {
-	c.cur.Store(next)
 }
 
 // SwapModel atomically replaces the controller's base model with next
@@ -636,20 +641,16 @@ func (c *Controller) SwapModel(next *model.TSA) {
 	}
 	c.stream.Store(false)
 	nt.gen = c.swaps.Add(1)
+	nt.commits.Store(&commitCache{})
 	c.tables.Store(nt)
 	// Refresh the current snapshot's admission sets against the new
 	// model so transactions held right now re-check fresh guidance
 	// instead of waiting for the next commit. Bounded work under mu
-	// (one set resolution), after the lock-free install above.
+	// (one set resolution), after the lock-free install above; the CAS
+	// yields to any commit that moved the state on meanwhile.
 	c.mu.Lock()
 	if snap := c.cur.Load(); snap != nil {
-		allowed, relaxed := c.setsFor(snap.state.Key())
-		c.replaceLocked(&snapshot{
-			state:   snap.state,
-			allowed: allowed,
-			relaxed: relaxed,
-			gen:     c.gen.Add(1),
-		})
+		c.cur.CompareAndSwap(snap, c.newSnapshot(nt, snap.state, snap.anchor.Load()))
 	}
 	c.mu.Unlock()
 	// A fresh model must not inherit the health debt its predecessor
@@ -689,18 +690,12 @@ func (c *Controller) Model() *model.TSA {
 // quarantines again after the next epoch.
 func (c *Controller) Reset() {
 	c.mu.Lock()
-	c.replaceLocked(nil)
+	c.cur.Store(nil)
 	c.havePrev = false
-	c.curInstance = 0
 	c.mu.Unlock()
 	c.quarantined.Store(false)
 	c.resetHealth()
 }
-
-// pairKeyBytes is the encoded width of one tts.Pair in a state key —
-// the whole key of a commit-only state (the common case OnCommit
-// caches).
-const pairKeyBytes = 4
 
 // maxSnapCache bounds the commit-snapshot cache; a workload cannot
 // have more commit-only states than (tx IDs × threads), so in practice
@@ -708,44 +703,43 @@ const pairKeyBytes = 4
 // than grows without limit.
 const maxSnapCache = 4096
 
-// ensureSnapCacheLocked invalidates the commit-snapshot cache when the
-// inputs its entries were computed from changed: a model swap (tables
-// generation) or a blend-weight bucket step. Caller holds c.mu.
-func (c *Controller) ensureSnapCacheLocked() {
-	tb := c.tables.Load()
+// newSnapshot materializes the snapshot of state st under tables tb,
+// anchored by the given commit instance.
+func (c *Controller) newSnapshot(tb *modelTables, st tts.State, anchor uint64) *snapshot {
+	s := &snapshot{state: st}
+	s.allowed, s.relaxed = c.setsFor(tb, st.Key())
+	s.anchor.Store(anchor)
+	return s
+}
+
+// snapshotForCommitLocked returns the snapshot for the commit-only state
+// anchored by pair p, publishing it into tb's commit cache when it had
+// to be built. Caller holds c.mu.
+func (c *Controller) snapshotForCommitLocked(tb *modelTables, p tts.Pair) *snapshot {
 	bucket := 0
 	if c.prior != nil {
 		bucket = c.weightBucket()
 	}
-	if tb.gen != c.snapGen || bucket != c.snapBucket {
-		c.snapGen = tb.gen
-		c.snapBucket = bucket
-		clear(c.snapCache)
+	old := tb.commits.Load()
+	if old.bucket != bucket {
+		old = &commitCache{} // a blend-weight step outdates every cached set
 	}
-}
-
-// snapshotForCommitLocked returns the (cached) snapshot for the
-// commit-only state anchored by pair p. The lookup encodes the state
-// key into a scratch buffer and probes the cache with a non-allocating
-// map[string(buf)] access, so a cache hit — the steady state — costs
-// zero allocations; only a first encounter of a state materializes the
-// key string, the snapshot, and its admission sets. Caller holds c.mu.
-func (c *Controller) snapshotForCommitLocked(p tts.Pair) *snapshot {
-	c.ensureSnapCacheLocked()
-	buf := c.snapKeyBuf[:pairKeyBytes]
-	binary.BigEndian.PutUint16(buf[0:], p.Tx)
-	binary.BigEndian.PutUint16(buf[2:], p.Thread)
-	if s, ok := c.snapCache[string(buf)]; ok {
+	if s := old.snaps[p.Key()]; s != nil {
 		return s
 	}
-	st := tts.State{Commit: p}
-	key := st.Key()
-	allowed, relaxed := c.setsFor(key)
-	s := &snapshot{state: st, allowed: allowed, relaxed: relaxed, gen: c.gen.Add(1)}
-	if len(c.snapCache) >= maxSnapCache {
-		clear(c.snapCache)
+	s := c.newSnapshot(tb, tts.State{Commit: p}, 0)
+	if c.stream.Load() {
+		// A streamed base changes under its own states with every
+		// commit: nothing built from it is worth keeping.
+		return s
 	}
-	c.snapCache[key] = s
+	next := &commitCache{snaps: map[uint32]*snapshot{p.Key(): s}, bucket: bucket}
+	if len(old.snaps) < maxSnapCache {
+		for k, v := range old.snaps {
+			next.snaps[k] = v
+		}
+	}
+	tb.commits.Store(next)
 	return s
 }
 
@@ -760,51 +754,75 @@ func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
 	if c.ro != nil && c.ro.Certified(p.Tx) {
 		return
 	}
-	c.evidence.Add(1)
-	c.mu.Lock()
-	c.observeCommitLocked()
-	c.curInstance = instance
-	next := c.snapshotForCommitLocked(p)
-	if c.cur.Load() != next {
-		// Same-state repeat commits keep the cached pointer installed.
-		// Held transactions detect state changes by pointer identity, so
-		// a repeat reads as "unchanged" and burns stale budget — which is
-		// accurate: the admissible set really did not change.
-		c.replaceLocked(next)
+	c.stripe(p.Thread).evidence.Add(1)
+	tb := c.tables.Load()
+	c.advance(tb, instance, p)
+	if now := c.tables.Load(); now != tb {
+		// A swap raced the advance and may have refreshed cur before our
+		// snapshot of the old tables landed on it: redo against the new
+		// ones (once; a second swap is healed by the next commit).
+		c.advance(now, instance, p)
 	}
+}
+
+// advance publishes the state anchored by commit (instance, p) under
+// tables tb. The common case — no prior, pair seen before — is a
+// lock-free lookup and at most one store to a shared line.
+func (c *Controller) advance(tb *modelTables, instance uint64, p tts.Pair) {
+	if c.prior == nil {
+		if next := tb.commits.Load().snaps[p.Key()]; next != nil {
+			c.install(next, instance)
+			return
+		}
+	}
+	// First encounter of the pair, or a blended or streamed base whose
+	// sets depend on state guarded by mu.
+	c.mu.Lock()
+	c.observeCommitLocked(tb.base)
+	c.install(c.snapshotForCommitLocked(tb, p), instance)
 	c.mu.Unlock()
+}
+
+// install anchors next on the given commit and makes it the current
+// state. Same-state repeat commits keep the cached pointer installed
+// and skip the store: held transactions detect state changes by pointer
+// identity, so a repeat reads as "unchanged" and burns stale budget —
+// which is accurate: the admissible set really did not change.
+func (c *Controller) install(next *snapshot, instance uint64) {
+	next.anchor.Store(instance)
+	if c.cur.Load() != next {
+		c.cur.Store(next)
+	}
 }
 
 // OnAbort implements trace.Tracer: an abort attributed to the current
 // state's commit extends that state's tuple, possibly changing the
-// admissible set.
+// admissible set. Aborts accrete on one another, so they serialize on
+// mu; commits do not take it, so the extension is installed by CAS and
+// loses to any commit that moved the state on. One window is left open
+// and is benign: if the anchoring pair commits again between the anchor
+// read and the CAS (cur keeps the same cached pointer), the extension
+// of the previous instance stays installed until the next commit.
 func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 	if killer == 0 {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	snap := c.cur.Load()
-	if snap == nil || c.curInstance != killer {
-		c.mu.Unlock()
+	if snap == nil || snap.anchor.Load() != killer {
 		return
 	}
 	// Abort-extended states are rare (one per attributed abort) and
 	// unbounded in shape, so they are built fresh rather than cached;
 	// the next commit lands back on the cached commit-only snapshots.
+	// Nothing rewrites an extension's anchor: it keeps the killer.
 	st := tts.State{
 		Commit: snap.state.Commit,
 		Aborts: append(append([]tts.Pair(nil), snap.state.Aborts...), p),
 	}
 	st.Canonicalize()
-	key := st.Key()
-	allowed, relaxed := c.setsFor(key)
-	c.replaceLocked(&snapshot{
-		state:   st,
-		allowed: allowed,
-		relaxed: relaxed,
-		gen:     c.gen.Add(1),
-	})
-	c.mu.Unlock()
+	c.cur.CompareAndSwap(snap, c.newSnapshot(c.tables.Load(), st, killer))
 }
 
 // Admit implements the gate (paper Figure 2). It returns when pair p
@@ -813,15 +831,16 @@ func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 // ladder is at LevelPassthrough), otherwise after holding through up to
 // k re-checks. Every outcome feeds the health monitor.
 func (c *Controller) Admit(p tts.Pair) {
-	c.admits.Add(1)
+	tc := c.stripe(p.Thread)
+	tc.admits.Add(1)
 
 	// Certified-readonly transactions bypass the gate before any model
 	// consultation: they cannot cause aborts, so no destination set can
 	// justify holding them, and the bypass must not touch the hold
-	// machinery at all (no snapshot load, no per-thread counters).
+	// machinery at all (no snapshot load).
 	if c.ro != nil && c.ro.Certified(p.Tx) {
-		c.roAdmits.Add(1)
-		c.noteOutcome(false, false)
+		tc.readOnly.Add(1)
+		c.note(tc, false, false)
 		return
 	}
 
@@ -829,37 +848,35 @@ func (c *Controller) Admit(p tts.Pair) {
 
 	lvl := c.Level()
 	if lvl == LevelPassthrough {
-		c.passAdmits.Add(1)
-		c.immediateAdmits.Add(1)
-		c.noteOutcome(false, false)
+		tc.passthrough.Add(1)
+		tc.immediate.Add(1)
+		c.note(tc, false, false)
 		return
 	}
 
 	snap := c.cur.Load()
 	if ok, unknown := admissible(snap, pk, lvl); ok {
 		if unknown {
-			c.unknownPasses.Add(1)
+			tc.unknown.Add(1)
 		}
 		if lvl == LevelRelaxed {
-			c.relaxedAdmits.Add(1)
+			tc.relaxed.Add(1)
 		}
-		c.immediateAdmits.Add(1)
-		c.noteOutcome(unknown, false)
+		tc.immediate.Add(1)
+		c.note(tc, unknown, false)
 		return
 	}
 
 	t0 := time.Now()
-	tc := c.threadCounter(p.Thread)
 	stale, total := 0, 0
 	// held finalizes a hold: counters, per-thread starvation evidence,
 	// the livelock high-water mark, and the health window.
 	held := func(escaped, unknown bool) {
-		c.holds.Add(1)
+		tc.holds.Add(1)
 		if unknown {
-			c.unknownPasses.Add(1)
+			tc.unknown.Add(1)
 		}
 		if escaped {
-			c.escapes.Add(1)
 			tc.escapes.Add(1)
 		}
 		tc.holdNanos.Add(uint64(time.Since(t0)))
@@ -869,7 +886,7 @@ func (c *Controller) Admit(p tts.Pair) {
 				break
 			}
 		}
-		c.noteOutcome(unknown, escaped)
+		c.note(tc, unknown, escaped)
 	}
 	for ; stale < c.k && total < maxHoldFactor*c.k; total++ {
 		// Yield so committers make progress, then re-check against the
@@ -893,7 +910,7 @@ func (c *Controller) Admit(p tts.Pair) {
 		// Poll the ladder too: a degradation while we were held widens
 		// (or removes) the set we are waiting on.
 		if lvl = c.Level(); lvl == LevelPassthrough {
-			c.passAdmits.Add(1)
+			tc.passthrough.Add(1)
 			held(false, false)
 			return
 		}
@@ -902,7 +919,7 @@ func (c *Controller) Admit(p tts.Pair) {
 		snap = next
 		if ok, unknown := admissible(snap, pk, lvl); ok {
 			if lvl == LevelRelaxed {
-				c.relaxedAdmits.Add(1)
+				tc.relaxed.Add(1)
 			}
 			held(false, unknown)
 			return
@@ -925,10 +942,11 @@ func (c *Controller) Admit(p tts.Pair) {
 // window: a burst of escalations is exactly the distress the ladder
 // should see.
 func (c *Controller) AdmitIrrevocable(p tts.Pair) {
-	c.admits.Add(1)
-	c.irrevAdmits.Add(1)
-	c.immediateAdmits.Add(1)
-	c.noteOutcome(false, false)
+	tc := c.stripe(p.Thread)
+	tc.admits.Add(1)
+	tc.irrevocable.Add(1)
+	tc.immediate.Add(1)
+	c.note(tc, false, false)
 }
 
 // NoteShed records that the overload limiter rejected pair p before it
@@ -938,7 +956,7 @@ func (c *Controller) AdmitIrrevocable(p tts.Pair) {
 // monitor either: shedding is upstream load policy, not evidence about
 // the model's fit.
 func (c *Controller) NoteShed(p tts.Pair) {
-	c.sheds.Add(1)
+	c.stripe(p.Thread).sheds.Add(1)
 }
 
 // WouldAdmit reports whether pair p would pass the gate right now,

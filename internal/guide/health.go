@@ -73,18 +73,27 @@ const (
 	DefaultRearmWindows = 2
 	// maxThreadCounters bounds the per-thread counter table.
 	maxThreadCounters = 4096
+	// healthBatchDivisor sets how many healthy admits a stripe gathers
+	// before adding them to the shared window count: window/divisor, so
+	// a window's rates are off by at most stripes/divisor of a window,
+	// and windows below 2×divisor count every admit as it happens.
+	healthBatchDivisor = 16
 )
 
 // healthMonitor accumulates one window of decision outcomes. Event
 // recording is atomic (the Admit hot path); window evaluation is
 // serialized by mu.
 type healthMonitor struct {
+	// Read on every admit, never written after New.
 	window       uint64
+	batch        uint64 // healthy admits a stripe gathers per flush; ≤ 1: none
 	unknownTrip  float64
 	escapeTrip   float64
 	rearmWindows int
 
-	admits   atomic.Uint64 // running admit count (window = modulo)
+	// Written by flushes and bad outcomes, kept off the line above.
+	_        [64]byte
+	admits   atomic.Uint64 // running admit count; a window closes at each multiple of window
 	unknowns atomic.Uint64 // unknown-state passes this window
 	escapes  atomic.Uint64 // progress escapes this window
 
@@ -92,10 +101,19 @@ type healthMonitor struct {
 	healthy int // consecutive healthy windows at the current level
 }
 
-// threadCounters tracks one thread's starvation evidence.
-type threadCounters struct {
-	escapes   atomic.Uint64
-	holdNanos atomic.Uint64
+// stripe is one thread's share of every per-transaction counter, padded
+// so no two threads' stripes share a cache line (or an adjacent-line
+// prefetch pair). Thread IDs past the table alias modulo its length, so
+// the operations stay atomic; Stats sums the stripes. Within a stripe
+// admits == immediate + holds + readOnly once its Admit calls returned.
+type stripe struct {
+	admits, immediate, holds, readOnly      atomic.Uint64
+	escapes, unknown, relaxed, passthrough  atomic.Uint64
+	irrevocable, sheds, evidence, holdNanos atomic.Uint64
+	// healthyAdmits counts this stripe's healthy admits; every batch-th
+	// one carries the batch into the shared health window.
+	healthyAdmits atomic.Uint64
+	_             [128 - 13*8]byte
 }
 
 // Level returns the controller's current degradation level.
@@ -103,13 +121,32 @@ func (c *Controller) Level() Level {
 	return Level(c.level.Load())
 }
 
-// threadCounter returns the counter slot for the pair's thread.
-func (c *Controller) threadCounter(thread uint16) *threadCounters {
-	return &c.perThread[int(thread)%len(c.perThread)]
+// stripe returns the counter stripe for the pair's thread.
+func (c *Controller) stripe(thread uint16) *stripe {
+	i := int(thread)
+	if i >= len(c.perThread) { // off the hot path: no division for IDs in range
+		i %= len(c.perThread)
+	}
+	return &c.perThread[i]
+}
+
+// note records one finished admit of stripe tc in the health window.
+// Healthy outcomes — all but a rare few — are gathered per stripe and
+// reach the shared count a batch at a time.
+func (c *Controller) note(tc *stripe, unknown, escaped bool) {
+	h := c.health
+	if h == nil {
+		return
+	}
+	if unknown || escaped || h.batch <= 1 {
+		c.noteOutcome(unknown, escaped)
+	} else if tc.healthyAdmits.Add(1)%h.batch == 0 {
+		c.countAdmits(h.batch)
+	}
 }
 
 // noteOutcome records one finished admit in the current health window
-// and evaluates the ladder when the window fills.
+// directly, bypassing the stripes.
 func (c *Controller) noteOutcome(unknown, escaped bool) {
 	h := c.health
 	if h == nil {
@@ -121,7 +158,14 @@ func (c *Controller) noteOutcome(unknown, escaped bool) {
 	if escaped {
 		h.escapes.Add(1)
 	}
-	if h.admits.Add(1)%h.window == 0 {
+	c.countAdmits(1)
+}
+
+// countAdmits adds n < window finished admits to the window count and
+// evaluates the ladder when that crosses a window boundary.
+func (c *Controller) countAdmits(n uint64) {
+	h := c.health
+	if after := h.admits.Add(n); after/h.window != (after-n)/h.window {
 		c.evaluateWindow()
 	}
 }

@@ -13,8 +13,10 @@
 # runs), an overload-control soak under the race detector (the AIMD
 # admission limiter, priority shedding and both runtimes' token
 # ledgers hammered by oversubscribed workers, plus the deterministic
-# collapse-curve acceptance test), a fuzz smoke over the binary
-# decoders and the tts key codecs, and gstmlint (the STM-aware
+# collapse-curve acceptance test), a gate stress under the race
+# detector (the lock-free commit advance and CAS-published abort
+# extension against a supervisor swapping models), a fuzz smoke over
+# the binary decoders and the tts key codecs, and gstmlint (the STM-aware
 # transaction-safety linter, checks gstm000..gstm010, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
 # stage runs -fix -diff as a dry-run gate too — any machine-applicable
@@ -31,6 +33,11 @@
 # hardware that did not record the baseline), and any allocation on a
 # benchmark the baseline pins at zero allocs/op fails unconditionally
 # — the zero-alloc commit paths are a contract, not a tuning knob.
+# Last, the benchmark that judges performance PRs (bench/, a module of
+# its own that tier-1 never compiles) is vetted, tested and run for two
+# seconds on two workloads, so a change under internal/ that stops it
+# building or trips one of its anti-vacuity guards fails here and not
+# after merge.
 # Exits non-zero on the first failure. CI runs this same script
 # (.github/workflows/ci.yml). Set GSTM_FUZZTIME to lengthen the fuzz
 # smoke (default 10s per target).
@@ -77,6 +84,9 @@ go test -race ./internal/overload
 go test -race -run 'TestOverloadSoak|TestFaultMatrix/Overload' ./internal/harness
 go test -run 'TestOversub' ./internal/harness
 
+echo "== gate stress (lock-free commit advance under race) =="
+go test -race -count=5 -run TestGateStress ./internal/guide
+
 echo "== fuzz smoke (binary decoders + tts key codecs) =="
 FUZZTIME="${GSTM_FUZZTIME:-10s}"
 go test -run='^$' -fuzz=FuzzModelDecode -fuzztime="$FUZZTIME" ./internal/model
@@ -115,5 +125,20 @@ fi
 
 echo "== benchdiff (micro set vs committed baseline) =="
 ./scripts/benchdiff.sh
+
+echo "== gstmbench still builds and runs (bench/ is outside tier-1) =="
+(cd bench && go vet ./... && go test ./...)
+for run in "ladder-disjoint --trace 0" "bank-hot --trace 1"; do
+    # shellcheck disable=SC2086 # $run is a workload name plus a flag
+    last=$(bash bench/run.sh --workload $run --seed 1 --seconds 2 2>/dev/null | tail -n 1 || true)
+    case "$last" in
+    *'"correct":true'*) echo "  ok       $run" ;;
+    *)
+        echo "bash bench/run.sh --workload $run --seed 1 --seconds 2 did not end in \"correct\":true" >&2
+        echo "(rerun it for the report on standard error); last line: $(echo "$last" | cut -c1-200)" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "all checks passed"
