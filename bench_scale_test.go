@@ -4,15 +4,13 @@ package gstm
 // BenchmarkScale* family is run by scripts/bench.sh's fifth stanza
 // with `-cpu 1,2,4,8 -benchmem`, which records ns/op, allocs/op and
 // the speedup relative to the 1-core row of the same benchmark into
-// BENCH_scale.json. The matrix covers both runtimes (TL2 under the
-// global and the sharded commit clock, LibTM on the pooled descriptor
-// path), the guide-gated commit path, and the batch-commit envelopes.
+// BENCH_scale.json. The matrix covers both runtimes (TL2, LibTM on the
+// pooled descriptor path) and the guide-gated commit path.
 //
-// The TestScale*AllocFree companions pin the tentpole's allocation
-// claims with testing.AllocsPerRun (meaningless under -race, so they
-// skip there): the LibTM RMW path, the TL2 sharded RMW path and the
-// gate-admission path must stay at exactly zero allocations per
-// transaction.
+// The TestScale*AllocFree companions pin the allocation claims with
+// testing.AllocsPerRun (meaningless under -race, so they skip there):
+// the LibTM RMW path, the TL2 RMW path and the gate-admission path
+// must stay at exactly zero allocations per transaction.
 
 import (
 	"sync/atomic"
@@ -33,103 +31,77 @@ import (
 const scaleSlots = 64
 
 // workerIDs hands each RunParallel goroutine a stable small integer,
-// used both as the thread ID (which picks the commit-clock shard) and
-// as the disjoint-location index.
+// used both as the thread ID and as the disjoint-location index.
 type workerIDs struct{ next atomic.Uint32 }
 
 func (w *workerIDs) get() uint16 { return uint16(w.next.Add(1)-1) % scaleSlots }
 
-// clockModes enumerates the TL2 commit-clock organizations the scale
-// matrix compares.
-var clockModes = []struct {
-	name string
-	mode tl2.ClockMode
-}{
-	{"global", tl2.ClockGlobal},
-	{"sharded", tl2.ClockSharded},
-}
-
 // BenchmarkScaleTL2RMW: disjoint read-modify-write transactions — no
 // data conflicts, so the shared commit clock is the only cross-thread
-// cache line and the global-vs-sharded delta isolates its cost.
+// cache line.
 func BenchmarkScaleTL2RMW(b *testing.B) {
-	for _, cm := range clockModes {
-		b.Run(cm.name, func(b *testing.B) {
-			s := tl2.New(tl2.Options{YieldEvery: -1, ClockMode: cm.mode})
-			vars := make([]*tl2.Var, scaleSlots)
-			for i := range vars {
-				vars[i] = tl2.NewVar(0)
-			}
-			var ids workerIDs
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id := ids.get()
-				v := vars[id]
-				for pb.Next() {
-					_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
-						tx.Write(v, tx.Read(v)+1)
-						return nil
-					})
-				}
-			})
-		})
+	s := tl2.New(tl2.Options{YieldEvery: -1})
+	vars := make([]*tl2.Var, scaleSlots)
+	for i := range vars {
+		vars[i] = tl2.NewVar(0)
 	}
+	var ids workerIDs
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := ids.get()
+		v := vars[id]
+		for pb.Next() {
+			_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
+				tx.Write(v, tx.Read(v)+1)
+				return nil
+			})
+		}
+	})
 }
 
 // BenchmarkScaleTL2ReadOnly: a shared 10-element scan per transaction.
-// Read-only commits never touch the clock's write side, so both clock
-// modes should scale; the sharded rows additionally exercise the
-// per-shard begin-time sampling on every transaction.
+// Read-only commits never touch the clock's write side, so they should
+// scale.
 func BenchmarkScaleTL2ReadOnly(b *testing.B) {
-	for _, cm := range clockModes {
-		b.Run(cm.name, func(b *testing.B) {
-			s := tl2.New(tl2.Options{YieldEvery: -1, ClockMode: cm.mode})
-			a := tl2.NewArray(10, 1)
-			var ids workerIDs
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id := ids.get()
-				for pb.Next() {
-					_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
-						var sum int64
-						for j := 0; j < 10; j++ {
-							sum += a.Get(tx, j)
-						}
-						_ = sum
-						return nil
-					})
+	s := tl2.New(tl2.Options{YieldEvery: -1})
+	a := tl2.NewArray(10, 1)
+	var ids workerIDs
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := ids.get()
+		for pb.Next() {
+			_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
+				var sum int64
+				for j := 0; j < 10; j++ {
+					sum += a.Get(tx, j)
 				}
+				_ = sum
+				return nil
 			})
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkScaleTL2ContendedCounter: every thread increments one
 // shared counter — the worst case for any clock organization because
-// data conflicts serialize commits anyway. The sharded rows measure
-// what the per-shard clocks recover once the global clock's fetch-add
-// is off the commit path (BENCH_scale.json's acceptance row at -cpu 8).
+// data conflicts serialize commits anyway.
 func BenchmarkScaleTL2ContendedCounter(b *testing.B) {
-	for _, cm := range clockModes {
-		b.Run(cm.name, func(b *testing.B) {
-			s := tl2.New(tl2.Options{ClockMode: cm.mode})
-			v := tl2.NewVar(0)
-			var ids workerIDs
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id := ids.get()
-				for pb.Next() {
-					_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
-						tx.Write(v, tx.Read(v)+1)
-						return nil
-					})
-				}
+	s := tl2.New(tl2.Options{})
+	v := tl2.NewVar(0)
+	var ids workerIDs
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		id := ids.get()
+		for pb.Next() {
+			_ = s.Atomic(id, id, func(tx *tl2.Tx) error {
+				tx.Write(v, tx.Read(v)+1)
+				return nil
 			})
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkScaleLibTMRMW: disjoint read-modify-writes over LibTM's
@@ -230,70 +202,6 @@ func BenchmarkScaleGateAdmission(b *testing.B) {
 	}
 }
 
-// scaleBatchLen is the envelope size the batch rows coalesce: long
-// enough that the once-per-envelope costs (admission, overload token,
-// clock advance, lock/validate round) amortize visibly, short enough
-// to stay under DefaultBatchMax in one chunk.
-const scaleBatchLen = 8
-
-// BenchmarkScaleTL2Batch: batch-commit envelopes of scaleBatchLen
-// disjoint RMW bodies under the sharded clock — one clock interaction
-// per envelope instead of per transaction. ns/op is per envelope;
-// divide by the batch length to compare against BenchmarkScaleTL2RMW.
-func BenchmarkScaleTL2Batch(b *testing.B) {
-	s := tl2.New(tl2.Options{YieldEvery: -1, ClockMode: tl2.ClockSharded})
-	vars := make([]*tl2.Var, scaleSlots)
-	for i := range vars {
-		vars[i] = tl2.NewVar(0)
-	}
-	var ids workerIDs
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := ids.get()
-		v := vars[id]
-		body := func(tx *tl2.Tx) error {
-			tx.Write(v, tx.Read(v)+1)
-			return nil
-		}
-		bodies := make([]func(*tl2.Tx) error, scaleBatchLen)
-		for i := range bodies {
-			bodies[i] = body
-		}
-		for pb.Next() {
-			_ = s.AtomicBatch(id, id, bodies)
-		}
-	})
-}
-
-// BenchmarkScaleLibTMBatch mirrors the TL2 batch row over LibTM's
-// pooled descriptors.
-func BenchmarkScaleLibTMBatch(b *testing.B) {
-	s := libtm.New(libtm.Options{Mode: libtm.FullyOptimistic, YieldEvery: -1})
-	objs := make([]*libtm.Obj, scaleSlots)
-	for i := range objs {
-		objs[i] = libtm.NewObj(0)
-	}
-	var ids workerIDs
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := ids.get()
-		o := objs[id]
-		body := func(tx *libtm.Tx) error {
-			tx.Write(o, tx.Read(o)+1)
-			return nil
-		}
-		bodies := make([]func(*libtm.Tx) error, scaleBatchLen)
-		for i := range bodies {
-			bodies[i] = body
-		}
-		for pb.Next() {
-			_ = s.AtomicBatch(id, id, bodies)
-		}
-	})
-}
-
 // allocsPerTx measures steady-state allocations per call of fn after a
 // short pool warm-up (the first transactions legitimately populate the
 // sync.Pool free lists and lazily sized read/write sets).
@@ -331,23 +239,18 @@ func TestScaleLibTMRMWAllocFree(t *testing.T) {
 }
 
 // TestScaleTL2RMWAllocFree pins the same claim on TL2's read-write
-// path under both commit-clock modes (the sharded mode additionally
-// covers the per-shard begin-time sample array reuse).
+// path.
 func TestScaleTL2RMWAllocFree(t *testing.T) {
 	skipIfRace(t)
-	for _, cm := range clockModes {
-		t.Run(cm.name, func(t *testing.T) {
-			s := tl2.New(tl2.Options{YieldEvery: -1, ClockMode: cm.mode})
-			v := tl2.NewVar(0)
-			if avg := allocsPerTx(func() {
-				_ = s.Atomic(0, 0, func(tx *tl2.Tx) error {
-					tx.Write(v, tx.Read(v)+1)
-					return nil
-				})
-			}); avg != 0 {
-				t.Errorf("TL2 %s-clock RMW allocates %.1f/op at steady state, want 0", cm.name, avg)
-			}
+	s := tl2.New(tl2.Options{YieldEvery: -1})
+	v := tl2.NewVar(0)
+	if avg := allocsPerTx(func() {
+		_ = s.Atomic(0, 0, func(tx *tl2.Tx) error {
+			tx.Write(v, tx.Read(v)+1)
+			return nil
 		})
+	}); avg != 0 {
+		t.Errorf("TL2 RMW allocates %.1f/op at steady state, want 0", avg)
 	}
 }
 

@@ -71,9 +71,6 @@ type (
 	Var = tl2.Var
 	// Options configures an STM.
 	Options = tl2.Options
-	// ClockMode selects the commit-clock organization
-	// (Options.ClockMode): ClockGlobal or ClockSharded.
-	ClockMode = tl2.ClockMode
 	// Array is a fixed-length transactional int64 sequence.
 	Array = tl2.Array
 	// Map is a fixed-capacity transactional hash table.
@@ -231,20 +228,6 @@ var ErrDeadline = tl2.ErrDeadline
 
 // DefaultTfactor is the paper's recommended guidance threshold divisor.
 const DefaultTfactor = model.DefaultTfactor
-
-// Commit-clock modes for Options.ClockMode.
-const (
-	// ClockGlobal is stock TL2's single global version clock.
-	ClockGlobal = tl2.ClockGlobal
-	// ClockSharded distributes commit-clock traffic over per-shard
-	// cache-line-padded clocks so commits scale past one cache line;
-	// see the "Performance & scaling" README section.
-	ClockSharded = tl2.ClockSharded
-)
-
-// DefaultBatchMax is the per-commit coalescing cap for AtomicBatch
-// when Options.BatchMax is zero.
-const DefaultBatchMax = tl2.DefaultBatchMax
 
 // New returns a TL2 STM with the given options.
 func New(opts Options) *STM { return tl2.New(opts) }

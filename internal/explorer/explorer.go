@@ -58,24 +58,6 @@ const (
 	// first-class interleaving point, and the program's Check requires
 	// the token ledger to balance exactly.
 	PathLimited
-	// PathShardedClock exercises the scalable commit machinery's clock
-	// layer: on TL2 it switches the runtime to tl2.ClockSharded (per-
-	// shard commit clocks, exact-match read validation, timestamp
-	// extension) and its Check additionally requires the shard clocks to
-	// have advanced — a sharded exploration whose clocks never moved was
-	// not running the sharded protocol. LibTM has no version clock, so
-	// there the path exercises the other half of the same machinery —
-	// the pooled-descriptor commit path every transaction now runs —
-	// with the logical-commit ledger check below standing in as the
-	// anti-vacuity probe.
-	PathShardedClock
-	// PathBatchCommit runs each worker's rounds through one AtomicBatch
-	// envelope (on TL2 additionally under the sharded clock), so
-	// coalesced multi-body commits race the other workers' envelopes.
-	// Its Check requires the runtime's logical-commit ledger to equal
-	// the workload's total body count: commitUnits accounting must
-	// credit every coalesced body, not one unit per envelope.
-	PathBatchCommit
 )
 
 // Workload selects the transactional program the workers run.
@@ -222,41 +204,6 @@ func requireROCommits(inner func(sched.RunResult) error, roCommits func() uint64
 	}
 }
 
-// requireClockTicks wraps a Program.Check so a sharded-clock schedule
-// only passes if the shard clocks actually advanced (stock programs
-// only — a mutation like SkipShardPublish freezes the clocks by
-// design, and the oracle, not this probe, must convict it).
-func requireClockTicks(inner func(sched.RunResult) error, ticks func() uint64) func(sched.RunResult) error {
-	return func(r sched.RunResult) error {
-		if err := inner(r); err != nil {
-			return err
-		}
-		if ticks() == 0 {
-			return fmt.Errorf("sharded-clock: the shard clocks never advanced — the sharded commit path did not engage")
-		}
-		return nil
-	}
-}
-
-// requireCommitUnits wraps a Program.Check so a schedule only passes
-// if the runtime's logical-commit ledger equals the workload's total
-// body count. Under PathBatchCommit this is the proof that commitUnits
-// accounting credits every coalesced body (an envelope of k bodies
-// counts k, not 1); on the plain pooled path it pins one commit per
-// Atomic call. Not applicable to WorkloadReadOnlyMix, whose certified
-// commits land on a separate ledger.
-func requireCommitUnits(inner func(sched.RunResult) error, commits func() uint64, want uint64) func(sched.RunResult) error {
-	return func(r sched.RunResult) error {
-		if err := inner(r); err != nil {
-			return err
-		}
-		if got := commits(); got != want {
-			return fmt.Errorf("commit ledger: %d logical commits recorded, want exactly %d — one per workload body", got, want)
-		}
-		return nil
-	}
-}
-
 // limitedLimiter builds the admission controller for PathLimited: a
 // fixed cap of workers-1 (floor 1) so full contention always queues
 // exactly one worker, ModeFixed so no wall-clock AIMD window can make
@@ -364,9 +311,6 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 		if cfg.Path == PathEscalation {
 			opts.EscalateAfter = 1
 		}
-		if cfg.Path == PathShardedClock || cfg.Path == PathBatchCommit {
-			opts.ClockMode = tl2.ClockSharded
-		}
 		if cfg.Workload == WorkloadReadOnlyMix {
 			opts.Manifest = readonlyMixManifest()
 			opts.ROGuard = effect.GuardTrap
@@ -394,25 +338,13 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 			s.SetTracer(ctrl)
 			s.SetGate(ctrl)
 		}
-		var bodies []func()
-		var errs []error
-		if cfg.Path == PathBatchCommit {
-			bodies, errs = tl2BatchBodies(s, cfg, rounds, locs)
-		} else {
-			bodies, errs = tl2Bodies(s, cfg, rounds, locs)
-		}
+		bodies, errs := tl2Bodies(s, cfg, rounds, locs)
 		check := checkFn(rec, oracle.Opacity, errs, final)
 		if cfg.Workload == WorkloadReadOnlyMix {
 			check = requireROCommits(check, s.ROCommits)
 		}
 		if lim != nil {
 			check = requireAdmission(check, lim, limitedCalls(cfg.Workload, rounds))
-		}
-		if stock := cfg.Mutate == (tl2.Mutations{}); stock && cfg.Workload != WorkloadReadOnlyMix &&
-			(cfg.Path == PathShardedClock || cfg.Path == PathBatchCommit) {
-			want := uint64(len(workloadPairs(cfg.Workload)) * rounds)
-			check = requireCommitUnits(check, s.Commits, want)
-			check = requireClockTicks(check, s.ClockTicks)
 		}
 		return sched.Program{
 			Bodies: bodies,
@@ -542,80 +474,6 @@ func tl2Bodies(s *tl2.STM, cfg TL2Config, rounds int, locs []*tl2.Var) ([]func()
 	}
 }
 
-// tl2RoundBodies returns one single-round transaction body per worker
-// for the workload — the unit PathBatchCommit coalesces into envelopes.
-func tl2RoundBodies(w Workload, locs []*tl2.Var) []func(*tl2.Tx) error {
-	switch w {
-	case WorkloadPair, WorkloadReadOnlyMix:
-		x, y := locs[0], locs[1]
-		return []func(*tl2.Tx) error{
-			func(tx *tl2.Tx) error {
-				a := tx.Read(x)
-				tx.Write(x, a+1)
-				tx.Write(y, a+1)
-				return nil
-			},
-			func(tx *tl2.Tx) error {
-				_ = tx.Read(x)
-				_ = tx.Read(y)
-				return nil
-			},
-		}
-	case WorkloadIncrement:
-		x := locs[0]
-		inc := func(tx *tl2.Tx) error {
-			v := tx.Read(x)
-			tx.Write(x, v+1)
-			return nil
-		}
-		return []func(*tl2.Tx) error{inc, inc}
-	default: // WorkloadMix
-		x, y, z := locs[0], locs[1], locs[2]
-		return []func(*tl2.Tx) error{
-			func(tx *tl2.Tx) error {
-				a := tx.Read(x)
-				b := tx.Read(y)
-				tx.Write(x, a-1)
-				tx.Write(y, b+1)
-				return nil
-			},
-			func(tx *tl2.Tx) error {
-				v := tx.Read(z)
-				tx.Write(z, v+1)
-				_ = tx.Read(x) // subscribe: a concurrent transfer conflicts
-				return nil
-			},
-			func(tx *tl2.Tx) error {
-				_ = tx.Read(x)
-				_ = tx.Read(y)
-				_ = tx.Read(z)
-				return nil
-			},
-		}
-	}
-}
-
-// tl2BatchBodies constructs PathBatchCommit workers: each worker
-// issues one AtomicBatch call whose envelope coalesces all of its
-// rounds, so concurrent envelopes — not individual transactions — are
-// what the explorer interleaves and the oracle checks.
-func tl2BatchBodies(s *tl2.STM, cfg TL2Config, rounds int, locs []*tl2.Var) ([]func(), []error) {
-	round := tl2RoundBodies(cfg.Workload, locs)
-	errs := make([]error, len(round))
-	out := make([]func(), len(round))
-	for w := range round {
-		w, body := w, round[w]
-		out[w] = func() {
-			bodies := make([]func(*tl2.Tx) error, rounds)
-			for i := range bodies {
-				bodies[i] = body
-			}
-			errs[w] = s.AtomicBatch(uint16(w), uint16(100+w), bodies)
-		}
-	}
-	return out, errs
-}
-
 // LibTMProgram returns a schedule-program builder for sched.Explore
 // over the LibTM runtime.
 func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
@@ -663,24 +521,13 @@ func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
 			s.SetTracer(ctrl)
 			s.SetGate(ctrl)
 		}
-		var bodies []func()
-		var errs []error
-		if cfg.Path == PathBatchCommit {
-			bodies, errs = libtmBatchBodies(s, cfg, rounds, locs)
-		} else {
-			bodies, errs = libtmBodies(s, cfg, rounds, locs)
-		}
+		bodies, errs := libtmBodies(s, cfg, rounds, locs)
 		check := checkFn(rec, LevelFor(cfg.Mode), errs, final)
 		if cfg.Workload == WorkloadReadOnlyMix {
 			check = requireROCommits(check, s.ROCommits)
 		}
 		if lim != nil {
 			check = requireAdmission(check, lim, limitedCalls(cfg.Workload, rounds))
-		}
-		if stock := cfg.Mutate == (libtm.Mutations{}); stock && cfg.Workload != WorkloadReadOnlyMix &&
-			(cfg.Path == PathShardedClock || cfg.Path == PathBatchCommit) {
-			want := uint64(len(workloadPairs(cfg.Workload)) * rounds)
-			check = requireCommitUnits(check, s.Commits, want)
 		}
 		return sched.Program{
 			Bodies: bodies,
@@ -790,75 +637,4 @@ func libtmBodies(s *libtm.STM, cfg LibTMConfig, rounds int, locs []*libtm.Obj) (
 		}
 		return []func(){transfer, rmw, scan}, errs
 	}
-}
-
-// libtmRoundBodies mirrors tl2RoundBodies over LibTM objects.
-func libtmRoundBodies(w Workload, locs []*libtm.Obj) []func(*libtm.Tx) error {
-	switch w {
-	case WorkloadPair, WorkloadReadOnlyMix:
-		x, y := locs[0], locs[1]
-		return []func(*libtm.Tx) error{
-			func(tx *libtm.Tx) error {
-				a := tx.Read(x)
-				tx.Write(x, a+1)
-				tx.Write(y, a+1)
-				return nil
-			},
-			func(tx *libtm.Tx) error {
-				_ = tx.Read(x)
-				_ = tx.Read(y)
-				return nil
-			},
-		}
-	case WorkloadIncrement:
-		x := locs[0]
-		inc := func(tx *libtm.Tx) error {
-			v := tx.Read(x)
-			tx.Write(x, v+1)
-			return nil
-		}
-		return []func(*libtm.Tx) error{inc, inc}
-	default: // WorkloadMix
-		x, y, z := locs[0], locs[1], locs[2]
-		return []func(*libtm.Tx) error{
-			func(tx *libtm.Tx) error {
-				a := tx.Read(x)
-				b := tx.Read(y)
-				tx.Write(x, a-1)
-				tx.Write(y, b+1)
-				return nil
-			},
-			func(tx *libtm.Tx) error {
-				v := tx.Read(z)
-				tx.Write(z, v+1)
-				_ = tx.Read(x) // subscribe: a concurrent transfer conflicts
-				return nil
-			},
-			func(tx *libtm.Tx) error {
-				_ = tx.Read(x)
-				_ = tx.Read(y)
-				_ = tx.Read(z)
-				return nil
-			},
-		}
-	}
-}
-
-// libtmBatchBodies constructs PathBatchCommit workers over LibTM: one
-// AtomicBatch envelope per worker coalescing all of its rounds.
-func libtmBatchBodies(s *libtm.STM, cfg LibTMConfig, rounds int, locs []*libtm.Obj) ([]func(), []error) {
-	round := libtmRoundBodies(cfg.Workload, locs)
-	errs := make([]error, len(round))
-	out := make([]func(), len(round))
-	for w := range round {
-		w, body := w, round[w]
-		out[w] = func() {
-			bodies := make([]func(*libtm.Tx) error, rounds)
-			for i := range bodies {
-				bodies[i] = body
-			}
-			errs[w] = s.AtomicBatch(uint16(w), uint16(100+w), bodies)
-		}
-	}
-	return out, errs
 }

@@ -92,3 +92,15 @@ func TestMutationLibTMSkipReaderWait(t *testing.T) {
 		t.Errorf("expected an opacity verdict, got:\n%s", msg)
 	}
 }
+
+// TestMutationLibTMSkipVersionBump: a LibTM publish that skips the
+// object version bump makes a scanner's commit-time validation accept
+// values overwritten mid-scan — torn snapshots commit, and the oracle
+// must convict and replay them.
+func TestMutationLibTMSkipVersionBump(t *testing.T) {
+	findViolation(t, LibTMProgram(LibTMConfig{
+		Mode:     libtm.FullyOptimistic,
+		Workload: WorkloadPair,
+		Mutate:   libtm.Mutations{SkipVersionBump: true},
+	}))
+}

@@ -31,9 +31,8 @@ import (
 	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
-	"gstm/internal/progress"
-	"gstm/internal/trace"
 	"gstm/internal/tts"
+	"gstm/internal/txn"
 )
 
 // ReadDetection selects how reads are detected.
@@ -102,26 +101,14 @@ func (m Mode) String() string {
 	return fmt.Sprintf("libtm(%s-reads/%s-writes/%s)", r, w, c)
 }
 
-// Gate is the guided-execution admission hook (same contract as
-// tl2.Gate).
-type Gate interface {
-	Admit(p tts.Pair)
-}
-
-// IrrevocableGate is the optional non-blocking admission surface for
-// escalated (irrevocable serial) transactions; same contract as
-// tl2.IrrevocableGate. Gates that do not implement it are bypassed for
-// escalated transactions.
-type IrrevocableGate interface {
-	AdmitIrrevocable(p tts.Pair)
-}
-
-// ShedGate is the optional Gate extension notified when the overload
-// limiter sheds a pair before it could reach Admit; same contract as
-// tl2.ShedGate (count only, never hold).
-type ShedGate interface {
-	NoteShed(p tts.Pair)
-}
+// The hook interfaces are the driver's, shared by both runtimes, so one
+// gate and one recorder serve either.
+type (
+	Gate            = txn.Gate
+	ShedGate        = txn.ShedGate
+	IrrevocableGate = txn.IrrevocableGate
+	Monitor         = txn.Monitor
+)
 
 // Options configures an STM instance.
 type Options struct {
@@ -129,69 +116,32 @@ type Options struct {
 	// fully pessimistic with abort-readers; most callers pass
 	// FullyOptimistic or FullyPessimistic.
 	Mode Mode
-	// MaxRetries bounds conflict retries per Atomic call (0 = unbounded).
-	MaxRetries int
 	// WaitSpin bounds how long WaitForReaders spins before self-abort.
 	// Defaults to 64 yields.
 	WaitSpin int
-	// YieldEvery inserts a scheduler yield every N transactional
-	// accesses, emulating multicore interleaving of critical sections
-	// on hosts with fewer cores than threads (see tl2.Options). 0 means
-	// the default (4); negative disables.
-	YieldEvery int
 	// Inject, when non-nil, arms the deterministic fault-injection
 	// hooks in the commit path (fault.CommitAbort, fault.CommitDelay,
-	// fault.LockReleaseDelay); same contract as tl2.Options.Inject.
+	// fault.LockReleaseDelay).
 	Inject *fault.Injector
-	// EscalateAfter is the abort count at which an Atomic call falls
-	// back to the irrevocable serial path; 0 means the default
-	// (DefaultEscalateAfter), negative disables escalation. Same
-	// contract as tl2.Options.EscalateAfter.
-	EscalateAfter int
-	// EscalateTime escalates a call retrying for at least this long
-	// (0 disables time-based escalation).
-	EscalateTime time.Duration
-	// DefaultDeadline, when positive, bounds every plain Atomic call
-	// with a context.WithTimeout of this duration.
-	DefaultDeadline time.Duration
-	// WatchdogWindow is the livelock watchdog's sampling window: 0
-	// means progress.DefaultWatchdogWindow, negative disables.
-	WatchdogWindow time.Duration
-	// Yield, when non-nil, replaces runtime.Gosched at every suspension
-	// point (YieldEvery interleaving, lock spins, backoff, quiesce), so
-	// a deterministic scheduler (internal/sched) can serialize the
-	// runtime's interleavings. Waits that would park a goroutine on a
-	// mutex become spins through this hook instead — a parked goroutine
-	// is invisible to a cooperative scheduler. nil (the default) keeps
-	// the stock Gosched behavior.
-	Yield func()
-	// Manifest registers a sealed static-effect manifest (produced by
-	// `gstmlint -manifest`, loaded with effect.ReadFile). Transaction
-	// IDs whose every static site proved readonly draw their
-	// descriptor from a pool (alloc-free at steady state) and are
-	// guarded against writes. Nil — the default — costs one pointer
-	// check per call.
-	Manifest *effect.Manifest
-	// ROGuard selects the certified-readonly soundness guard's
-	// consequence when a certified transaction issues a write: trap
-	// the call with ErrReadOnlyViolation, or decertify and retry
-	// uncertified. The zero value (effect.GuardAuto) traps under -race
-	// builds and recovers in production.
-	ROGuard effect.GuardMode
-	// BatchMax caps how many bodies one AtomicBatch call coalesces
-	// into a single commit envelope; same contract as
-	// tl2.Options.BatchMax (0 means DefaultBatchMax, negative
-	// disables the cap).
-	BatchMax int
-	// Overload, when non-nil, attaches the adaptive admission
-	// controller (internal/overload) in front of every Atomic call;
-	// same contract as tl2.Options.Overload, including the certified
-	// read-only non-counted lane.
-	Overload *overload.Limiter
 	// Mutate enables deliberate correctness knockouts for the opacity
 	// oracle's mutation harness (internal/oracle); see Mutations. All
 	// fields false (the default) leaves the runtime stock.
 	Mutate Mutations
+
+	// Driver options, documented on the txn.Config field of the same
+	// name: retry bound, access-yield interval, escalation threshold and
+	// age, plain-Atomic deadline, livelock-watchdog window, scheduler
+	// hook, read-only manifest and its guard, admission limiter.
+	MaxRetries      int
+	YieldEvery      int
+	EscalateAfter   int
+	EscalateTime    time.Duration
+	DefaultDeadline time.Duration
+	WatchdogWindow  time.Duration
+	Yield           func()
+	Manifest        *effect.Manifest
+	ROGuard         effect.GuardMode
+	Overload        *overload.Limiter
 }
 
 // Mutations are deliberate, test-only correctness knockouts used to
@@ -217,132 +167,50 @@ type Mutations struct {
 	// the object's version — LibTM's per-object analogue of a broken
 	// clock merge. Invisible readers validating against the stale
 	// version cannot see that their snapshot was overwritten, so torn
-	// snapshots commit — an opacity violation the explorer's
-	// sharded/batch mutation harness must catch.
+	// snapshots commit — an opacity violation the explorer's mutation
+	// harness must catch.
 	SkipVersionBump bool
 }
 
-// defaultYieldEvery matches tl2's access interval between yields.
-const defaultYieldEvery = 4
-
 // DefaultEscalateAfter is the escalation abort threshold when
-// Options.EscalateAfter is zero (same value as tl2's).
-const DefaultEscalateAfter = 256
+// Options.EscalateAfter is zero.
+const DefaultEscalateAfter = txn.DefaultEscalateAfter
 
-// Monitor observes every transactional operation with its value, for
-// the opacity oracle (internal/oracle). The structurally identical
-// interface exists in package tl2 so one recorder serves both runtimes.
-// Implementations must be safe for concurrent use. loc is the *Obj the
-// operation touched.
-type Monitor interface {
-	OnTxBegin(instance uint64, p tts.Pair)
-	OnTxRead(instance uint64, loc any, val int64)
-	OnTxWrite(instance uint64, loc any, val int64)
-	OnTxCommit(instance uint64)
-	OnTxAbort(instance uint64)
-}
-
-// STM is a LibTM transactional memory domain.
+// STM is a LibTM transactional memory domain: the shared transaction
+// driver's state (txn.Core — counters, hooks, escalation, whose methods
+// STM promotes) and the protocol options.
 type STM struct {
-	opts      Options
-	instances atomic.Uint64
-	commits   atomic.Uint64
-	aborts    atomic.Uint64
-	tracer    atomic.Pointer[tracerBox]
-	gate      atomic.Pointer[gateBox]
-	mon       atomic.Pointer[monBox]
-
-	irrevocable irrevocableState
-
-	// Progress-guarantee state, mirroring tl2 (see internal/progress).
-	escalations  atomic.Uint64
-	deadlineMiss atomic.Uint64
-	sheds        atomic.Uint64
-	escThreshold atomic.Int64
-	watchdog     *progress.Watchdog
-	lat          atomic.Pointer[latBox]
-
-	// Certified read-only fast path (see readonly.go): the manifest's
-	// certified transaction IDs, the certified-commit counter, and the
-	// soundness guard's violation log.
-	ro        *effect.ROSet
-	roCommits atomic.Uint64
-	roLog     effect.ViolationLog
+	txn.Core
+	opts Options
 }
-
-type tracerBox struct{ t trace.Tracer }
-type gateBox struct{ g Gate }
-type latBox struct{ r *progress.LatencyRecorder }
-type monBox struct{ m Monitor }
 
 // New returns an STM with the given options.
 func New(opts Options) *STM {
 	if opts.WaitSpin <= 0 {
 		opts.WaitSpin = 64
 	}
-	if opts.YieldEvery == 0 {
-		opts.YieldEvery = defaultYieldEvery
-	}
-	s := &STM{opts: opts}
-	s.ro = effect.NewROSet(opts.Manifest)
-	s.escThreshold.Store(configuredThreshold(opts.EscalateAfter))
-	if opts.WatchdogWindow >= 0 {
-		s.watchdog = progress.NewWatchdog(opts.WatchdogWindow)
-	}
-	s.SetTracer(trace.Nop{})
+	s := &STM{}
+	opts.YieldEvery = s.Init(txn.Config{
+		ErrRetryLimit:        ErrRetryLimit,
+		ErrDeadline:          ErrDeadline,
+		ErrReadOnlyViolation: ErrReadOnlyViolation,
+		MaxRetries:           opts.MaxRetries,
+		YieldEvery:           opts.YieldEvery,
+		EscalateAfter:        opts.EscalateAfter,
+		EscalateTime:         opts.EscalateTime,
+		DefaultDeadline:      opts.DefaultDeadline,
+		WatchdogWindow:       opts.WatchdogWindow,
+		Yield:                opts.Yield,
+		Manifest:             opts.Manifest,
+		ROGuard:              opts.ROGuard,
+		Overload:             opts.Overload,
+	}).YieldEvery
+	s.opts = opts
 	return s
-}
-
-// configuredThreshold maps Options.EscalateAfter to the effective
-// escalation threshold (0 → default, negative → disabled as -1).
-func configuredThreshold(after int) int64 {
-	switch {
-	case after == 0:
-		return DefaultEscalateAfter
-	case after < 0:
-		return -1
-	default:
-		return int64(after)
-	}
 }
 
 // Mode returns the configured mode.
 func (s *STM) Mode() Mode { return s.opts.Mode }
-
-// SetTracer installs the event sink (nil restores the no-op tracer).
-func (s *STM) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop{}
-	}
-	s.tracer.Store(&tracerBox{t})
-}
-
-// SetGate installs (or removes, with nil) the guided-execution gate.
-func (s *STM) SetGate(g Gate) {
-	if g == nil {
-		s.gate.Store(nil)
-		return
-	}
-	s.gate.Store(&gateBox{g})
-}
-
-// SetMonitor installs (or removes, with nil) the operation monitor.
-// The nil fast path costs one atomic pointer load per transaction.
-func (s *STM) SetMonitor(m Monitor) {
-	if m == nil {
-		s.mon.Store(nil)
-		return
-	}
-	s.mon.Store(&monBox{m})
-}
-
-// monLoad returns the installed monitor, or nil.
-func (s *STM) monLoad() Monitor {
-	if mb := s.mon.Load(); mb != nil {
-		return mb.m
-	}
-	return nil
-}
 
 // yield is the runtime's single suspension primitive: Options.Yield
 // when armed, runtime.Gosched otherwise.
@@ -352,19 +220,6 @@ func (s *STM) yield() {
 		return
 	}
 	runtime.Gosched()
-}
-
-// Commits returns the number of committed transactions.
-func (s *STM) Commits() uint64 { return s.commits.Load() }
-
-// Aborts returns the number of aborted attempts.
-func (s *STM) Aborts() uint64 { return s.aborts.Load() }
-
-// ResetCounters zeroes the commit/abort counters.
-func (s *STM) ResetCounters() {
-	s.commits.Store(0)
-	s.aborts.Store(0)
-	s.sheds.Store(0)
 }
 
 // Obj is one transactional object holding an int64. Create with NewObj
@@ -416,9 +271,6 @@ func (o *Obj) StoreFloat(f float64) {
 	o.Store(int64(math.Float64bits(f)))
 }
 
-// abortSignal is the internal conflict-abort control signal.
-type abortSignal struct{ killer uint64 }
-
 // ErrRetryLimit is returned when Options.MaxRetries is exceeded.
 var ErrRetryLimit = errors.New("libtm: transaction exceeded retry limit")
 
@@ -426,6 +278,11 @@ var ErrRetryLimit = errors.New("libtm: transaction exceeded retry limit")
 // the transaction commits; the returned error wraps both ErrDeadline
 // and the context's own error.
 var ErrDeadline = errors.New("libtm: transaction deadline exceeded")
+
+// ErrReadOnlyViolation is returned (wrapped, naming the site key) when
+// a transaction certified readonly by Options.Manifest issues a write
+// and the soundness guard is in trap mode.
+var ErrReadOnlyViolation = errors.New("libtm: write under a certified-readonly transaction")
 
 type readEntry struct {
 	o   *Obj
@@ -448,11 +305,6 @@ type Tx struct {
 	writes   []writeEntry
 	locked   []*Obj // objects whose write lock we hold (encounter mode)
 
-	// batch is the number of logical transactions this attempt commits
-	// (>1 only inside AtomicBatch envelopes); counters and the overload
-	// window attribute commitUnits() commits per successful attempt.
-	batch int
-
 	// doomed is set by a writer that abort-readers'ed us; killer is its
 	// instance.
 	doomed atomic.Bool
@@ -462,11 +314,10 @@ type Tx struct {
 	ops int
 	// done is the AtomicCtx context's Done channel (nil = no deadline).
 	done <-chan struct{}
-	// roCert marks an attempt running under a certified-readonly
-	// transaction ID (Options.Manifest): the descriptor came from
-	// roTxPool and Write trips the soundness guard.
+	// roCert marks a txn.Certified attempt: Write trips the soundness
+	// guard.
 	roCert bool
-	// irrev marks an escalated (irrevocable serial) attempt: reads and
+	// irrev marks a txn.Irrevocable (escalated serial) attempt: reads and
 	// writes take write locks at encounter time and cannot abort.
 	irrev bool
 	// mon is the per-attempt monitor snapshot (nil = no monitoring).
@@ -503,7 +354,7 @@ func (tx *Tx) maybeYield() {
 func (tx *Tx) Pair() tts.Pair { return tx.pair }
 
 func (tx *Tx) abort(killer uint64) {
-	panic(abortSignal{killer})
+	panic(txn.Abort{Killer: killer})
 }
 
 // checkDoomed aborts the transaction if a writer killed it.
@@ -574,9 +425,9 @@ func (tx *Tx) Write(o *Obj, x int64) {
 	if tx.roCert {
 		// Soundness guard: the manifest certified this transaction ID
 		// readonly, so no write may ever reach here. Trap before
-		// anything is buffered or locked; runAttempt decides the
+		// anything is buffered or locked; the driver decides the
 		// consequence per Options.ROGuard.
-		panic(roViolation{key: tx.stm.ro.Key(tx.pair.Tx)})
+		panic(txn.ROViolation{})
 	}
 	tx.maybeYield()
 	tx.checkDoomed()
@@ -616,11 +467,10 @@ func (tx *Tx) WriteFloat(o *Obj, f float64) {
 // visible readers per the configured policy. Aborts self on
 // writer-writer conflict.
 func (tx *Tx) lockForWrite(o *Obj) {
-	// Quiesce against an active irrevocable transaction before taking
-	// the first write lock (and only the first: lock holders must never
-	// block on the token or the irrevocable spin-acquire deadlocks).
+	// Quiesce before the first write lock, and only the first:
+	// txn.Token's deadlock-freedom rule.
 	if len(tx.locked) == 0 {
-		tx.stm.irrevocable.quiesce(tx.stm.opts.Yield)
+		tx.stm.Irrev.Quiesce()
 	}
 	for spin := 0; ; spin++ {
 		o.mu.Lock()
@@ -668,7 +518,7 @@ func (tx *Tx) lockForWrite(o *Obj) {
 			// cancelled transaction stops waiting, and a lock holder must
 			// not out-wait an irrevocable transaction that needs its locks.
 			if spin >= tx.stm.opts.WaitSpin || tx.ctxDone() ||
-				(len(tx.locked) > 0 && tx.stm.irrevocable.active.Load()) {
+				(len(tx.locked) > 0 && tx.stm.Irrev.Active()) {
 				tx.abort(0) // readers did not drain: self-abort, unknown killer
 			}
 			tx.stm.yield()
@@ -676,9 +526,14 @@ func (tx *Tx) lockForWrite(o *Obj) {
 	}
 }
 
-// commit finishes the attempt: acquire commit-time locks, validate
-// invisible reads, publish writes, release everything.
-func (tx *Tx) commit() {
+// Commit finishes the attempt: acquire commit-time locks, validate
+// invisible reads, publish writes, release everything. (An irrevocable
+// attempt already holds its locks and only publishes.)
+func (policy) Commit(tx *Tx) {
+	if tx.irrev {
+		tx.commitIrrev()
+		return
+	}
 	// Suspension point between body and commit protocol (see
 	// Options.YieldEvery): guarantees overlap windows for short
 	// transactions on under-provisioned hosts.
@@ -744,12 +599,12 @@ func (tx *Tx) commit() {
 	}
 	tx.locked = tx.locked[:0]
 	tx.releaseVisibleReads()
-	if tx.roCert {
-		tx.stm.roCommits.Add(tx.commitUnits())
-	}
 }
 
-// cleanupAfterAbort releases everything the failed attempt held.
+// cleanupAfterAbort releases everything a non-committing attempt still
+// holds — write locks and visible-reader registrations. It is the
+// policy's Release: the driver runs it after a conflict abort, a user
+// error, a trapped read-only violation and a panic out of the body.
 func (tx *Tx) cleanupAfterAbort() {
 	for _, o := range tx.locked {
 		o.mu.Lock()
@@ -774,249 +629,55 @@ func (tx *Tx) releaseVisibleReads() {
 
 // Atomic executes fn transactionally as static transaction txID on the
 // given thread, retrying on conflicts. A non-nil error from fn rolls
-// back and returns without retry. When Options.DefaultDeadline is set
-// the call is bounded by that duration and may return ErrDeadline;
-// otherwise it delegates to AtomicCtx with a background context.
+// back and returns without retry. The retry loop and its outcomes
+// (ErrRetryLimit, ErrDeadline, escalation) are the shared driver's: see
+// txn.Run. Not inlined, for tl2.Atomic's reason.
+//
+//go:noinline
 func (s *STM) Atomic(thread, txID uint16, fn func(*Tx) error) error {
-	ctx := context.Background()
-	if d := s.opts.DefaultDeadline; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return s.AtomicCtx(ctx, thread, txID, fn)
+	return txn.Run(&s.Core, policy{s}, tts.Pair{Tx: txID, Thread: thread}, fn)
 }
 
-// AtomicCtx is Atomic with a deadline: the retry loop, backoff sleeps,
-// the WaitForReaders spin and escalation token acquisition all observe
-// ctx.Done(), returning an error wrapping ErrDeadline and ctx.Err()
-// when the context expires first. Once the abort count reaches the
-// (watchdog-adjusted) escalation threshold or the call outlives
-// Options.EscalateTime, the transaction re-runs on the irrevocable
-// serial path and is guaranteed to commit. A nil ctx behaves like
-// context.Background().
+// AtomicCtx is Atomic bounded by ctx (see txn.RunCtx).
 func (s *STM) AtomicCtx(ctx context.Context, thread, txID uint16, fn func(*Tx) error) error {
 	return s.AtomicPri(ctx, thread, txID, overload.PriNormal, fn)
 }
 
 // AtomicPri is AtomicCtx with an explicit admission priority class for
-// the overload limiter (Options.Overload); same contract as
-// tl2.AtomicPri. A shed call returns an error wrapping
-// overload.ErrShed before any descriptor exists.
+// the overload limiter (Options.Overload).
+//
+//go:noinline
 func (s *STM) AtomicPri(ctx context.Context, thread, txID uint16, pri overload.Pri, fn func(*Tx) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	roCert := s.ro != nil && s.ro.Certified(txID)
-	lim := s.opts.Overload
-	counted := false
-	var admitted time.Time
-	if lim != nil {
-		if roCert {
-			// Certified read-only transactions ride the non-counted
-			// lane: no charge, no shed.
-			lim.NoteReadOnly()
-		} else if err := lim.Acquire(ctx, pri); err != nil {
-			if errors.Is(err, overload.ErrShed) {
-				s.sheds.Add(1)
-				if gb := s.gate.Load(); gb != nil {
-					if sg, ok := gb.g.(ShedGate); ok {
-						sg.NoteShed(tts.Pair{Tx: txID, Thread: thread})
-					}
-				}
-				return err
-			}
-			return s.deadlineErr(ctx)
-		} else {
-			counted = true
-			admitted = lim.Now()
-		}
-	}
-	// Every transaction draws a pooled descriptor whose set slices keep
-	// their capacity across calls: the alloc-free steady state. Pooling
-	// the general (writing) path is safe because every attempt path —
-	// commit, abort, user error, escalation — deregisters the
-	// descriptor from reader maps and write locks before atomicCtx
-	// returns; see pool.go for the full argument.
+	return txn.RunCtx(ctx, &s.Core, policy{s}, tts.Pair{Tx: txID, Thread: thread}, pri, fn)
+}
+
+// policy is LibTM's side of the transaction driver (txn.Policy): the
+// descriptor pool (pool.go) and the per-attempt protocol steps.
+type policy struct{ *STM }
+
+func (p policy) Acquire(pair tts.Pair, done <-chan struct{}) *Tx {
 	tx := txPool.Get().(*Tx)
-	tx.stm = s
-	tx.batch = 1
-	tx.pair = tts.Pair{Tx: txID, Thread: thread}
-	tx.done = ctx.Done()
-	tx.roCert = roCert
-
-	var t0 time.Time
-	var rec *progress.LatencyRecorder
-	if lb := s.lat.Load(); lb != nil {
-		rec = lb.r
-	}
-	if rec != nil || s.opts.EscalateTime > 0 {
-		t0 = time.Now()
-	}
-	err := s.atomicCtx(ctx, tx, fn, t0)
-	if rec != nil {
-		rec.Record(tx.pair, time.Since(t0))
-	}
-	if counted {
-		lim.Release(admitted, err == nil)
-	}
-	// Deliberately not deferred: a user panic out of fn propagates
-	// without cleanup, so its descriptor may still be registered on
-	// objects and must leak rather than recycle.
-	putTx(tx)
-	return err
+	tx.stm = p.STM
+	tx.pair = pair
+	tx.done = done
+	return tx
 }
 
-// atomicCtx is the retry loop behind AtomicCtx.
-func (s *STM) atomicCtx(ctx context.Context, tx *Tx, fn func(*Tx) error, t0 time.Time) error {
-	attempts := 0
-	for {
-		if tx.ctxDone() {
-			return s.deadlineErr(ctx)
-		}
-		if attempts > 0 && s.shouldEscalate(attempts, t0) {
-			return s.runEscalated(ctx, tx, fn)
-		}
-		if gb := s.gate.Load(); gb != nil {
-			gb.g.Admit(tx.pair)
-		}
-		tx.instance = s.instances.Add(1)
-		tx.invReads = tx.invReads[:0]
-		tx.writes = tx.writes[:0]
-		tx.ops = 0
-		tx.doomed.Store(false)
-		tx.killer.Store(0)
-		tx.mon = s.monLoad()
-		if tx.mon != nil {
-			tx.mon.OnTxBegin(tx.instance, tx.pair)
-		}
-
-		killer, userErr, committed := s.runAttempt(tx, fn)
-		if committed {
-			if tx.mon != nil {
-				tx.mon.OnTxCommit(tx.instance)
-			}
-			s.commits.Add(tx.commitUnits())
-			s.tracer.Load().t.OnCommit(tx.instance, tx.pair)
-			return nil
-		}
-		if tx.mon != nil {
-			tx.mon.OnTxAbort(tx.instance)
-		}
-		if userErr != nil {
-			return userErr
-		}
-		s.aborts.Add(1)
-		s.opts.Overload.NoteAbort()
-		s.tracer.Load().t.OnAbort(tx.pair, killer)
-		attempts++
-		if s.opts.MaxRetries > 0 && attempts > s.opts.MaxRetries {
-			return ErrRetryLimit
-		}
-		s.observeWatchdog()
-		if y := s.opts.Yield; y != nil {
-			// Under the deterministic scheduler real-time sleeps are both
-			// nondeterministic and useless (one goroutine runs at a time);
-			// a single yield point stands in for the whole backoff.
-			y()
-		} else {
-			backoff(tx.done, attempts)
-		}
-	}
+func (policy) Begin(tx *Tx, instance uint64, mon txn.Monitor, mode txn.Mode) {
+	tx.instance = instance
+	tx.invReads = tx.invReads[:0]
+	tx.writes = tx.writes[:0]
+	tx.ops = 0
+	tx.doomed.Store(false)
+	tx.killer.Store(0)
+	tx.mon = mon
+	tx.roCert = mode == txn.Certified
+	tx.irrev = mode == txn.Irrevocable
 }
 
-// deadlineErr counts and builds the ErrDeadline-wrapping error.
-func (s *STM) deadlineErr(ctx context.Context) error {
-	s.deadlineMiss.Add(1)
-	return fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
-}
-
-// shouldEscalate reports whether the retrying call exhausted its
-// escalation budget (aborts against the watchdog-adjusted threshold,
-// or age against Options.EscalateTime).
-func (s *STM) shouldEscalate(attempts int, t0 time.Time) bool {
-	if th := s.escThreshold.Load(); th > 0 && int64(attempts) >= th {
-		return true
-	}
-	if et := s.opts.EscalateTime; et > 0 && !t0.IsZero() && time.Since(t0) >= et {
-		return true
-	}
-	return false
-}
-
-// observeWatchdog feeds the livelock watchdog from the abort path and
-// applies its verdict, mirroring tl2: trip → halve the effective
-// escalation threshold (floor 1, arming it even when configured off);
-// healthy → restore the configured value.
-func (s *STM) observeWatchdog() {
-	if s.watchdog == nil {
-		return
-	}
-	switch s.watchdog.Observe(time.Now(), s.commits.Load(), s.aborts.Load()) {
-	case progress.VerdictTrip:
-		s.opts.Overload.NotePressure()
-		if th := s.escThreshold.Load(); th > 1 {
-			half := th / 2
-			if half < 1 {
-				half = 1
-			}
-			s.escThreshold.CompareAndSwap(th, half)
-		} else if th <= 0 {
-			s.escThreshold.CompareAndSwap(th, DefaultEscalateAfter)
-		}
-	case progress.VerdictHealthy:
-		if th, want := s.escThreshold.Load(), configuredThreshold(s.opts.EscalateAfter); th != want {
-			s.escThreshold.CompareAndSwap(th, want)
-		}
-	}
-}
-
-// ProgressStats snapshots the progress-guarantee counters.
-func (s *STM) ProgressStats() progress.Stats {
-	return progress.Stats{
-		Escalations:       s.escalations.Load(),
-		DeadlineExceeded:  s.deadlineMiss.Load(),
-		WatchdogTrips:     s.watchdog.Trips(),
-		EscalateThreshold: s.escThreshold.Load(),
-		Sheds:             s.sheds.Load(),
-	}
-}
-
-// SetLatencyRecorder attaches (nil detaches) a per-(tx,thread) Atomic
-// latency recorder; off by default, same contract as tl2's.
-func (s *STM) SetLatencyRecorder(r *progress.LatencyRecorder) {
-	if r == nil {
-		s.lat.Store(nil)
-		return
-	}
-	s.lat.Store(&latBox{r})
-}
-
-func (s *STM) runAttempt(tx *Tx, fn func(*Tx) error) (killer uint64, userErr error, committed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch sig := r.(type) {
-			case abortSignal:
-				tx.cleanupAfterAbort()
-				killer = sig.killer
-			case roViolation:
-				// Certified-readonly soundness guard: trap mode surfaces
-				// the violation to the caller; recover mode decertifies
-				// the ID and retries the attempt uncertified.
-				tx.cleanupAfterAbort()
-				userErr = s.handleROViolation(tx, sig)
-			default:
-				panic(r)
-			}
-		}
-	}()
-	if err := fn(tx); err != nil {
-		tx.cleanupAfterAbort()
-		return 0, err, false
-	}
-	tx.commit()
-	return 0, nil, true
-}
+func (policy) Release(tx *Tx)               { tx.cleanupAfterAbort() }
+func (policy) Backoff(tx *Tx, attempts int) { backoff(tx.done, attempts) }
+func (policy) Recycle(tx *Tx)               { putTx(tx) }
 
 // backoff damps retry livelock; sleeps observe the deadline so a
 // cancelled transaction is noticed promptly.
@@ -1031,15 +692,5 @@ func backoff(done <-chan struct{}, attempts int) {
 	if d > 32 {
 		d = 32
 	}
-	d *= time.Microsecond
-	if done == nil {
-		time.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-done:
-	}
+	txn.Sleep(done, d*time.Microsecond)
 }

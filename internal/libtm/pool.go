@@ -15,15 +15,14 @@ import (
 //
 // Pooling is safe for writing transactions too, not just certified
 // read-only ones, because every externally visible registration of the
-// descriptor pointer dies before AtomicPri returns: visible-reader
-// entries are deleted under o.mu by releaseVisibleReads on every exit
-// path (commit, abort, user error, escalation), write locks are
-// released by commit/cleanupAfterAbort/commitIrrev the same way, and a
-// writer can only doom a descriptor while it is still registered in
-// o.readers — so no stale doom can reach a recycled Tx. The one path
-// that must NOT recycle is a user panic out of fn: runAttempt re-raises
-// it without cleanup, registrations may still be live, and AtomicPri
-// deliberately leaks the descriptor there (Put is not deferred).
+// descriptor pointer dies before the Atomic call returns: commit and
+// commitIrrev delete visible-reader entries and release write locks on
+// the way out, the driver's release rule (package txn) runs
+// cleanupAfterAbort on every other exit, and a writer can only doom a
+// descriptor while it is still registered in o.readers — so no stale
+// doom can reach a recycled Tx. A panic out of the body is released
+// like any other exit but never recycled: the body may have leaked the
+// pointer.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // putTx scrubs a descriptor and returns it to the pool. Slices are
@@ -40,7 +39,6 @@ func putTx(tx *Tx) {
 	tx.instance = 0
 	tx.pair = tts.Pair{}
 	tx.ops = 0
-	tx.batch = 0
 	tx.invReads = tx.invReads[:0]
 	tx.writes = tx.writes[:0]
 	tx.visReads = tx.visReads[:0]

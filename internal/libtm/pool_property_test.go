@@ -14,18 +14,17 @@ import (
 	"gstm/internal/tts"
 )
 
-// Property (pool-reuse hygiene): across commits, user aborts and
-// batch envelopes in every detection/resolution mode, a transaction's
-// first body always starts with empty read/write/lock sets. A leaked
-// entry from a recycled descriptor would validate objects this
-// transaction never read or publish writes it never made.
+// Property (pool-reuse hygiene): across commits and user aborts in
+// every detection/resolution mode, a transaction always starts with
+// empty read/write/lock sets. A leaked entry from a recycled descriptor
+// would validate objects this transaction never read or publish writes
+// it never made.
 func TestDescriptorReuseHygieneProperty(t *testing.T) {
 	sentinel := errSentinel{}
 	type op struct {
 		Idx   uint8
 		Write bool
 		Fail  bool
-		Batch bool
 	}
 	for _, m := range allModes() {
 		m := m
@@ -38,36 +37,23 @@ func TestDescriptorReuseHygieneProperty(t *testing.T) {
 					objs[i] = NewObj(0)
 				}
 				clean := true
-				// check is true only for an attempt's first body: later
-				// bodies of a batch envelope legitimately see the entries
-				// the earlier bodies of the same transaction recorded.
-				body := func(idx int, check, write, fail bool) func(*Tx) error {
-					return func(tx *Tx) error {
-						if check && (len(tx.invReads) != 0 || len(tx.visReads) != 0 ||
-							len(tx.writes) != 0 || len(tx.locked) != 0) {
+				for _, o := range ops {
+					idx := int(o.Idx) % n
+					_ = s.Atomic(0, 7, func(tx *Tx) error {
+						if len(tx.invReads) != 0 || len(tx.visReads) != 0 ||
+							len(tx.writes) != 0 || len(tx.locked) != 0 {
 							clean = false
 						}
-						if write {
+						if o.Write {
 							tx.Write(objs[idx], tx.Read(objs[idx])+1)
 						} else {
 							_ = tx.Read(objs[idx])
 						}
-						if fail {
+						if o.Fail {
 							return sentinel
 						}
 						return nil
-					}
-				}
-				for _, o := range ops {
-					idx := int(o.Idx) % n
-					if o.Batch {
-						_ = s.AtomicBatch(0, 7, []func(*Tx) error{
-							body(idx, true, o.Write, false),
-							body((idx+1)%n, false, o.Write, o.Fail),
-						})
-					} else {
-						_ = s.Atomic(0, 7, body(idx, true, o.Write, o.Fail))
-					}
+					})
 					if !clean {
 						return false
 					}
@@ -91,7 +77,6 @@ func TestPutTxScrubs(t *testing.T) {
 	tx := txPool.Get().(*Tx)
 	tx.stm = s
 	tx.pair = tts.Pair{Tx: 9, Thread: 3}
-	tx.batch = 5
 	tx.roCert = true
 	tx.invReads = append(tx.invReads, readEntry{o, 1})
 	tx.visReads = append(tx.visReads, o)
@@ -105,9 +90,9 @@ func TestPutTxScrubs(t *testing.T) {
 	// sync.Pool's per-P private slot hands the same descriptor straight
 	// back on an uncontended goroutine; if a GC intervened and dropped
 	// it, a fresh zero-valued descriptor passes the same assertions.
-	if got.stm != nil || got.pair != (tts.Pair{}) || got.batch != 0 || got.roCert {
-		t.Errorf("recycled descriptor keeps identity state: stm=%v pair=%+v batch=%d roCert=%v",
-			got.stm, got.pair, got.batch, got.roCert)
+	if got.stm != nil || got.pair != (tts.Pair{}) || got.roCert {
+		t.Errorf("recycled descriptor keeps identity state: stm=%v pair=%+v roCert=%v",
+			got.stm, got.pair, got.roCert)
 	}
 	if len(got.invReads) != 0 || len(got.visReads) != 0 || len(got.writes) != 0 || len(got.locked) != 0 {
 		t.Errorf("recycled descriptor keeps set entries: %d invReads, %d visReads, %d writes, %d locked",

@@ -4,8 +4,7 @@
 // weakening, strict serializability.
 //
 // The package has two halves. The Recorder implements the Monitor
-// interface both STM runtimes expose (tl2.Monitor / libtm.Monitor are
-// structurally identical, so one Recorder serves both) and captures a
+// interface both STM runtimes feed (txn.Monitor) and captures a
 // History: per-transaction operation logs with values, stamped with a
 // global sequence number that totally orders begin/read/write/end
 // events. Check then searches the history for a legal sequential

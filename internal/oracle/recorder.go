@@ -7,10 +7,9 @@ import (
 	"gstm/internal/tts"
 )
 
-// Recorder captures a History through the runtimes' Monitor hook. It
-// satisfies both tl2.Monitor and libtm.Monitor (the interfaces are
-// structurally identical by construction), so one recorder instance
-// observes either runtime:
+// Recorder captures a History through the runtimes' Monitor hook
+// (txn.Monitor, one interface for both runtimes), so one recorder
+// instance observes either runtime:
 //
 //	rec := oracle.NewRecorder()
 //	rec.Register(x, "x", 0)

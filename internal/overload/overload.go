@@ -448,16 +448,6 @@ func (l *Limiter) PredictWait() time.Duration {
 // NoteAbort per attempt, not here). Release also drives the lazy
 // window sampler.
 func (l *Limiter) Release(start time.Time, committed bool) {
-	l.ReleaseN(start, committed, 1)
-}
-
-// ReleaseN is Release for a batch-commit envelope that coalesced n
-// logical transactions through one token: all n commits are attributed
-// to the sampling window, keeping the AIMD abort-ratio signal honest
-// (one batched release counting once would make batching look like a
-// throughput drop and shrink the limit for no reason). n <= 1 behaves
-// exactly like Release.
-func (l *Limiter) ReleaseN(start time.Time, committed bool, n int) {
 	if l == nil {
 		return
 	}
@@ -474,10 +464,7 @@ func (l *Limiter) ReleaseN(start time.Time, committed bool, n int) {
 		}
 	}
 	if committed {
-		if n < 1 {
-			n = 1
-		}
-		l.commits.Add(uint64(n))
+		l.commits.Add(1)
 	}
 	l.maybeSample(now)
 }

@@ -167,7 +167,7 @@ func TestKarmaAccrualAndSpend(t *testing.T) {
 	k := &Karma{}
 	s := New(Options{})
 	tx := &Tx{stm: s, pair: pairOf(0, 3)}
-	tx.reads = make([]readSlot, 5)
+	tx.reads = make([]*Var, 5)
 	k.OnAbort(tx)
 	if got := k.slot(tx).Load(); got != 6 {
 		t.Errorf("karma after abort = %d, want 6 (work 5 + 1)", got)

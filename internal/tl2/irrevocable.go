@@ -2,9 +2,8 @@ package tl2
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"gstm/internal/tts"
 )
 
 // Irrevocable transactions (Sreeram & Pande, IPDPS'12 — the paper's
@@ -13,7 +12,9 @@ import (
 // (I/O, syscalls). The implementation is single-token two-phase
 // locking layered on the TL2 word metadata:
 //
-//   - only one irrevocable transaction runs at a time (a global token);
+//   - only one irrevocable transaction runs at a time (the driver's
+//     global token, txn.Token, which also states the deadlock-freedom
+//     rule regular committers follow against it);
 //   - every Var it touches — reads included — is write-locked at
 //     encounter time by spinning until the lock frees. Regular TL2
 //     transactions never block on locks (they abort and retry), so the
@@ -26,68 +27,6 @@ import (
 // related work cautions that irrevocability is an I/O mechanism, not a
 // variance tool — using it to suppress rollbacks serializes execution
 // (measurable with the ablation benchmarks).
-
-// irrevocableState is the per-STM token and bookkeeping. active is the
-// committers' fast-path flag: it is set only while a transaction holds
-// the token, so the common case (no irrevocable activity) costs one
-// relaxed load per commit.
-type irrevocableState struct {
-	token  sync.Mutex
-	active atomic.Bool
-}
-
-// acquire takes the token and raises the active flag, spinning with
-// cancellation checks (the current holder is guaranteed to finish, so
-// the spin is bounded by serial commit latency). yield, when non-nil,
-// replaces runtime.Gosched (see Options.Yield). Returns false if ctx
-// expired first.
-func (ir *irrevocableState) acquire(ctx context.Context, yield func()) bool {
-	done := ctx.Done()
-	for !ir.token.TryLock() {
-		if done != nil {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-		}
-		if yield != nil {
-			yield()
-		} else {
-			runtime.Gosched()
-		}
-	}
-	ir.active.Store(true)
-	return true
-}
-
-// release lowers the active flag and returns the token.
-func (ir *irrevocableState) release() {
-	ir.active.Store(false)
-	ir.token.Unlock()
-}
-
-// quiesce blocks a committer until the active irrevocable transaction
-// (if any) finishes. MUST only be called while holding zero write
-// locks; see the deadlock-freedom comment at the call site in commit.
-// Under a deterministic scheduler (yield non-nil) the wait spins on the
-// active flag through the yield hook instead of parking on the mutex —
-// a blocked goroutine would be invisible to the cooperative scheduler
-// and deadlock the exploration.
-func (ir *irrevocableState) quiesce(yield func()) {
-	if !ir.active.Load() {
-		return
-	}
-	if yield != nil {
-		for ir.active.Load() {
-			yield()
-		}
-		return
-	}
-	ir.token.Lock()
-	//nolint:staticcheck // gate-only acquisition: waiting is the point.
-	ir.token.Unlock()
-}
 
 // IrrevTx is the access handle inside AtomicIrrevocable. It intentionally
 // mirrors Tx's Read/Write surface but has no abort path.
@@ -158,15 +97,16 @@ func (tx *IrrevTx) WriteFloat(v *Var, f float64) {
 // the writes performed before the error stand (irrevocability means no
 // rollback; callers needing all-or-nothing must use Atomic).
 func (s *STM) AtomicIrrevocable(thread, txID uint16, fn func(*IrrevTx) error) error {
-	// acquire with a background context never returns false; routing
-	// through it (rather than token.Lock) keeps the wait visible to a
+	// Acquire with a background context never returns false; routing
+	// through it (rather than a mutex) keeps the wait visible to a
 	// cooperative scheduler via Options.Yield.
-	s.irrevocable.acquire(context.Background(), s.opts.Yield)
-	defer s.irrevocable.release()
+	s.Irrev.Acquire(context.Background())
+	defer s.Irrev.Release()
 
-	tx := &IrrevTx{stm: s, instance: s.instances.Add(1), mon: s.monLoad()}
+	pair := tts.Pair{Tx: txID, Thread: thread}
+	tx := &IrrevTx{stm: s, instance: s.NextInstance(), mon: s.Monitor()}
 	if tx.mon != nil {
-		tx.mon.OnTxBegin(tx.instance, pairOfIDs(txID, thread))
+		tx.mon.OnTxBegin(tx.instance, pair)
 	}
 	err := fn(tx)
 
@@ -174,8 +114,7 @@ func (s *STM) AtomicIrrevocable(thread, txID uint16, fn func(*IrrevTx) error) er
 	// that observed pre-lock values fail validation against the new
 	// versions, as with any commit.
 	if len(tx.locked) > 0 {
-		wv := s.advanceClock(thread)
-		newLock := wv << 1
+		newLock := s.clock.Add(1) << 1
 		for _, v := range tx.locked {
 			v.lock.Store(newLock)
 		}
@@ -183,8 +122,7 @@ func (s *STM) AtomicIrrevocable(thread, txID uint16, fn func(*IrrevTx) error) er
 	tx.locked = nil
 
 	if err == nil {
-		s.commits.Add(1)
-		s.tracer.Load().t.OnCommit(tx.instance, pairOfIDs(txID, thread))
+		s.NoteCommit(tx.instance, pair)
 	}
 	if tx.mon != nil {
 		// Irrevocable writes stand even on error (no rollback), so the
@@ -195,68 +133,13 @@ func (s *STM) AtomicIrrevocable(thread, txID uint16, fn func(*IrrevTx) error) er
 }
 
 // ---------------------------------------------------------------------------
-// Escalated execution: the irrevocable serial fallback AtomicCtx takes
-// after exhausting its escalation threshold. Unlike AtomicIrrevocable,
-// the escalated path runs the caller's ordinary func(*Tx) body — reads
-// and writes lock Vars at encounter time (Tx.irrev), stores stay
+// Escalated execution: the txn.Irrevocable attempt the driver runs
+// after a call exhausts its escalation threshold. Unlike
+// AtomicIrrevocable, it runs the caller's ordinary func(*Tx) body —
+// reads and writes lock Vars at encounter time (Tx.irrev), stores stay
 // buffered so a user error still rolls back, and publish bumps the
 // clock once. Holding the token plus quiesce-before-locking on the
 // regular commit path makes the body guaranteed to commit.
-
-// runEscalated executes fn once on the irrevocable serial path.
-func (s *STM) runEscalated(ctx context.Context, tx *Tx, fn func(*Tx) error) error {
-	if !s.irrevocable.acquire(ctx, s.opts.Yield) {
-		return s.deadlineErr(ctx)
-	}
-	defer s.irrevocable.release()
-
-	// The guide gate must not hold an irrevocable transaction (its
-	// hold loop and the fault.HoldStall hook both stall, and every
-	// committer is about to quiesce behind us) — consult it only
-	// through the non-blocking IrrevocableGate surface.
-	if gb := s.gate.Load(); gb != nil {
-		if ig, ok := gb.g.(IrrevocableGate); ok {
-			ig.AdmitIrrevocable(tx.pair)
-		}
-	}
-
-	tx.reset(s.instances.Add(1))
-	s.sampleClock(tx)
-	tx.irrev = true
-	// An escalated attempt never runs certified: the serial path locks
-	// at encounter time and is always safe, and a stale roCert from the
-	// optimistic attempts would misroute Write into the guard.
-	tx.roCert = false
-	tx.mon = s.monLoad()
-	if tx.mon != nil {
-		tx.mon.OnTxBegin(tx.instance, tx.pair)
-	}
-	committed := false
-	defer func() {
-		// Runs on user error and on panics out of fn alike: every
-		// acquired lock is restored before the token is released.
-		tx.irrev = false
-		if !committed {
-			tx.rollbackIrrev()
-		}
-	}()
-
-	if err := fn(tx); err != nil {
-		if tx.mon != nil {
-			tx.mon.OnTxAbort(tx.instance)
-		}
-		return err
-	}
-	tx.publishIrrev()
-	committed = true
-	s.commits.Add(tx.commitUnits())
-	s.escalations.Add(1)
-	s.tracer.Load().t.OnCommit(tx.instance, tx.pair)
-	if tx.mon != nil {
-		tx.mon.OnTxCommit(tx.instance)
-	}
-	return nil
-}
 
 // lockIrrev spin-acquires v's write lock for an escalated transaction
 // (idempotently), saving the pre-lock word and owner for publish or
@@ -296,7 +179,7 @@ func (tx *Tx) publishIrrev() {
 			w := &tx.writes[i]
 			w.v.val.Store(w.val)
 		}
-		newLock = tx.stm.advanceClock(tx.pair.Thread) << 1
+		newLock = tx.stm.clock.Add(1) << 1
 	}
 	for i, v := range tx.ilocked {
 		if _, ok := tx.lookupWrite(v); ok {

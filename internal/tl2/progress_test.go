@@ -197,41 +197,6 @@ func TestWatchdogArmsEscalationWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestWatchdogHalvesAndRestoresThreshold(t *testing.T) {
-	// White-box: drive the counters directly and check the verdict →
-	// threshold transitions.
-	s := New(Options{EscalateAfter: 64, WatchdogWindow: time.Millisecond})
-	s.observeWatchdog() // anchor the first window
-	s.aborts.Add(3)
-	time.Sleep(2 * time.Millisecond)
-	s.observeWatchdog() // zero-commit window: trip
-	if th := s.escThreshold.Load(); th != 32 {
-		t.Fatalf("threshold after trip = %d, want 32", th)
-	}
-	if got := s.ProgressStats().WatchdogTrips; got != 1 {
-		t.Fatalf("trips = %d, want 1", got)
-	}
-	s.commits.Add(3)
-	time.Sleep(2 * time.Millisecond)
-	s.observeWatchdog() // healthy window: restore the configured value
-	if th := s.escThreshold.Load(); th != 64 {
-		t.Fatalf("threshold after healthy window = %d, want restored 64", th)
-	}
-}
-
-func TestWatchdogThresholdFloor(t *testing.T) {
-	s := New(Options{EscalateAfter: 2, WatchdogWindow: time.Millisecond})
-	for i := 0; i < 5; i++ {
-		s.observeWatchdog()
-		s.aborts.Add(1)
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.observeWatchdog()
-	if th := s.escThreshold.Load(); th != 1 {
-		t.Fatalf("threshold = %d, want floor 1", th)
-	}
-}
-
 // irrevGateProbe records both regular and irrevocable admissions.
 type irrevGateProbe struct {
 	admits      atomic.Uint64

@@ -1,8 +1,8 @@
 package tl2
 
-// Property tests for the scalable commit paths (pinned-seed corpora
-// via internal/proptest): the sharded commit clock's per-thread
-// snapshot guarantees and the pooled descriptors' reuse hygiene.
+// Property tests for the commit path (pinned-seed corpora via
+// internal/proptest): the version clock's per-thread snapshot
+// guarantees and the pooled descriptors' reuse hygiene.
 
 import (
 	"errors"
@@ -13,17 +13,17 @@ import (
 	"gstm/internal/proptest"
 )
 
-// Property (per-thread snapshot monotonicity): under the sharded
-// clock, a thread's successive transactional snapshots never move
+// Property (per-thread snapshot monotonicity): a thread's successive
+// transactional snapshots never move
 // backwards and are never torn — a reader that repeatedly scans an
 // invariant pair (x == y, bumped together by a concurrent writer)
 // must observe equal components and a non-decreasing value, for any
 // writer/reader intensity.
-func TestShardedSnapshotMonotonicityProperty(t *testing.T) {
+func TestSnapshotMonotonicityProperty(t *testing.T) {
 	f := func(incs, reads uint8) bool {
 		nInc := int(incs%40) + 1
 		nRead := int(reads%40) + 1
-		s := New(Options{ClockMode: ClockSharded})
+		s := New(Options{})
 		x, y := NewVar(0), NewVar(0)
 		ok := true
 		var wg sync.WaitGroup
@@ -67,16 +67,15 @@ func TestShardedSnapshotMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// Property (committed-write visibility): under the sharded clock a
-// commit is immediately visible — after a worker's increment returns,
-// the same thread must transactionally read at least its own count,
-// and once all workers join the counter equals the total (no lost
-// updates across shards).
-func TestShardedCommittedWriteVisibilityProperty(t *testing.T) {
+// Property (committed-write visibility): a commit is immediately
+// visible — after a worker's increment returns, the same thread must
+// transactionally read at least its own count, and once all workers
+// join the counter equals the total (no lost updates).
+func TestCommittedWriteVisibilityProperty(t *testing.T) {
 	f := func(workers, incs uint8) bool {
 		nW := int(workers%4) + 2
 		nInc := int(incs%20) + 1
-		s := New(Options{ClockMode: ClockSharded})
+		s := New(Options{})
 		v := NewVar(0)
 		ok := make([]bool, nW)
 		var wg sync.WaitGroup
@@ -118,69 +117,48 @@ func TestShardedCommittedWriteVisibilityProperty(t *testing.T) {
 	}
 }
 
-// Property (pool-reuse hygiene): every transaction — plain or batch
-// envelope, after commits, user aborts and conflict retries, under
-// either clock mode — begins with empty read/write sets. A recycled
-// descriptor leaking a prior attempt's entries would validate or
-// write back locations this transaction never touched.
+// Property (pool-reuse hygiene): every transaction — after commits,
+// user aborts and conflict retries — begins with empty read/write
+// sets. A recycled descriptor leaking a prior attempt's entries would
+// validate or write back locations this transaction never touched.
 func TestDescriptorReuseHygieneProperty(t *testing.T) {
 	errUser := errors.New("user abort")
 	type op struct {
 		Idx   uint8
 		Write bool
 		Fail  bool
-		Batch bool
 	}
-	for _, mode := range []ClockMode{ClockGlobal, ClockSharded} {
-		mode := mode
-		name := map[ClockMode]string{ClockGlobal: "global", ClockSharded: "sharded"}[mode]
-		t.Run(name, func(t *testing.T) {
-			f := func(ops []op) bool {
-				const n = 4
-				s := New(Options{ClockMode: mode})
-				vars := make([]*Var, n)
-				for i := range vars {
-					vars[i] = NewVar(0)
+	f := func(ops []op) bool {
+		const n = 4
+		s := New(Options{})
+		vars := make([]*Var, n)
+		for i := range vars {
+			vars[i] = NewVar(0)
+		}
+		clean := true
+		for _, o := range ops {
+			idx := int(o.Idx) % n
+			_ = s.Atomic(0, 7, func(tx *Tx) error {
+				if len(tx.reads) != 0 || len(tx.writes) != 0 {
+					clean = false
 				}
-				clean := true
-				// check is true only for an attempt's first body: later
-				// bodies of a batch envelope legitimately see the entries
-				// the earlier bodies of the same transaction recorded.
-				body := func(idx int, check, write, fail bool) func(*Tx) error {
-					return func(tx *Tx) error {
-						if check && (len(tx.reads) != 0 || len(tx.writes) != 0) {
-							clean = false
-						}
-						if write {
-							tx.Write(vars[idx], tx.Read(vars[idx])+1)
-						} else {
-							_ = tx.Read(vars[idx])
-						}
-						if fail {
-							return errUser
-						}
-						return nil
-					}
+				if o.Write {
+					tx.Write(vars[idx], tx.Read(vars[idx])+1)
+				} else {
+					_ = tx.Read(vars[idx])
 				}
-				for _, o := range ops {
-					idx := int(o.Idx) % n
-					if o.Batch {
-						_ = s.AtomicBatch(0, 7, []func(*Tx) error{
-							body(idx, true, o.Write, false),
-							body((idx+1)%n, false, o.Write, o.Fail),
-						})
-					} else {
-						_ = s.Atomic(0, 7, body(idx, true, o.Write, o.Fail))
-					}
-					if !clean {
-						return false
-					}
+				if o.Fail {
+					return errUser
 				}
-				return clean
+				return nil
+			})
+			if !clean {
+				return false
 			}
-			if err := quick.Check(f, proptest.Config(t, 40)); err != nil {
-				t.Error(err)
-			}
-		})
+		}
+		return clean
+	}
+	if err := quick.Check(f, proptest.Config(t, 40)); err != nil {
+		t.Error(err)
 	}
 }

@@ -23,18 +23,17 @@ package tl2
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
-	"gstm/internal/progress"
-	"gstm/internal/trace"
 	"gstm/internal/tts"
+	"gstm/internal/txn"
 )
 
 // lock word layout: bit 0 = locked, bits 1..63 = version.
@@ -70,11 +69,6 @@ func NewFloatVar(f float64) *Var {
 func floatToBits(f float64) int64   { return int64(math.Float64bits(f)) }
 func floatFromBits(x int64) float64 { return math.Float64frombits(uint64(x)) }
 
-// pairOfIDs builds a tts.Pair (helper shared with irrevocable commits).
-func pairOfIDs(txID, thread uint16) tts.Pair {
-	return tts.Pair{Tx: txID, Thread: thread}
-}
-
 // Value loads the current committed value non-transactionally. Intended
 // for post-run verification, not for use inside transactions.
 func (v *Var) Value() int64 { return v.val.Load() }
@@ -89,137 +83,47 @@ func (v *Var) Store(x int64) { v.val.Store(x) }
 // StoreFloat sets a float64 value non-transactionally (setup only).
 func (v *Var) StoreFloat(f float64) { v.val.Store(int64(math.Float64bits(f))) }
 
-// Gate is consulted at the start of every transaction attempt when
-// guided execution is active. Admit blocks (per the controller's
-// hold/retry/escape policy) until the pair may proceed.
-type Gate interface {
-	Admit(p tts.Pair)
-}
-
-// ShedGate is an optional Gate extension notified when the overload
-// limiter sheds a pair before it could reach Admit. Implementations
-// must only count — the transaction is already rejected, and the
-// notification rides the shed fast path (no holding, no allocation).
-// guide.Controller implements it so shed accounting stays outside the
-// gate's admit partition.
-type ShedGate interface {
-	NoteShed(p tts.Pair)
-}
-
-// IrrevocableGate is an optional Gate extension consulted when a
-// transaction escalates to the irrevocable serial path. Implementations
-// must return without holding — an irrevocable transaction owns the
-// global token, and stalling it (the gate's hold loop, or an injected
-// fault.HoldStall) would stall every committer quiescing against it.
-// Gates that do not implement this interface are bypassed entirely for
-// escalated transactions.
-type IrrevocableGate interface {
-	AdmitIrrevocable(p tts.Pair)
-}
-
-// Monitor receives one event per transactional operation — the
-// operation-level analogue of trace.Tracer's transaction-level events.
-// It exists for the opacity oracle (internal/oracle): a recorder hooked
-// in here captures per-attempt operation logs with values, from which
-// the oracle searches for a legal sequential witness. loc is the *Var
-// touched, passed as an opaque key (implementations map it to a dense
-// location ID); val is the value read or written. Implementations must
-// be safe for concurrent use. Events for one instance arrive in program
-// order; OnTxBegin precedes and OnTxCommit/OnTxAbort follows them.
-//
-// The same interface exists verbatim in package libtm, so a single
-// recorder serves both runtimes.
-type Monitor interface {
-	OnTxBegin(instance uint64, p tts.Pair)
-	OnTxRead(instance uint64, loc any, val int64)
-	OnTxWrite(instance uint64, loc any, val int64)
-	OnTxCommit(instance uint64)
-	OnTxAbort(instance uint64)
-}
+// The hook interfaces are the driver's, shared by both runtimes, so one
+// gate and one recorder serve either.
+type (
+	Gate            = txn.Gate
+	ShedGate        = txn.ShedGate
+	IrrevocableGate = txn.IrrevocableGate
+	Monitor         = txn.Monitor
+)
 
 // Options configures an STM instance.
 type Options struct {
-	// MaxRetries bounds conflict retries per Atomic call; 0 means
-	// unbounded (the TL2 default).
-	MaxRetries int
 	// LockSpin is how many times Commit re-tries acquiring a busy
 	// write-lock before aborting. Defaults to 8.
 	LockSpin int
 	// BackoffBase is the initial randomized backoff after an abort.
 	// Defaults to 500ns; doubles per consecutive abort up to 64x.
 	BackoffBase time.Duration
-	// YieldEvery inserts a scheduler yield every N transactional
-	// accesses. On hosts with fewer cores than worker threads this
-	// emulates the instruction-level interleaving of critical sections
-	// that true multicore parallelism produces (and that the paper's
-	// pinned-thread testbeds exhibit); without it, goroutines on a
-	// single P run whole transactions atomically and conflicts vanish.
-	// 0 means the default (4); negative disables yielding.
-	YieldEvery int
 	// Inject, when non-nil, arms the deterministic fault-injection
 	// hooks in the commit path (fault.CommitAbort, fault.CommitDelay,
 	// fault.LockReleaseDelay). Nil — the default — costs one pointer
 	// check per commit.
 	Inject *fault.Injector
-	// EscalateAfter is the abort count at which an Atomic call falls
-	// back to the irrevocable serial path (guaranteed to commit). 0
-	// means the default (DefaultEscalateAfter); negative disables
-	// escalation. The livelock watchdog may lower the effective
-	// threshold at runtime; see ProgressStats.
-	EscalateAfter int
-	// EscalateTime escalates an Atomic call that has been retrying for
-	// at least this long, regardless of its abort count. 0 disables
-	// time-based escalation.
-	EscalateTime time.Duration
-	// DefaultDeadline, when positive, bounds every plain Atomic call
-	// with a context.WithTimeout of this duration (AtomicCtx callers
-	// manage their own deadlines).
-	DefaultDeadline time.Duration
-	// WatchdogWindow is the livelock watchdog's sampling window. 0
-	// means progress.DefaultWatchdogWindow; negative disables the
-	// watchdog.
-	WatchdogWindow time.Duration
-	// Yield, when non-nil, replaces runtime.Gosched at every
-	// scheduler-visible suspension point — transactional accesses
-	// (YieldEvery), commit entry, lock-acquisition spins, abort
-	// backoff, irrevocable token waits and quiesce. internal/sched's
-	// deterministic explorer installs its cooperative-scheduler hook
-	// here to serialize goroutine interleavings under a seed. Nil (the
-	// default) keeps the stock runtime.Gosched behaviour.
-	Yield func()
-	// Manifest registers a sealed static-effect manifest (produced by
-	// `gstmlint -manifest`, loaded with effect.ReadFile). Transaction
-	// IDs whose every static site proved readonly run the certified
-	// fast path: no read-set bookkeeping, validation-only commit. Nil —
-	// the default — costs one pointer check per attempt.
-	Manifest *effect.Manifest
-	// ROGuard selects the certified-readonly soundness guard's
-	// consequence when a certified transaction issues a write: trap the
-	// Atomic call with ErrReadOnlyViolation, or decertify and retry
-	// uncertified. The zero value (effect.GuardAuto) traps under -race
-	// builds and recovers in production. See internal/effect.
-	ROGuard effect.GuardMode
-	// ClockMode selects the commit-clock organization: ClockGlobal
-	// (stock TL2, the zero value) or ClockSharded (cache-line-padded
-	// per-shard clocks so commit traffic scales past one cache line).
-	// See clock.go for the protocol deltas sharding requires.
-	ClockMode ClockMode
-	// BatchMax caps how many bodies one AtomicBatch call coalesces into
-	// a single commit (one gate admission, one clock interaction). 0
-	// means DefaultBatchMax; negative disables the cap.
-	BatchMax int
-	// Overload, when non-nil, attaches an adaptive admission controller
-	// (internal/overload) in front of every Atomic call: in-flight
-	// transactions are capped by its AIMD limit, and calls that cannot
-	// be admitted in time are shed with overload.ErrShed before any
-	// transactional state is touched. Certified read-only transactions
-	// (Manifest) bypass the cap on a non-counted lane. Nil — the
-	// default — costs one pointer check per call.
-	Overload *overload.Limiter
 	// Mutate arms testing-only correctness knockouts that deliberately
 	// break the TL2 protocol so the opacity oracle (internal/oracle)
 	// can prove it would catch a real bug. Never set outside tests.
 	Mutate Mutations
+
+	// Driver options, documented on the txn.Config field of the same
+	// name: retry bound, access-yield interval, escalation threshold and
+	// age, plain-Atomic deadline, livelock-watchdog window, scheduler
+	// hook, read-only manifest and its guard, admission limiter.
+	MaxRetries      int
+	YieldEvery      int
+	EscalateAfter   int
+	EscalateTime    time.Duration
+	DefaultDeadline time.Duration
+	WatchdogWindow  time.Duration
+	Yield           func()
+	Manifest        *effect.Manifest
+	ROGuard         effect.GuardMode
+	Overload        *overload.Limiter
 }
 
 // Mutations are deliberate protocol defects, off by default. Each one
@@ -244,143 +148,55 @@ type Mutations struct {
 	// to re-validate), so this knockout turns the validation-only
 	// commit into an opacity violation the explorer must catch.
 	SkipROValidation bool
-	// SkipShardPublish breaks the sharded clock's commit advance
-	// (ClockSharded only): the committer re-uses its shard's current
-	// time instead of ticking it, so distinct commits publish duplicate
-	// versions at or below concurrent readers' shard samples and the
-	// staleness checks go blind — a broken clock merge the explorer's
-	// PathShardedClock mutation test must catch.
-	SkipShardPublish bool
 }
 
-// defaultYieldEvery is the access interval between scheduler yields.
-const defaultYieldEvery = 4
+// DefaultEscalateAfter is the escalation abort threshold when
+// Options.EscalateAfter is zero.
+const DefaultEscalateAfter = txn.DefaultEscalateAfter
 
-// DefaultEscalateAfter is the abort threshold for irrevocable
-// escalation when Options.EscalateAfter is zero. High enough that
-// ordinary contention never reaches it; a transaction that aborts this
-// many times in a row is starving.
-const DefaultEscalateAfter = 256
-
-func (o *Options) fill() {
-	if o.LockSpin <= 0 {
-		o.LockSpin = 8
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 500 * time.Nanosecond
-	}
-	if o.YieldEvery == 0 {
-		o.YieldEvery = defaultYieldEvery
-	}
-}
-
-// STM is a TL2 transactional memory domain: a global version clock plus
-// run-wide configuration. Vars are independent objects but must only be
-// used through a single STM at a time.
+// STM is a TL2 transactional memory domain: a global version clock, the
+// shared transaction driver's state (txn.Core — counters, hooks,
+// escalation, whose methods STM promotes) and the protocol options.
+// Vars are independent objects but must only be used through a single
+// STM at a time.
 type STM struct {
+	txn.Core
+	// clock is advanced by every writing commit, so it sits alone on
+	// its cache line: sharing one with the read-mostly fields below
+	// would bounce that line between cores on every access.
+	_     [64]byte
 	clock atomic.Uint64
-	// shards is the ClockSharded commit clock: one padded counter per
-	// shard, advanced by committers whose thread hashes there. Unused
-	// (zero bytes of traffic) under ClockGlobal.
-	shards    [clockShards]paddedClock
-	instances atomic.Uint64
-	commits   atomic.Uint64
-	aborts    atomic.Uint64
-	tracer    atomic.Pointer[tracerBox]
-	gate      atomic.Pointer[gateBox]
-	cm        atomic.Pointer[cmBox]
-	mon       atomic.Pointer[monBox]
-	opts      Options
-
-	irrevocable irrevocableState
-
-	// Progress-guarantee state (see internal/progress): escalation and
-	// deadline counters, the watchdog-adjusted effective escalation
-	// threshold, and the optional latency recorder.
-	escalations  atomic.Uint64
-	deadlineMiss atomic.Uint64
-	sheds        atomic.Uint64
-	escThreshold atomic.Int64
-	watchdog     *progress.Watchdog
-	lat          atomic.Pointer[latBox]
-
-	// Certified read-only fast path (see readonly.go): the manifest's
-	// certified transaction IDs, the fast-path commit counter, and the
-	// soundness guard's violation log.
-	ro        *effect.ROSet
-	roCommits atomic.Uint64
-	roLog     effect.ViolationLog
+	_     [56]byte
+	cm    atomic.Pointer[cmBox]
+	opts  Options
 }
-
-type tracerBox struct{ t trace.Tracer }
-type gateBox struct{ g Gate }
-type latBox struct{ r *progress.LatencyRecorder }
-type monBox struct{ m Monitor }
 
 // New returns an STM with the given options.
 func New(opts Options) *STM {
-	opts.fill()
-	s := &STM{opts: opts}
-	s.ro = effect.NewROSet(opts.Manifest)
-	s.escThreshold.Store(configuredThreshold(opts.EscalateAfter))
-	if opts.WatchdogWindow >= 0 {
-		s.watchdog = progress.NewWatchdog(opts.WatchdogWindow)
+	if opts.LockSpin <= 0 {
+		opts.LockSpin = 8
 	}
-	s.SetTracer(trace.Nop{})
+	if opts.BackoffBase <= 0 {
+		opts.BackoffBase = 500 * time.Nanosecond
+	}
+	s := &STM{}
+	opts.YieldEvery = s.Init(txn.Config{
+		ErrRetryLimit:        ErrRetryLimit,
+		ErrDeadline:          ErrDeadline,
+		ErrReadOnlyViolation: ErrReadOnlyViolation,
+		MaxRetries:           opts.MaxRetries,
+		YieldEvery:           opts.YieldEvery,
+		EscalateAfter:        opts.EscalateAfter,
+		EscalateTime:         opts.EscalateTime,
+		DefaultDeadline:      opts.DefaultDeadline,
+		WatchdogWindow:       opts.WatchdogWindow,
+		Yield:                opts.Yield,
+		Manifest:             opts.Manifest,
+		ROGuard:              opts.ROGuard,
+		Overload:             opts.Overload,
+	}).YieldEvery
+	s.opts = opts
 	return s
-}
-
-// configuredThreshold maps Options.EscalateAfter to the effective
-// threshold stored in escThreshold: 0 → default, negative → disabled
-// (stored as -1).
-func configuredThreshold(after int) int64 {
-	switch {
-	case after == 0:
-		return DefaultEscalateAfter
-	case after < 0:
-		return -1
-	default:
-		return int64(after)
-	}
-}
-
-// SetTracer installs the event sink for commit/abort events. Passing
-// nil restores the no-op tracer. Safe to call between runs; calling it
-// while transactions are in flight applies to subsequent events.
-func (s *STM) SetTracer(t trace.Tracer) {
-	if t == nil {
-		t = trace.Nop{}
-	}
-	s.tracer.Store(&tracerBox{t})
-}
-
-// SetGate installs (or, with nil, removes) the guided-execution gate.
-func (s *STM) SetGate(g Gate) {
-	if g == nil {
-		s.gate.Store(nil)
-		return
-	}
-	s.gate.Store(&gateBox{g})
-}
-
-// SetMonitor installs (or, with nil, removes) the per-operation event
-// monitor. Off — the default — costs one pointer check per attempt;
-// armed, it costs one interface call per transactional access, so it is
-// strictly a correctness-testing hook, not a profiling one.
-func (s *STM) SetMonitor(m Monitor) {
-	if m == nil {
-		s.mon.Store(nil)
-		return
-	}
-	s.mon.Store(&monBox{m})
-}
-
-// monLoad returns the armed monitor, or nil.
-func (s *STM) monLoad() Monitor {
-	if b := s.mon.Load(); b != nil {
-		return b.m
-	}
-	return nil
 }
 
 // yield is the runtime's suspension point: runtime.Gosched by default,
@@ -393,30 +209,6 @@ func (s *STM) yield() {
 	runtime.Gosched()
 }
 
-// Commits returns the total number of committed transactions. Certified
-// read-only commits are counted in roCommits only (one atomic add on
-// the fast path instead of two) and folded in here.
-func (s *STM) Commits() uint64 { return s.commits.Load() + s.roCommits.Load() }
-
-// Aborts returns the total number of aborted transaction attempts.
-func (s *STM) Aborts() uint64 { return s.aborts.Load() }
-
-// ResetCounters zeroes the commit/abort counters (between runs),
-// including the certified read-only commit count that Commits() folds
-// in.
-func (s *STM) ResetCounters() {
-	s.commits.Store(0)
-	s.roCommits.Store(0)
-	s.aborts.Store(0)
-	s.sheds.Store(0)
-}
-
-// abortSignal is the internal control-flow signal for a conflict abort;
-// it carries the killer's instance for attribution.
-type abortSignal struct {
-	killer uint64
-}
-
 // ErrRetryLimit is returned by Atomic when Options.MaxRetries was
 // exceeded.
 var ErrRetryLimit = errors.New("tl2: transaction exceeded retry limit")
@@ -426,22 +218,17 @@ var ErrRetryLimit = errors.New("tl2: transaction exceeded retry limit")
 // and the context's own error, so errors.Is works against either.
 var ErrDeadline = errors.New("tl2: transaction deadline exceeded")
 
+// ErrReadOnlyViolation is returned (wrapped, naming the site key) when
+// a transaction certified readonly by Options.Manifest issues a write
+// and the soundness guard is in trap mode.
+var ErrReadOnlyViolation = errors.New("tl2: write under a certified-readonly transaction")
+
 type writeEntry struct {
 	v   *Var
 	val int64
 	// prevWho is the Var's last writer before we locked it at commit,
 	// kept for abort attribution when our own lock hides it.
 	prevWho uint64
-}
-
-// readSlot is one read-set entry: the Var and the lock word the read
-// observed. The global-clock commit validation only needs the Var (its
-// version-≤-rv test re-derives consistency from the clock), but the
-// sharded clock's exact-match validation and the extension path both
-// compare against the word actually seen.
-type readSlot struct {
-	v *Var
-	l uint64
 }
 
 // Tx is a single transaction attempt. A Tx is only valid inside the
@@ -451,15 +238,8 @@ type Tx struct {
 	pair     tts.Pair
 	instance uint64
 	rv       uint64
-	// rvs is the per-shard begin-time clock sample (ClockSharded only);
-	// allocated once per pooled Tx, indexed by shard.
-	rvs []uint64
-	// batch is the number of logical transactions this attempt commits
-	// (>1 only inside AtomicBatch envelopes); counters and the overload
-	// window attribute commitUnits() commits per successful attempt.
-	batch  int
-	reads  []readSlot
-	writes []writeEntry
+	reads    []*Var
+	writes   []writeEntry
 	// writeIdx accelerates read-own-write lookups once the write set
 	// grows beyond linear-scan comfort.
 	writeIdx map[*Var]int
@@ -477,11 +257,10 @@ type Tx struct {
 	// mon is the armed per-operation monitor, loaded once per attempt
 	// (nil when off); see SetMonitor.
 	mon Monitor
-	// roCert marks an attempt running under a certified-readonly
-	// transaction ID (Options.Manifest): Read keeps no read set, commit
-	// is validation-only, and Write trips the soundness guard.
+	// roCert marks a txn.Certified attempt: Read keeps no read set,
+	// commit is validation-only, and Write trips the soundness guard.
 	roCert bool
-	// irrev marks an escalated (irrevocable serial) attempt: reads and
+	// irrev marks a txn.Irrevocable (escalated serial) attempt: reads and
 	// writes lock Vars at encounter time and cannot abort. ilocked,
 	// iprev and iprevWho track the acquired locks and their pre-lock
 	// words for publish/rollback (see irrevocable.go).
@@ -524,26 +303,16 @@ func (tx *Tx) yieldEvery() {
 
 const writeIdxThreshold = 64
 
-func (tx *Tx) reset(instance uint64) {
-	tx.instance = instance
-	tx.ops = 0
-	tx.yielding = tx.stm.opts.YieldEvery > 0
-	tx.reads = tx.reads[:0]
-	tx.writes = tx.writes[:0]
-	tx.ilocked = tx.ilocked[:0]
-	tx.iprev = tx.iprev[:0]
-	tx.iprevWho = tx.iprevWho[:0]
-	if tx.writeIdx != nil {
-		clear(tx.writeIdx)
-	}
-}
-
 // Pair returns the (transaction, thread) identity of this attempt.
 func (tx *Tx) Pair() tts.Pair { return tx.pair }
 
-// abort signals a conflict abort killed by the given instance.
+// abort abandons the attempt on a conflict with the given instance,
+// telling the contention manager first (tx.Work is still intact here).
 func (tx *Tx) abort(killer uint64) {
-	panic(abortSignal{killer})
+	if b := tx.stm.cm.Load(); b != nil {
+		b.cm.OnAbort(tx)
+	}
+	panic(txn.Abort{Killer: killer})
 }
 
 func (tx *Tx) lookupWrite(v *Var) (int64, bool) {
@@ -595,14 +364,21 @@ func (tx *Tx) Read(v *Var) int64 {
 	if !tx.roCert {
 		// Certified-readonly attempts keep no read set: the inline
 		// validation below is the entire commit obligation, so commit
-		// has nothing left to visit. The entry is appended *before*
-		// validating so the sharded extension path re-validates the
-		// triggering read together with the rest of the snapshot.
-		tx.reads = append(tx.reads, readSlot{v: v, l: l2})
+		// has nothing left to visit.
+		tx.reads = append(tx.reads, v)
 	}
 	tx.validateRead(v, l1, l2)
 	tx.monRead(v, x)
 	return x
+}
+
+// validateRead is Read's inline consistency check over the observed
+// lock-word pair: a stable word whose version is no newer than the
+// begin-time clock sample.
+func (tx *Tx) validateRead(v *Var, l1, l2 uint64) {
+	if (l1 != l2 || l2>>1 > tx.rv) && !tx.skipReadCheck() {
+		tx.abort(v.who.Load())
+	}
 }
 
 // skipReadCheck gathers the mutation knockouts that disable Read's
@@ -619,8 +395,8 @@ func (tx *Tx) Write(v *Var, x int64) {
 	if tx.roCert {
 		// Soundness guard: the manifest certified this transaction ID
 		// readonly, so no write may ever reach here. Trap before
-		// anything is buffered; runAttempt decides the consequence.
-		panic(roViolation{key: tx.stm.ro.Key(tx.pair.Tx)})
+		// anything is buffered; the driver decides the consequence.
+		panic(txn.ROViolation{})
 	}
 	tx.maybeYield()
 	if tx.mon != nil {
@@ -667,9 +443,14 @@ func (tx *Tx) WriteFloat(v *Var, f float64) {
 	tx.Write(v, int64(math.Float64bits(f)))
 }
 
-// commit runs the TL2 commit protocol: lock the write set, increment
-// the global clock, validate the read set, write back, release.
-func (tx *Tx) commit() {
+// Commit runs the TL2 commit protocol: lock the write set, increment
+// the global clock, validate the read set, write back, release. (An
+// irrevocable attempt already holds its locks and only publishes.)
+func (policy) Commit(tx *Tx) {
+	if tx.irrev {
+		tx.publishIrrev()
+		return
+	}
 	// A suspension point between the transaction body and the commit
 	// protocol: even two-access transactions overlap with concurrent
 	// committers here, as they do under true parallelism.
@@ -687,18 +468,13 @@ func (tx *Tx) commit() {
 		// guarantees a consistent snapshot at rv. Certified attempts
 		// always land here (Write is trapped), with the read-set append
 		// skipped too — the validation-only commit.
-		if tx.roCert {
-			tx.stm.roCommits.Add(tx.commitUnits())
-		}
+		tx.cmCommit()
 		return
 	}
 	s := tx.stm
-	// Quiesce against an active irrevocable transaction before taking
-	// any write locks. The ordering is the deadlock-freedom argument:
-	// committers only ever block on the token while holding zero locks,
-	// and lock holders never block on the token, so the irrevocable
-	// transaction's encounter-time spin-acquires always terminate.
-	s.irrevocable.quiesce(s.opts.Yield)
+	// Quiesce before the first write lock, abort instead of waiting
+	// after it: txn.Token's deadlock-freedom rule.
+	s.Irrev.Quiesce()
 	locked := 0
 	for i := range tx.writes {
 		w := &tx.writes[i]
@@ -706,7 +482,7 @@ func (tx *Tx) commit() {
 			// While an irrevocable transaction is active, waiting here
 			// (holding locks it may need) would deadlock its spin —
 			// abort immediately instead of consulting the manager.
-			if tx.ctxDone() || s.irrevocable.active.Load() || !tx.consultCM(w.v, attempt) {
+			if tx.ctxDone() || s.Irrev.Active() || !tx.consultCM(w.v, attempt) {
 				killer := w.v.who.Load()
 				tx.unlockPrefix(locked)
 				tx.abort(killer)
@@ -721,24 +497,12 @@ func (tx *Tx) commit() {
 	if inj := s.opts.Inject; inj != nil {
 		inj.Sleep(fault.LockReleaseDelay)
 	}
-	var wv uint64
-	if s.sharded() {
-		// Sharded clock: the write set is fully locked *before* the
-		// shard advance (the ordering the opacity argument leans on —
-		// see clock.go), then the read set is validated exact-match
-		// against the words each read recorded.
-		wv = s.advanceClock(tx.pair.Thread)
-		if !s.opts.Mutate.SkipReadSetValidation {
-			if killer, ok := tx.validateReadsSharded(); !ok {
-				tx.unlockPrefix(locked)
-				tx.abort(killer)
-			}
-		}
-	} else if wv = s.clock.Add(1); wv > tx.rv+1 && !s.opts.Mutate.SkipReadSetValidation {
+	wv := s.clock.Add(1)
+	if wv > tx.rv+1 && !s.opts.Mutate.SkipReadSetValidation {
 		for _, r := range tx.reads {
-			l := r.v.lock.Load()
-			if l&lockedBit != 0 && r.v.who.Load() != tx.instance {
-				killer := r.v.who.Load()
+			l := r.lock.Load()
+			if l&lockedBit != 0 && r.who.Load() != tx.instance {
+				killer := r.who.Load()
 				tx.unlockPrefix(locked)
 				tx.abort(killer)
 			}
@@ -748,12 +512,12 @@ func (tx *Tx) commit() {
 			// (it is in both our read and write sets) saw a value that a
 			// concurrent commit has since replaced.
 			if l>>1 > tx.rv {
-				killer := r.v.who.Load()
+				killer := r.who.Load()
 				if killer == tx.instance {
 					// We overwrote who when locking; recover the real
 					// culprit (the committer that bumped the version).
 					for i := range tx.writes {
-						if tx.writes[i].v == r.v {
+						if tx.writes[i].v == r {
 							killer = tx.writes[i].prevWho
 							break
 						}
@@ -768,6 +532,14 @@ func (tx *Tx) commit() {
 	for _, w := range tx.writes {
 		w.v.val.Store(w.val)
 		w.v.lock.Store(newLock)
+	}
+	tx.cmCommit()
+}
+
+// cmCommit tells the contention manager the attempt committed.
+func (tx *Tx) cmCommit() {
+	if b := tx.stm.cm.Load(); b != nil {
+		b.cm.OnCommit(tx)
 	}
 }
 
@@ -802,271 +574,74 @@ func (tx *Tx) unlockPrefix(n int) {
 // given thread, retrying on conflicts until commit. If fn returns a
 // non-nil error the transaction is rolled back (its writes discarded)
 // and the error is returned without retrying — the caller-level abort
-// idiom. Returns ErrRetryLimit if Options.MaxRetries is exceeded.
-// When Options.DefaultDeadline is set, the call is bounded by that
-// duration and may return ErrDeadline; otherwise it delegates to
-// AtomicCtx with a background context.
+// idiom. The retry loop and its outcomes (ErrRetryLimit, ErrDeadline,
+// escalation) are the shared driver's: see txn.Run.
+//
+// Not inlined: a caller in another package that inlined this would call
+// the generic driver without its escape analysis and heap-allocate
+// every body closure.
+//
+//go:noinline
 func (s *STM) Atomic(thread, txID uint16, fn func(*Tx) error) error {
-	ctx := context.Background()
-	if d := s.opts.DefaultDeadline; d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	return s.AtomicCtx(ctx, thread, txID, fn)
+	return txn.Run(&s.Core, policy{s}, tts.Pair{Tx: txID, Thread: thread}, fn)
 }
 
-// AtomicCtx is Atomic with a deadline: the retry loop, backoff sleeps,
-// contention-manager waits and escalation token acquisition all observe
-// ctx.Done(), and when the context expires before the transaction
-// commits the call returns an error wrapping both ErrDeadline and
-// ctx.Err(). A nil ctx behaves like context.Background().
-//
-// Progress guarantee: once an attempt's abort count reaches the
-// escalation threshold (Options.EscalateAfter, adaptively lowered by
-// the livelock watchdog) or its age exceeds Options.EscalateTime, the
-// transaction re-runs on the irrevocable serial path and is guaranteed
-// to commit — so with a deadline set, every AtomicCtx call terminates
-// with a commit, a user error, ErrRetryLimit or ErrDeadline.
+// AtomicCtx is Atomic bounded by ctx (see txn.RunCtx).
 func (s *STM) AtomicCtx(ctx context.Context, thread, txID uint16, fn func(*Tx) error) error {
 	return s.AtomicPri(ctx, thread, txID, overload.PriNormal, fn)
 }
 
 // AtomicPri is AtomicCtx with an explicit admission priority class for
-// the overload limiter (Options.Overload): under backlog pressure
-// lower classes shed first. Without a limiter attached the priority is
-// ignored. A shed call returns an error wrapping overload.ErrShed
-// before any transactional state is touched — distinguishable from
-// ErrDeadline, which means the runtime ran and lost to the clock.
+// the overload limiter (Options.Overload).
+//
+//go:noinline
 func (s *STM) AtomicPri(ctx context.Context, thread, txID uint16, pri overload.Pri, fn func(*Tx) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	lim := s.opts.Overload
-	counted := false
-	var admitted time.Time
-	if lim != nil {
-		if s.ro != nil && s.ro.Certified(txID) {
-			// Certified read-only transactions ride the non-counted
-			// lane: they cannot cause the aborts that collapse the
-			// system, so the limiter neither charges nor sheds them.
-			lim.NoteReadOnly()
-		} else if err := lim.Acquire(ctx, pri); err != nil {
-			if errors.Is(err, overload.ErrShed) {
-				s.sheds.Add(1)
-				if gb := s.gate.Load(); gb != nil {
-					if sg, ok := gb.g.(ShedGate); ok {
-						sg.NoteShed(pairOfIDs(txID, thread))
-					}
-				}
-				return err
-			}
-			// The context expired while waiting for a token: the usual
-			// deadline outcome, just decided in the queue.
-			return s.deadlineErr(ctx)
-		} else {
-			counted = true
-			admitted = lim.Now()
-		}
-	}
-	tx := txPool.Get().(*Tx)
-	defer txPool.Put(tx)
-	tx.stm = s
-	tx.batch = 1
-	tx.pair = tts.Pair{Tx: txID, Thread: thread}
-	tx.done = ctx.Done()
+	return txn.RunCtx(ctx, &s.Core, policy{s}, tts.Pair{Tx: txID, Thread: thread}, pri, fn)
+}
 
-	var t0 time.Time
-	var rec *progress.LatencyRecorder
-	if lb := s.lat.Load(); lb != nil {
-		rec = lb.r
+// policy is TL2's side of the transaction driver (txn.Policy): the
+// descriptor pool and the per-attempt protocol steps.
+type policy struct{ *STM }
+
+func (p policy) Acquire(pair tts.Pair, done <-chan struct{}) *Tx {
+	tx := txPool.Get().(*Tx)
+	tx.stm = p.STM
+	tx.pair = pair
+	tx.done = done
+	return tx
+}
+
+func (p policy) Begin(tx *Tx, instance uint64, mon txn.Monitor, mode txn.Mode) {
+	tx.instance = instance
+	tx.rv = p.clock.Load()
+	tx.mon = mon
+	tx.roCert = mode == txn.Certified
+	tx.irrev = mode == txn.Irrevocable
+	tx.ops = 0
+	tx.yielding = p.opts.YieldEvery > 0
+	tx.reads = tx.reads[:0]
+	tx.writes = tx.writes[:0]
+	if tx.writeIdx != nil {
+		clear(tx.writeIdx)
 	}
-	if rec != nil || s.opts.EscalateTime > 0 {
-		// time.Now is kept off the uncontended fast path unless a
-		// feature that needs it is armed.
-		t0 = time.Now()
-	}
-	err := s.atomicCtx(ctx, tx, fn, t0)
-	if rec != nil {
-		rec.Record(tx.pair, time.Since(t0))
-	}
-	if counted {
-		lim.Release(admitted, err == nil)
-	}
+}
+
+// Release: a TL2 attempt holds locks outside commit (which unlocks its
+// own prefix before aborting) only on the irrevocable path.
+func (policy) Release(tx *Tx) { tx.rollbackIrrev() }
+
+func (policy) Backoff(tx *Tx, attempts int) { tx.backoff(attempts) }
+
+func (policy) Recycle(tx *Tx) {
 	tx.done = nil
 	tx.mon = nil
-	return err
-}
-
-// atomicCtx is the retry loop behind AtomicCtx.
-func (s *STM) atomicCtx(ctx context.Context, tx *Tx, fn func(*Tx) error, t0 time.Time) error {
-	attempts := 0
-	for {
-		if tx.ctxDone() {
-			return s.deadlineErr(ctx)
-		}
-		if attempts > 0 && s.shouldEscalate(attempts, t0) {
-			return s.runEscalated(ctx, tx, fn)
-		}
-		if gb := s.gate.Load(); gb != nil {
-			gb.g.Admit(tx.pair)
-		}
-		inst := s.instances.Add(1)
-		tx.reset(inst)
-		s.sampleClock(tx)
-		tx.roCert = s.ro != nil && s.ro.Certified(tx.pair.Tx)
-		tx.mon = s.monLoad()
-		if tx.mon != nil {
-			tx.mon.OnTxBegin(inst, tx.pair)
-		}
-
-		killer, userErr, committed := s.runAttempt(tx, fn)
-		if committed {
-			if tx.mon != nil {
-				tx.mon.OnTxCommit(inst)
-			}
-			if !tx.roCert {
-				// Certified attempts were already counted by commit()'s
-				// roCommits.Add; Commits() reports the sum of the two
-				// counters, keeping the fast path at one atomic add.
-				s.commits.Add(tx.commitUnits())
-			}
-			if b := s.cm.Load(); b != nil {
-				b.cm.OnCommit(tx)
-			}
-			s.tracer.Load().t.OnCommit(inst, tx.pair)
-			return nil
-		}
-		if tx.mon != nil {
-			tx.mon.OnTxAbort(inst)
-		}
-		if userErr != nil {
-			return userErr
-		}
-		s.aborts.Add(1)
-		s.opts.Overload.NoteAbort()
-		if b := s.cm.Load(); b != nil {
-			b.cm.OnAbort(tx)
-		}
-		s.tracer.Load().t.OnAbort(tx.pair, killer)
-		attempts++
-		if s.opts.MaxRetries > 0 && attempts > s.opts.MaxRetries {
-			return ErrRetryLimit
-		}
-		s.observeWatchdog()
-		tx.backoff(attempts)
-	}
-}
-
-// deadlineErr counts and builds the ErrDeadline-wrapping error.
-func (s *STM) deadlineErr(ctx context.Context) error {
-	s.deadlineMiss.Add(1)
-	return fmt.Errorf("%w: %w", ErrDeadline, ctx.Err())
-}
-
-// shouldEscalate reports whether a retrying Atomic call has exhausted
-// its escalation budget (abort count against the watchdog-adjusted
-// threshold, or elapsed time against Options.EscalateTime).
-func (s *STM) shouldEscalate(attempts int, t0 time.Time) bool {
-	if th := s.escThreshold.Load(); th > 0 && int64(attempts) >= th {
-		return true
-	}
-	if et := s.opts.EscalateTime; et > 0 && !t0.IsZero() && time.Since(t0) >= et {
-		return true
-	}
-	return false
-}
-
-// observeWatchdog feeds the livelock watchdog from the abort path and
-// applies its verdict: a zero-commit window halves the effective
-// escalation threshold (floor 1) so starving transactions reach the
-// serial path sooner; a healthy window restores the configured value.
-func (s *STM) observeWatchdog() {
-	if s.watchdog == nil {
-		return
-	}
-	switch s.watchdog.Observe(time.Now(), s.Commits(), s.aborts.Load()) {
-	case progress.VerdictTrip:
-		s.opts.Overload.NotePressure()
-		if th := s.escThreshold.Load(); th > 1 {
-			s.escThreshold.CompareAndSwap(th, max64(th/2, 1))
-		} else if th <= 0 {
-			// Even with escalation disabled by configuration, a tripped
-			// watchdog arms it: liveness over configuration.
-			s.escThreshold.CompareAndSwap(th, DefaultEscalateAfter)
-		}
-	case progress.VerdictHealthy:
-		if th, want := s.escThreshold.Load(), configuredThreshold(s.opts.EscalateAfter); th != want {
-			s.escThreshold.CompareAndSwap(th, want)
-		}
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// ProgressStats snapshots the progress-guarantee counters.
-func (s *STM) ProgressStats() progress.Stats {
-	return progress.Stats{
-		Escalations:       s.escalations.Load(),
-		DeadlineExceeded:  s.deadlineMiss.Load(),
-		WatchdogTrips:     s.watchdog.Trips(),
-		EscalateThreshold: s.escThreshold.Load(),
-		Sheds:             s.sheds.Load(),
-	}
-}
-
-// SetLatencyRecorder attaches (or with nil detaches) a per-(tx,thread)
-// Atomic latency recorder. Recording adds a clock read plus a mutex
-// acquisition per Atomic call, so it is off by default.
-func (s *STM) SetLatencyRecorder(r *progress.LatencyRecorder) {
-	if r == nil {
-		s.lat.Store(nil)
-		return
-	}
-	s.lat.Store(&latBox{r})
-}
-
-// runAttempt runs one attempt of fn, converting the internal abort
-// panic into a (killer, committed=false) result.
-func (s *STM) runAttempt(tx *Tx, fn func(*Tx) error) (killer uint64, userErr error, committed bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			switch sig := r.(type) {
-			case abortSignal:
-				killer = sig.killer
-			case roViolation:
-				// Certified-readonly soundness guard: trap mode surfaces
-				// the violation to the caller; recover mode decertifies
-				// the ID and retries the attempt uncertified.
-				userErr = s.handleROViolation(tx, sig)
-			default:
-				panic(r)
-			}
-		}
-	}()
-	if err := fn(tx); err != nil {
-		return 0, err, false
-	}
-	tx.commit()
-	return 0, nil, true
+	txPool.Put(tx)
 }
 
 // backoff applies randomized exponential backoff after an abort to damp
 // livelock, capped at 64x the base. Sleeps observe the transaction's
 // deadline so an expiring context is noticed promptly.
 func (tx *Tx) backoff(attempts int) {
-	if y := tx.stm.opts.Yield; y != nil {
-		// Under a deterministic scheduler, sleeping would stall the
-		// whole exploration without changing the interleaving; a single
-		// hook yield is the schedule point.
-		y()
-		return
-	}
 	shift := attempts
 	if shift > 6 {
 		shift = 6
@@ -1080,7 +655,7 @@ func (tx *Tx) backoff(attempts int) {
 		}
 		return
 	}
-	sleepCtx(tx.done, d)
+	txn.Sleep(tx.done, d)
 }
 
 // rngSeedCounter feeds seedRand; every pooled Tx draws a distinct
@@ -1115,19 +690,9 @@ func (tx *Tx) nextRand() uint64 {
 	return x
 }
 
-// sleepCtx sleeps for d, returning early if done fires. A nil done
-// channel (no deadline) takes the timer-free path.
-func sleepCtx(done <-chan struct{}, d time.Duration) {
-	if done == nil {
-		time.Sleep(d)
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-done:
-	}
-}
-
-var txPool = newTxPool()
+// txPool recycles Tx scratch structures. Pooling keeps the per-attempt
+// allocation cost at zero once warm, which matters because aborted
+// attempts re-enter the retry loop at high frequency under contention.
+var txPool = sync.Pool{New: func() any {
+	return &Tx{reads: make([]*Var, 0, 64), writes: make([]writeEntry, 0, 16)}
+}}

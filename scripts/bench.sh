@@ -28,10 +28,9 @@
 # stanza has its own).
 # A fifth stanza records the multi-core scalability suite
 # (^BenchmarkScale) into BENCH_scale.json: both runtimes' commit paths
-# under -cpu 1,2,4,8 — TL2 under the global vs sharded commit clock,
-# LibTM's pooled descriptors, the guide-gated path and the
-# batch-commit envelopes — with each row carrying its core count and
-# its speedup relative to the same benchmark's 1-core row. The
+# under -cpu 1,2,4,8 — TL2, LibTM's pooled descriptors and the
+# guide-gated path — with each row carrying its core count and its
+# speedup relative to the same benchmark's 1-core row. The
 # zero-alloc acceptance rows (RMW and gate admission) must show
 # allocs_per_op 0 here; scripts/benchdiff.sh holds the committed
 # baseline to that.

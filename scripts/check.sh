@@ -32,12 +32,16 @@
 # fail (GSTM_BENCHDIFF_TOL to adjust; GSTM_BENCHDIFF_SKIP_NS=1 on
 # hardware that did not record the baseline), and any allocation on a
 # benchmark the baseline pins at zero allocs/op fails unconditionally
-# — the zero-alloc commit paths are a contract, not a tuning knob.
+# — the zero-alloc commit paths are a contract, not a tuning knob. An
+# inlining pin follows: Tx.maybeYield must still inline, and nothing
+# from the shared transaction driver (internal/txn) may be inlined into
+# either runtime's Tx.Read or Tx.Write — the driver is entered per
+# Atomic call, never per access.
 # Last, the benchmark that judges performance PRs (bench/, a module of
 # its own that tier-1 never compiles) is vetted, tested and run for two
-# seconds on two workloads, so a change under internal/ that stops it
-# building or trips one of its anti-vacuity guards fails here and not
-# after merge.
+# seconds on three workloads (two on TL2, one on LibTM), so a change
+# under internal/ that stops it building or trips one of its
+# anti-vacuity guards fails here and not after merge.
 # Exits non-zero on the first failure. CI runs this same script
 # (.github/workflows/ci.yml). Set GSTM_FUZZTIME to lengthen the fuzz
 # smoke (default 10s per target).
@@ -126,9 +130,38 @@ fi
 echo "== benchdiff (micro set vs committed baseline) =="
 ./scripts/benchdiff.sh
 
+echo "== inlining pin (access path stays concrete, driver stays off it) =="
+for pkg in tl2 libtm; do
+    src="internal/$pkg/$pkg.go"
+    trace=$(go build -gcflags=-m "./internal/$pkg" 2>&1)
+    if [ "$pkg" = tl2 ] && ! grep -qF 'can inline (*Tx).maybeYield' <<<"$trace"; then
+        echo "internal/tl2: (*Tx).maybeYield no longer inlines; Read and Write now pay a call per access" >&2
+        exit 1
+    fi
+    # The compiler reports every call it inlined, transitively, at the
+    # position of the outermost call site; keep those inside Read/Write.
+    leaked=$(awk -v src="$src" '
+        FNR == NR {
+            if ($0 ~ /^func \(tx \*Tx\) (Read|Write)\(/) open = 1
+            if (open) body[FNR] = 1
+            if (open && $0 ~ /^}/) open = 0
+            next
+        }
+        /inlining call to/ && /txn\./ {
+            split($1, pos, ":")
+            if (pos[1] == src && (pos[2] in body)) print
+        }' "$src" - <<<"$trace")
+    if [ -n "$leaked" ]; then
+        echo "$src: internal/txn code inlined into (*Tx).Read/(*Tx).Write:" >&2
+        echo "$leaked" >&2
+        exit 1
+    fi
+    echo "  ok       $pkg"
+done
+
 echo "== gstmbench still builds and runs (bench/ is outside tier-1) =="
 (cd bench && go vet ./... && go test ./...)
-for run in "ladder-disjoint --trace 0" "bank-hot --trace 1"; do
+for run in "ladder-disjoint --trace 0" "bank-hot --trace 1" "synquake-quadrants --trace 0"; do
     # shellcheck disable=SC2086 # $run is a workload name plus a flag
     last=$(bash bench/run.sh --workload $run --seed 1 --seconds 2 2>/dev/null | tail -n 1 || true)
     case "$last" in
