@@ -2,7 +2,6 @@ package guide
 
 import (
 	"testing"
-	"time"
 
 	"gstm/internal/model"
 	"gstm/internal/tts"
@@ -59,7 +58,7 @@ func TestPriorOnlyGatesLikeAModel(t *testing.T) {
 func TestPriorOnlyAdmitHoldsAndEscapes(t *testing.T) {
 	prior := skewedModel(blendB1, blendC2)
 	c := New(nil, Options{Prior: prior, BlendEvidence: -1, HealthWindow: -1,
-		K: 4, HoldDelay: time.Microsecond})
+		K: 4})
 	c.OnCommit(1, blendA0)
 	c.Admit(blendB1)
 	c.Admit(blendC2)

@@ -1,8 +1,9 @@
 // Package guide implements the paper's guided execution (Section V): a
 // runtime controller that tracks the current thread transactional state
 // and withholds transactions whose (transaction, thread) pair does not
-// appear in any high-probability destination state of the TSA. A held
-// transaction re-checks as the current state changes and, after k
+// appear in any high-probability destination state of the TSA — if, by
+// the same TSA, waiting can lead to a state that admits it (holdGraph). A
+// held transaction re-checks as the current state changes and, after k
 // unsuccessful retries, is released anyway to guarantee progress
 // (deadlock avoidance). Executions that reach states absent from the
 // trained model pass through unguided so the system can fall back into
@@ -15,6 +16,8 @@
 package guide
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -34,12 +37,6 @@ import (
 // to proceed"). Re-checks triggered by actual state changes do not
 // count toward k.
 const DefaultK = 8
-
-// DefaultHoldDelay is zero: held transactions wait with scheduler
-// yields only, so a hold costs on the order of a transaction rather
-// than an OS timer tick. Set Options.HoldDelay to add one politeness
-// sleep per hold on systems where spinning waiters are a concern.
-const DefaultHoldDelay = 0
 
 // maxHoldFactor bounds total re-checks at maxHoldFactor×k, so a storm
 // of state changes cannot hold a transaction indefinitely.
@@ -70,12 +67,6 @@ type Options struct {
 	// K is the number of re-checks before the deadlock-avoidance
 	// escape admits a held transaction. ≤ 0 means DefaultK.
 	K int
-	// HoldDelay, when positive, inserts a single sleep of this length
-	// per hold once half the stale budget is burned — a politeness
-	// valve for spinning waiters. 0 (the default) holds with scheduler
-	// yields only.
-	HoldDelay time.Duration
-
 	// HealthWindow is the number of admits per health-monitor
 	// evaluation window. 0 means DefaultHealthWindow; negative
 	// disables the monitor entirely (the level stays LevelGuided).
@@ -130,13 +121,18 @@ type Options struct {
 // quiescent snapshot — including across SwapModel calls, which touch no
 // counters. The counters live in per-thread stripes that Stats sums
 // without stopping the gate, so a snapshot taken while Admit calls are
-// in flight may be short of the partition by those calls.
+// in flight may be short of the partition by those calls. FutileAdmits
+// is a subset of ImmediateAdmits and so outside the partition.
 type Stats struct {
 	// Admits is the total number of Admit calls.
 	Admits uint64
 	// ImmediateAdmits passed on the first check (including passthrough
 	// admits) without a readonly certificate.
 	ImmediateAdmits uint64
+	// FutileAdmits are the ImmediateAdmits the paper's rule alone would
+	// have held: no destination of the current state commits the pair, and
+	// none that can come about while its thread waits does (see holdGraph).
+	FutileAdmits uint64
 	// Holds waited at least one re-check before passing.
 	Holds uint64
 	// Escapes exhausted k re-checks and were released for progress.
@@ -200,12 +196,9 @@ type Stats struct {
 // steady state.
 type snapshot struct {
 	state tts.State
-	// allowed is the union of pairs in all high-probability destination
-	// states; nil means "unknown state or no guidance: admit everyone".
-	allowed map[uint32]struct{}
-	// relaxed is the same union under the RelaxFactor× Tfactor,
-	// consulted at LevelRelaxed; always a superset of allowed.
-	relaxed map[uint32]struct{}
+	// hold is the state's verdict table at Tfactor; relaxed the one at
+	// RelaxFactor× Tfactor, consulted at LevelRelaxed.
+	hold, relaxed holdSet
 
 	// anchor is the instance of the commit anchoring this state, matched
 	// against an abort's killer. A cached snapshot's anchor is rewritten
@@ -229,9 +222,9 @@ type commitCache struct {
 	bucket int
 }
 
-// blendSets is one cached blended admission-set pair for a state key.
+// blendSets is one cached blended verdict-table pair for a state key.
 type blendSets struct {
-	allowed, relaxed map[uint32]struct{}
+	hold, relaxed holdSet
 }
 
 // modelTables is everything the controller derives from its active
@@ -241,11 +234,11 @@ type blendSets struct {
 // learner can rebuild and install models forever without ever adding a
 // mutex to the commit path.
 type modelTables struct {
-	// allowed/relaxed are the precomputed per-state admission sets
-	// (no-prior mode; nil maps in blend mode, where sets are computed
-	// per state from base and cached under blendMu).
-	allowed map[string]map[uint32]struct{}
-	relaxed map[string]map[uint32]struct{}
+	// hold/relaxed are the compiled per-state verdict tables (no-prior
+	// mode; nil maps in blend mode, where sets are computed per state
+	// from base and cached under blendMu).
+	hold    map[string]holdSet
+	relaxed map[string]holdSet
 	// base is the profiled, streamed, or swapped-in live model the
 	// blend path mixes with the prior.
 	base *model.TSA
@@ -265,14 +258,14 @@ type modelTables struct {
 type Controller struct {
 	// Read-mostly: set by New or moved by rare control-plane events. No
 	// field in this block may be written per transaction.
-	tables    atomic.Pointer[modelTables]
-	k         int
-	holdDelay time.Duration
-	inject    *fault.Injector
-	yield     func()
+	tables atomic.Pointer[modelTables]
+	k      int
+	inject *fault.Injector
+	yield  func()
 	// Static-prior blending (nil prior disables all of it; the
 	// precomputed tables maps are then the only lookup path).
 	prior         *model.TSA
+	priorHolds    holdSet // every pair the prior names, held: a blended set's starting point
 	tf, rf        float64
 	blendEvidence int
 	stream        atomic.Bool // base started empty: learn it from traced commits
@@ -315,17 +308,15 @@ type Controller struct {
 
 var _ trace.Tracer = (*Controller)(nil)
 
-// New builds a Controller from a model, precomputing for every state
-// the admissible pair set (the union of the tuples of its
-// high-probability destination states). The model should have passed
-// analyze.Analyze first; New does not re-check. When opts.Prior is
-// set, m may be nil: the controller starts on the prior alone and
-// streams a live model from the commits it traces; when both are
-// given, admission sets blend the two by accumulated evidence. With
-// neither a model nor a prior the controller starts with no guidance —
-// every state is unknown, everything passes — which is the cold-start
-// posture of an online learner that will SwapModel in its first
-// snapshot once it has seen enough of the stream.
+// New builds a Controller from a model, compiling its hold rule
+// (holdTables). The model should have passed analyze.Analyze first;
+// New does not re-check. When opts.Prior is set, m may be nil: the
+// controller starts on the prior alone and streams a live model from the
+// commits it traces; when both are given, admission sets blend the two
+// by accumulated evidence. With neither a model nor a prior the
+// controller starts with no guidance — every state is unknown, everything
+// passes — which is the cold-start posture of an online learner that will
+// SwapModel in its first snapshot once it has seen enough of the stream.
 func New(m *model.TSA, opts Options) *Controller {
 	tf := opts.Tfactor
 	if tf <= 0 {
@@ -334,10 +325,6 @@ func New(m *model.TSA, opts Options) *Controller {
 	k := opts.K
 	if k <= 0 {
 		k = DefaultK
-	}
-	hd := opts.HoldDelay
-	if hd < 0 {
-		hd = DefaultHoldDelay
 	}
 	rf := opts.RelaxFactor
 	if rf <= 0 {
@@ -353,7 +340,6 @@ func New(m *model.TSA, opts Options) *Controller {
 	threads = min(threads, maxThreadCounters)
 	c := &Controller{
 		k:         k,
-		holdDelay: hd,
 		inject:    opts.Inject,
 		yield:     opts.Yield,
 		perThread: make([]stripe, threads),
@@ -373,10 +359,16 @@ func New(m *model.TSA, opts Options) *Controller {
 			c.stream.Store(true)
 		}
 		c.blendCache = make(map[string]blendSets)
+		c.priorHolds = make(holdSet)
+		for _, n := range opts.Prior.Nodes {
+			for _, p := range n.State.Pairs() {
+				c.priorHolds[p.Key()] = vHold
+			}
+		}
 		c.blendBucket = -1 // no bucket computed yet
 	} else if m != nil {
-		tb.allowed = buildAllowed(m, tf)
-		tb.relaxed = buildAllowed(m, tf*rf)
+		tb.hold = holdTables(m, tf)
+		tb.relaxed = holdTables(m, tf*rf)
 	}
 	tb.commits.Store(&commitCache{})
 	c.tables.Store(tb)
@@ -408,38 +400,12 @@ func New(m *model.TSA, opts Options) *Controller {
 	return c
 }
 
-// buildAllowed precomputes, for every state, the union of the pairs of
-// its high-probability destination states under the given Tfactor.
-func buildAllowed(m *model.TSA, tf float64) map[string]map[uint32]struct{} {
-	out := make(map[string]map[uint32]struct{}, m.NumStates())
-	for key, node := range m.Nodes {
-		dests := node.HighProbDests(tf)
-		if len(dests) == 0 {
-			continue // terminal in the model: treated as unknown
-		}
-		set := make(map[uint32]struct{})
-		for _, d := range dests {
-			dn := m.Node(d)
-			if dn == nil {
-				continue
-			}
-			for _, p := range admissiblePairs(dn.State) {
-				set[p.Key()] = struct{}{}
-			}
-		}
-		if len(set) > 0 {
-			out[key] = set
-		}
-	}
-	return out
-}
-
-// setsFor resolves the admission-set pair for a state key under tables
-// tb: the precomputed maps when no prior is configured, otherwise the
+// setsFor resolves the verdict-table pair for a state key under tables
+// tb: the compiled maps when no prior is configured, otherwise the
 // blended sets (cached per weight bucket and swap generation).
-func (c *Controller) setsFor(tb *modelTables, key string) (allowed, relaxed map[uint32]struct{}) {
+func (c *Controller) setsFor(tb *modelTables, key string) (hold, relaxed holdSet) {
 	if c.prior == nil {
-		return tb.allowed[key], tb.relaxed[key]
+		return tb.hold[key], tb.relaxed[key]
 	}
 	bucket := c.weightBucket()
 	c.blendMu.Lock()
@@ -453,11 +419,11 @@ func (c *Controller) setsFor(tb *modelTables, key string) (allowed, relaxed map[
 		clear(c.blendCache)
 	}
 	if s, ok := c.blendCache[key]; ok {
-		return s.allowed, s.relaxed
+		return s.hold, s.relaxed
 	}
 	s := c.computeBlend(tb.base, key, float64(bucket)/blendBuckets)
 	c.blendCache[key] = s
-	return s.allowed, s.relaxed
+	return s.hold, s.relaxed
 }
 
 // weightBucket quantizes the prior's current weight into
@@ -475,10 +441,13 @@ func (c *Controller) weightBucket() int {
 	return int(math.Ceil(w * blendBuckets))
 }
 
-// computeBlend builds the admission sets for one state from the mixed
+// computeBlend builds the verdict tables for one state from the mixed
 // destination distribution w·P_prior + (1−w)·P_base. A state unknown
 // to both models yields nil sets ("no guidance: admit everyone"), the
-// same contract as the precomputed path.
+// same contract as the compiled path. This is the one place the closure
+// of holdGraph is not applied: the mix moves with every streamed commit,
+// so a set is built on demand from its state's destinations alone — every
+// pair of the prior they do not commit is held, nothing is futile.
 func (c *Controller) computeBlend(base *model.TSA, key string, w float64) blendSets {
 	probs := make(map[string]float64)
 	accum := func(m *model.TSA, weight float64) {
@@ -504,48 +473,21 @@ func (c *Controller) computeBlend(base *model.TSA, key string, w float64) blendS
 			pmax = p
 		}
 	}
-	collect := func(tf float64) map[uint32]struct{} {
-		set := make(map[uint32]struct{})
+	collect := func(tf float64) (set holdSet) {
 		for d, p := range probs {
 			if p < pmax/tf {
 				continue
 			}
-			for _, pr := range destPairs(c.prior, base, d) {
-				set[pr.Key()] = struct{}{}
+			if st, err := tts.ParseKey(d); err == nil {
+				if set == nil {
+					set = maps.Clone(c.priorHolds)
+				}
+				delete(set, st.Commit.Key())
 			}
-		}
-		if len(set) == 0 {
-			return nil
 		}
 		return set
 	}
-	return blendSets{allowed: collect(c.tf), relaxed: collect(c.tf * c.rf)}
-}
-
-// admissiblePairs is the admission reading of a destination state: the
-// commit pair only. A state's tuple also lists the casualties aborted by
-// that commit, but admitting a pair the model predicts will only lose
-// its work re-creates the very conflict the guidance exists to remove —
-// the gate holds predicted casualties behind the predicted committer
-// (the paper's commit optimization), and the progress escape bounds the
-// cost when the prediction is wrong.
-func admissiblePairs(st tts.State) []tts.Pair {
-	return []tts.Pair{st.Commit}
-}
-
-// destPairs recovers the admissible pairs of a destination state key,
-// preferring a materialized node (either model) over re-parsing.
-func destPairs(prior, base *model.TSA, key string) []tts.Pair {
-	if n := prior.Node(key); n != nil {
-		return admissiblePairs(n.State)
-	}
-	if n := base.Node(key); n != nil {
-		return admissiblePairs(n.State)
-	}
-	if st, err := tts.ParseKey(key); err == nil {
-		return admissiblePairs(st)
-	}
-	return nil
+	return blendSets{hold: collect(c.tf), relaxed: collect(c.tf * c.rf)}
 }
 
 // observeCommitLocked, when the base model is being streamed, folds the
@@ -600,6 +542,7 @@ func (c *Controller) Stats() Stats {
 		t := &c.perThread[i]
 		st.Admits += t.admits.Load()
 		st.ImmediateAdmits += t.immediate.Load()
+		st.FutileAdmits += t.futile.Load()
 		st.Holds += t.holds.Load()
 		st.UnknownPasses += t.unknown.Load()
 		st.IrrevocableAdmits += t.irrevocable.Load()
@@ -618,9 +561,15 @@ func (c *Controller) Stats() Stats {
 	return st
 }
 
+// Summary renders the admission ledger on one line, for exit reports.
+func (s Stats) Summary() string {
+	return fmt.Sprintf("gate: %d admits, %d holds, %d escapes, %d futile admits, %d unknown-state passes, %d irrevocable admits",
+		s.Admits, s.Holds, s.Escapes, s.FutileAdmits, s.UnknownPasses, s.IrrevocableAdmits)
+}
+
 // SwapModel atomically replaces the controller's base model with next
 // (non-nil), e.g. a fresh epoch snapshot from the online learner. The
-// admission tables are precomputed here, off the commit path, and
+// hold rule is compiled here, off the commit path, and
 // installed with a single atomic pointer store — Admit, OnCommit, and
 // OnAbort never block on a swap in progress, and a swapper stalled
 // before calling SwapModel holds nothing the commit path waits on.
@@ -636,8 +585,8 @@ func (c *Controller) SwapModel(next *model.TSA) {
 	}
 	nt := &modelTables{base: next}
 	if c.prior == nil {
-		nt.allowed = buildAllowed(next, c.tf)
-		nt.relaxed = buildAllowed(next, c.tf*c.rf)
+		nt.hold = holdTables(next, c.tf)
+		nt.relaxed = holdTables(next, c.tf*c.rf)
 	}
 	c.stream.Store(false)
 	nt.gen = c.swaps.Add(1)
@@ -707,7 +656,7 @@ const maxSnapCache = 4096
 // anchored by the given commit instance.
 func (c *Controller) newSnapshot(tb *modelTables, st tts.State, anchor uint64) *snapshot {
 	s := &snapshot{state: st}
-	s.allowed, s.relaxed = c.setsFor(tb, st.Key())
+	s.hold, s.relaxed = c.setsFor(tb, st.Key())
 	s.anchor.Store(anchor)
 	return s
 }
@@ -826,10 +775,9 @@ func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 }
 
 // Admit implements the gate (paper Figure 2). It returns when pair p
-// may start: immediately if the pair appears in a high-probability
-// destination of the current state (or the state is unknown, or the
-// ladder is at LevelPassthrough), otherwise after holding through up to
-// k re-checks. Every outcome feeds the health monitor.
+// may start: immediately unless the current state's verdict is to hold
+// it (see verdict; never at LevelPassthrough), otherwise after holding
+// through up to k re-checks. Every outcome feeds the health monitor.
 func (c *Controller) Admit(p tts.Pair) {
 	tc := c.stripe(p.Thread)
 	tc.admits.Add(1)
@@ -855,15 +803,19 @@ func (c *Controller) Admit(p tts.Pair) {
 	}
 
 	snap := c.cur.Load()
-	if ok, unknown := admissible(snap, pk, lvl); ok {
-		if unknown {
+	v := snap.verdict(pk, lvl)
+	if v != vHold {
+		switch v {
+		case vUnknown:
 			tc.unknown.Add(1)
+		case vFutile:
+			tc.futile.Add(1)
 		}
 		if lvl == LevelRelaxed {
 			tc.relaxed.Add(1)
 		}
 		tc.immediate.Add(1)
-		c.note(tc, unknown, false)
+		c.note(tc, v == vUnknown, false)
 		return
 	}
 
@@ -902,30 +854,25 @@ func (c *Controller) Admit(p tts.Pair) {
 			runtime.Gosched()
 		}
 		c.inject.Sleep(fault.HoldStall)
-		if c.holdDelay > 0 && stale == c.k/2 {
-			// Politeness valve: one sleep per hold so configured
-			// deployments can cap spin pressure.
-			time.Sleep(c.holdDelay)
+		// The verdict is a function of the state and the ladder level (a
+		// degradation widens or removes the set): re-read when one moved.
+		next, nextLvl := c.cur.Load(), c.Level()
+		if next == snap && nextLvl == lvl {
+			stale++
+			continue
 		}
-		// Poll the ladder too: a degradation while we were held widens
-		// (or removes) the set we are waiting on.
-		if lvl = c.Level(); lvl == LevelPassthrough {
+		snap, lvl = next, nextLvl
+		if lvl == LevelPassthrough {
 			tc.passthrough.Add(1)
 			held(false, false)
 			return
 		}
-		next := c.cur.Load()
-		changed := next != snap
-		snap = next
-		if ok, unknown := admissible(snap, pk, lvl); ok {
+		if v = snap.verdict(pk, lvl); v != vHold {
 			if lvl == LevelRelaxed {
 				tc.relaxed.Add(1)
 			}
-			held(false, unknown)
+			held(false, v == vUnknown)
 			return
-		}
-		if !changed {
-			stale++
 		}
 	}
 	held(true, false)
@@ -971,23 +918,22 @@ func (c *Controller) WouldAdmit(p tts.Pair) (ok, unknown bool) {
 	if lvl == LevelPassthrough {
 		return true, false
 	}
-	return admissible(c.cur.Load(), p.Key(), lvl)
+	v := c.cur.Load().verdict(p.Key(), lvl)
+	return v != vHold, v == vUnknown
 }
 
-// admissible reports whether the pair may proceed under snapshot s at
-// the given degradation level, and whether that is because the current
-// state is unknown to the model.
-func admissible(s *snapshot, pairKey uint32, lvl Level) (ok, unknown bool) {
+// verdict reads pair pairKey's verdict off snapshot s at the given
+// degradation level; a nil snapshot is an unknown state.
+func (s *snapshot) verdict(pairKey uint32, lvl Level) verdict {
 	if s == nil {
-		return true, true
+		return vUnknown
 	}
-	set := s.allowed
+	set := s.hold
 	if lvl == LevelRelaxed {
 		set = s.relaxed
 	}
 	if set == nil {
-		return true, true
+		return vUnknown
 	}
-	_, ok = set[pairKey]
-	return ok, false
+	return set[pairKey]
 }

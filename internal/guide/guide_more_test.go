@@ -80,14 +80,3 @@ func TestStatsConsistency(t *testing.T) {
 		t.Errorf("escapes %d > holds %d", st.Escapes, st.Holds)
 	}
 }
-
-// TestHoldDelayPolitenessValve: a configured HoldDelay must not change
-// admission outcomes, only pacing.
-func TestHoldDelayPolitenessValve(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 2, HoldDelay: time.Microsecond})
-	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
-	c.Admit(tts.Pair{Tx: 2, Thread: 2})
-	if st := c.Stats(); st.Escapes != 1 {
-		t.Errorf("escape expected with politeness valve on: %+v", st)
-	}
-}

@@ -15,7 +15,11 @@ import (
 //
 //	a0 → b1 : 90
 //	a0 → c2 : 1  (well below Pmax/4)
-//	b1 → a0 : 1
+//
+// {<b1>} has no outbound edge, so under {<a0>} pair (c,2) is held, not
+// released as futile: thread 1's commit would land on a state with no
+// guidance, which admits everyone. The tests that reach the escape with
+// it simply never let that commit come.
 func twoStateModel() *model.TSA {
 	a0 := tts.State{Commit: tts.Pair{Tx: 0, Thread: 0}}
 	b1 := tts.State{Commit: tts.Pair{Tx: 1, Thread: 1}}
@@ -25,8 +29,7 @@ func twoStateModel() *model.TSA {
 		seq = append(seq, a0, b1)
 	}
 	seq = append(seq, a0, c2)
-	// Interleave as separate runs so edges are a0→b1 x90, a0→c2 x1,
-	// b1→a0 x89...; simplest is many 2-element runs.
+	// Two-element runs, so the only edges are a0→b1 x90 and a0→c2 x1.
 	runs := make([][]tts.State, 0, 91)
 	for i := 0; i+1 < len(seq); i += 2 {
 		runs = append(runs, seq[i:i+2])
@@ -35,7 +38,7 @@ func twoStateModel() *model.TSA {
 }
 
 func TestAdmitUnknownStateAlwaysPasses(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 4, HoldDelay: time.Microsecond})
+	c := New(twoStateModel(), Options{K: 4})
 	// No commits yet: current state unknown.
 	done := make(chan struct{})
 	go func() {
@@ -54,7 +57,7 @@ func TestAdmitUnknownStateAlwaysPasses(t *testing.T) {
 }
 
 func TestAdmitHighProbPairPassesImmediately(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 4, HoldDelay: time.Microsecond})
+	c := New(twoStateModel(), Options{K: 4})
 	// Move to state {<a0>}; its high-prob destination is {<b1>}, so
 	// pair (b,1) is admissible.
 	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
@@ -70,7 +73,7 @@ func TestAdmitHighProbPairPassesImmediately(t *testing.T) {
 }
 
 func TestAdmitLowProbPairHeldThenEscapes(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 5, HoldDelay: time.Microsecond})
+	c := New(twoStateModel(), Options{K: 5})
 	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
 	// (c,2) is only in the low-probability destination: must be held,
 	// then escape after K re-checks.
@@ -125,7 +128,7 @@ func TestOnAbortExtendsCurrentState(t *testing.T) {
 		runs = append(runs, []tts.State{plain, d3})
 	}
 	m := model.Build(4, runs...)
-	c := New(m, Options{K: 3, HoldDelay: time.Microsecond})
+	c := New(m, Options{K: 3})
 
 	c.OnCommit(42, tts.Pair{Tx: 1, Thread: 1})
 	// In state {<b1>}: destination {<d3>} → (c,2) is inadmissible.
@@ -159,7 +162,7 @@ func TestOnAbortIgnoresStaleKiller(t *testing.T) {
 }
 
 func TestResetClearsState(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 2, HoldDelay: time.Microsecond})
+	c := New(twoStateModel(), Options{K: 2})
 	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
 	c.Reset()
 	c.Admit(tts.Pair{Tx: 2, Thread: 2}) // would be held in {<a0>}
@@ -169,7 +172,7 @@ func TestResetClearsState(t *testing.T) {
 }
 
 func TestControllerConcurrentSafety(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 2, HoldDelay: time.Microsecond})
+	c := New(twoStateModel(), Options{K: 2})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -209,7 +212,7 @@ func TestNewSkipsTerminalStates(t *testing.T) {
 	// controller with an empty allowed map: everything passes as
 	// unknown.
 	m := model.Build(1, []tts.State{{Commit: tts.Pair{Tx: 0, Thread: 0}}})
-	c := New(m, Options{K: 2, HoldDelay: time.Microsecond})
+	c := New(m, Options{K: 2})
 	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
 	c.Admit(tts.Pair{Tx: 5, Thread: 5})
 	if st := c.Stats(); st.Escapes != 0 {
@@ -219,7 +222,7 @@ func TestNewSkipsTerminalStates(t *testing.T) {
 
 func TestDefaultOptions(t *testing.T) {
 	c := New(twoStateModel(), Options{})
-	if c.k != DefaultK || c.holdDelay != DefaultHoldDelay {
-		t.Errorf("defaults not applied: k=%d delay=%v", c.k, c.holdDelay)
+	if c.k != DefaultK {
+		t.Errorf("defaults not applied: k=%d", c.k)
 	}
 }

@@ -112,8 +112,8 @@ type stripe struct {
 	irrevocable, sheds, evidence, holdNanos atomic.Uint64
 	// healthyAdmits counts this stripe's healthy admits; every batch-th
 	// one carries the batch into the shared health window.
-	healthyAdmits atomic.Uint64
-	_             [128 - 13*8]byte
+	healthyAdmits, futile atomic.Uint64
+	_                     [128 - 14*8]byte
 }
 
 // Level returns the controller's current degradation level.

@@ -1,0 +1,372 @@
+package guide
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"gstm/internal/model"
+	"gstm/internal/tts"
+)
+
+// edges builds a model from weighted transitions between states.
+func edges(threads int, es ...edge) *model.TSA {
+	m := model.New(threads)
+	for _, e := range es {
+		for i := 0; i < e.n; i++ {
+			m.AddRun([]tts.State{e.from, e.to})
+		}
+	}
+	return m
+}
+
+type edge struct {
+	from, to tts.State
+	n        int
+}
+
+func commitOnly(tx, thread uint16) tts.State {
+	return tts.State{Commit: tts.Pair{Tx: tx, Thread: thread}}
+}
+
+// quakeShape is the SynQuake model's core: two threads, three
+// transaction IDs, the six commit-only states. After a move (tx 0)
+// either thread moves again or the same thread shoots (tx 1); after
+// anything else somebody moves.
+func quakeShape() *model.TSA {
+	var es []edge
+	for th := uint16(0); th < 2; th++ {
+		a, other := commitOnly(0, th), commitOnly(0, 1-th)
+		es = append(es, edge{a, other, 42}, edge{a, a, 35}, edge{a, commitOnly(1, th), 23})
+		for tx := uint16(1); tx < 3; tx++ {
+			es = append(es, edge{commitOnly(tx, th), a, 53}, edge{commitOnly(tx, th), other, 47})
+		}
+	}
+	return edges(2, es...)
+}
+
+// names reports whether thread th commits or is aborted in st.
+func names(st tts.State, th uint16) bool {
+	for _, p := range st.Pairs() {
+		if p.Thread == th {
+			return true
+		}
+	}
+	return false
+}
+
+// specAdmits is the paper's rule read off the model: the commit pairs
+// of key's high-probability destinations; nil when there is no guidance.
+func specAdmits(m *model.TSA, key string, tf float64) map[tts.Pair]bool {
+	var out map[tts.Pair]bool
+	for _, d := range m.Node(key).HighProbDests(tf) {
+		if dn := m.Node(d); dn != nil {
+			if out == nil {
+				out = make(map[tts.Pair]bool)
+			}
+			out[dn.State.Commit] = true
+		}
+	}
+	return out
+}
+
+// specResolvable is the hold rule by brute force: a forward search from
+// state key over its high-probability destinations, each as p's waiting
+// thread would see it (not at all if that thread commits it, without the
+// thread's casualties otherwise, and only if the model knows the result),
+// looking for a state that admits p or has no guidance.
+func specResolvable(m *model.TSA, key string, p tts.Pair, tf float64) bool {
+	seen := map[string]bool{}
+	stack := []string{key}
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range m.Node(cur).HighProbDests(tf) {
+			dn := m.Node(d)
+			if dn == nil || dn.State.Commit.Thread == p.Thread {
+				continue
+			}
+			seenAs := tts.State{Commit: dn.State.Commit}
+			for _, a := range dn.State.Aborts {
+				if a.Thread != p.Thread {
+					seenAs.Aborts = append(seenAs.Aborts, a)
+				}
+			}
+			d = seenAs.Key()
+			if m.Node(d) == nil || seen[d] {
+				continue
+			}
+			seen[d] = true
+			if adm := specAdmits(m, d, tf); adm == nil || adm[p] {
+				return true
+			}
+			stack = append(stack, d)
+		}
+	}
+	return false
+}
+
+// checkPlan compares every verdict of plan with the brute-force rule and
+// with the gate's own table, and replays every witness through a
+// controller: it must end in an admit that is not an escape.
+func checkPlan(m *model.TSA, tf float64, plan map[string]map[uint32][]string) error {
+	tables := holdTables(m, tf)
+	known := map[tts.Pair]bool{}
+	for _, n := range m.Nodes {
+		for _, p := range n.State.Pairs() {
+			known[p] = true
+		}
+	}
+	for key, node := range m.Nodes {
+		adm := specAdmits(m, key, tf)
+		verdicts := plan[key]
+		for p := range known {
+			witness, listed := verdicts[p.Key()]
+			want := map[bool]verdict{true: vHold, false: vFutile}[len(witness) > 0]
+			if adm == nil {
+				want = vUnknown
+			} else if adm[p] {
+				want = vAdmit
+			}
+			got := vUnknown
+			if set := tables[key]; set != nil {
+				got = set[p.Key()]
+			}
+			if got != want {
+				return fmt.Errorf("%v: the gate reads %v as %d, the explanation as %d", node.State, p, got, want)
+			}
+			if adm == nil || adm[p] {
+				if listed {
+					return fmt.Errorf("%v: admitted or unguided pair %v has a verdict", node.State, p)
+				}
+				continue
+			}
+			if !listed {
+				return fmt.Errorf("%v: no verdict for %v", node.State, p)
+			}
+			if want := specResolvable(m, key, p, tf); want != (len(witness) > 0) {
+				return fmt.Errorf("%v: pair %v held = %v, brute force says %v", node.State, p, len(witness) > 0, want)
+			}
+			if len(witness) > 0 {
+				if err := replay(m, tf, node.State, p, witness); err != nil {
+					return fmt.Errorf("%v: pair %v: %w", node.State, p, err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// enter drives c into state st: its commit, then its casualties.
+func enter(c *Controller, instance uint64, st tts.State) {
+	c.OnCommit(instance, st.Commit)
+	for _, a := range st.Aborts {
+		c.OnAbort(a, instance)
+	}
+}
+
+// replay holds p under state from and plays one witness state per yield.
+func replay(m *model.TSA, tf float64, from tts.State, p tts.Pair, witness []string) error {
+	for _, key := range witness {
+		if st := tts.MustParseKey(key); names(st, p.Thread) {
+			return fmt.Errorf("witness state %v names the holder's thread", st)
+		}
+	}
+	var c *Controller
+	step := 0
+	c = New(m, Options{Tfactor: tf, K: 2, HealthWindow: -1, Yield: func() {
+		if step < len(witness) {
+			enter(c, uint64(step+2), tts.MustParseKey(witness[step]))
+			step++
+		}
+	}})
+	enter(c, 1, from)
+	c.Admit(p)
+	if st := c.Stats(); st.Holds != 1 || st.Escapes != 0 {
+		return fmt.Errorf("witness of %d states replayed to holds=%d escapes=%d", len(witness), st.Holds, st.Escapes)
+	}
+	return nil
+}
+
+// randomTSA draws a small model: ≤ 4 threads, ≤ 4 transaction IDs,
+// ≤ 24 states, skewed edge weights so some edges fall below Pmax/Tfactor.
+func randomTSA(rng *rand.Rand) *model.TSA {
+	threads := 2 + rng.Intn(3)
+	txs := 1 + rng.Intn(4)
+	pair := func() tts.Pair {
+		return tts.Pair{Tx: uint16(rng.Intn(txs)), Thread: uint16(rng.Intn(threads))}
+	}
+	states := make([]tts.State, 2+rng.Intn(23))
+	for i := range states {
+		st := tts.State{Commit: pair()}
+		for n := rng.Intn(3); n > 0; n-- {
+			if a := pair(); a.Thread != st.Commit.Thread {
+				st.Aborts = append(st.Aborts, a)
+			}
+		}
+		states[i] = *st.Canonicalize()
+	}
+	var es []edge
+	for _, from := range states {
+		for n := rng.Intn(4); n > 0; n-- {
+			es = append(es, edge{from, states[rng.Intn(len(states))], 1 << rng.Intn(5)})
+		}
+	}
+	return edges(threads, es...)
+}
+
+// TestCompiledHoldsMatchBruteForce: on random small TSAs every compiled
+// verdict equals the brute-force rule and every held verdict's witness
+// replays to a non-escape admit — and the same check catches the seeded
+// defect of a closure that follows states naming the holder.
+func TestCompiledHoldsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	held, futile, caught := 0, 0, 0
+	for i := 0; i < 300; i++ {
+		m := randomTSA(rng)
+		tf := []float64{1, 2, 4}[rng.Intn(3)]
+		plan := ExplainHolds(m, tf)
+		if err := checkPlan(m, tf, plan); err != nil {
+			t.Fatalf("model %d, Tfactor %v: %v\n%s", i, tf, err, m.Dump(0))
+		}
+		for _, verdicts := range plan {
+			for _, w := range verdicts {
+				if len(w) > 0 {
+					held++
+				} else {
+					futile++
+				}
+			}
+		}
+		stock := waitingView
+		waitingView = func(st tts.State, _ uint16) (tts.State, bool) { return st, true }
+		if checkPlan(m, tf, ExplainHolds(m, tf)) != nil {
+			caught++
+		}
+		waitingView = stock
+	}
+	if held < 100 || futile < 100 {
+		t.Errorf("vacuous: %d held and %d futile verdicts checked", held, futile)
+	}
+	if caught == 0 {
+		t.Error("mutation not caught: a closure that follows the holder's own states passed every model")
+	}
+	t.Logf("%d held, %d futile verdicts; mutation caught on %d of 300 models", held, futile, caught)
+}
+
+// TestQuakeShapeReleasesFutileHold: in the SynQuake shape (tx1,t1) is
+// admitted only by {tx0,t1}, which thread 1 itself anchors; under
+// {tx0,t0} the paper's rule holds it until the k-escape. It is admitted
+// at once and counted.
+func TestQuakeShapeReleasesFutileHold(t *testing.T) {
+	m := quakeShape()
+	p := tts.Pair{Tx: 1, Thread: 1}
+	if specAdmits(m, commitOnly(0, 0).Key(), model.DefaultTfactor)[p] {
+		t.Fatal("setup: {tx0,t0} admits (tx1,t1); the paper's rule would not hold it")
+	}
+	yields := 0
+	c := New(m, Options{HealthWindow: -1, Yield: func() { yields++ }})
+	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
+	c.Admit(p)
+	st := c.Stats()
+	if yields != 0 || st.Holds != 0 || st.ImmediateAdmits != 1 || st.FutileAdmits != 1 || st.UnknownPasses != 0 {
+		t.Errorf("yields = %d, stats = %+v; want one immediate, futile admit", yields, st)
+	}
+	// (tx0,t1) is a destination's commit pair: admitted, not futile.
+	c.Admit(tts.Pair{Tx: 0, Thread: 1})
+	if st := c.Stats(); st.ImmediateAdmits != 2 || st.FutileAdmits != 1 {
+		t.Errorf("after a model-admitted pair: %+v", st)
+	}
+	if st.Admits != st.ImmediateAdmits+st.Holds+st.ReadOnlyAdmits {
+		t.Errorf("partition broken: %+v", st)
+	}
+}
+
+// TestHoldBehindThirdThread: {a0} leads to {b1}, and only {b1} admits
+// (c,2). Thread 1 can commit while thread 2 waits, so the pair is held
+// and resolves on that commit.
+func TestHoldBehindThirdThread(t *testing.T) {
+	a0, b1, c2 := commitOnly(0, 0), commitOnly(1, 1), commitOnly(2, 2)
+	m := edges(3, edge{a0, b1, 10}, edge{b1, c2, 10}, edge{c2, a0, 10})
+	var c *Controller
+	yields := 0
+	c = New(m, Options{K: 2, HealthWindow: -1, Yield: func() {
+		if yields++; yields == 1 {
+			c.OnCommit(2, b1.Commit)
+		}
+	}})
+	c.OnCommit(1, a0.Commit)
+	c.Admit(c2.Commit)
+	if st := c.Stats(); yields != 1 || st.Holds != 1 || st.Escapes != 0 || st.FutileAdmits != 0 {
+		t.Errorf("yields = %d, stats = %+v; want one hold resolved by thread 1's commit", yields, st)
+	}
+	// In this ring every pair's admitting state is anchored by another
+	// thread and reached through other threads' states: nothing is futile.
+	for _, verdicts := range ExplainHolds(m, model.DefaultTfactor) {
+		for pk, w := range verdicts {
+			if len(w) == 0 {
+				t.Errorf("pair %v released as futile in a ring every thread can wait on", tts.PairFromKey(pk))
+			}
+		}
+	}
+}
+
+// TestHoldBehindOwnCasualtyState: the model saw {<a0>} followed only by
+// b1 committing and aborting a0. With (a,0) held there is nothing to
+// abort: the same commit comes about as {<b1>}, which admits (a,0), so
+// the pair is held and resolves on thread 1's commit.
+func TestHoldBehindOwnCasualtyState(t *testing.T) {
+	a0, b1 := commitOnly(0, 0), commitOnly(1, 1)
+	b1KillsA0 := tts.State{Commit: b1.Commit, Aborts: []tts.Pair{a0.Commit}}
+	m := edges(2, edge{a0, b1KillsA0, 5}, edge{b1KillsA0, b1, 5}, edge{b1, a0, 5})
+	var c *Controller
+	yields := 0
+	c = New(m, Options{K: 2, HealthWindow: -1, Yield: func() {
+		if yields++; yields == 1 {
+			c.OnCommit(2, b1.Commit)
+		}
+	}})
+	c.OnCommit(1, a0.Commit)
+	c.Admit(a0.Commit)
+	if st := c.Stats(); yields != 1 || st.Holds != 1 || st.Escapes != 0 || st.FutileAdmits != 0 {
+		t.Errorf("yields = %d, stats = %+v; want one hold resolved by thread 1's commit", yields, st)
+	}
+}
+
+// TestResolvableHoldEscapesAfterKStale: the escape is still there and
+// still exact. (c,2) under {<a0>} of twoStateModel is resolvable — {<b1>}
+// has no guidance — but nobody commits: the hold ends after exactly k
+// re-checks of an unchanged state.
+func TestResolvableHoldEscapesAfterKStale(t *testing.T) {
+	const k = 5
+	yields := 0
+	c := New(twoStateModel(), Options{K: k, HealthWindow: -1, Yield: func() { yields++ }})
+	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
+	c.Admit(tts.Pair{Tx: 2, Thread: 2})
+	st := c.Stats()
+	if yields != k || st.Escapes != 1 || st.MaxHoldRechecks != k {
+		t.Errorf("yields = %d, escapes = %d, max re-checks = %d; want %d, 1, %d", yields, st.Escapes, st.MaxHoldRechecks, k, k)
+	}
+}
+
+// TestBlendPathDoesNotApplyClosure pins the one documented exception:
+// under a prior the sets are built per state from its own destinations,
+// so a pair the compiled rule releases as futile is still held. A pair
+// neither model names is admitted at once on both paths.
+func TestBlendPathDoesNotApplyClosure(t *testing.T) {
+	p, unseen := tts.Pair{Tx: 1, Thread: 1}, tts.Pair{Tx: 9, Thread: 1}
+	compiled := New(quakeShape(), Options{HealthWindow: -1})
+	blended := New(nil, Options{Prior: quakeShape(), BlendEvidence: -1, HealthWindow: -1})
+	for _, c := range []*Controller{compiled, blended} {
+		c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
+		if ok, unknown := c.WouldAdmit(unseen); !ok || unknown {
+			t.Errorf("a pair the model never saw: ok=%v unknown=%v, want admitted under a known state", ok, unknown)
+		}
+	}
+	if ok, _ := compiled.WouldAdmit(p); !ok {
+		t.Error("compiled rule holds the futile pair")
+	}
+	if ok, unknown := blended.WouldAdmit(p); ok || unknown {
+		t.Errorf("blend path: ok=%v unknown=%v, want the pair held", ok, unknown)
+	}
+}

@@ -27,7 +27,7 @@ func certManifest(ids ...uint16) *effect.Manifest {
 // once even when the model would hold it, and the counters keep the
 // Admits == ImmediateAdmits + Holds + ReadOnlyAdmits invariant.
 func TestCertifiedReadOnlyAdmitsImmediately(t *testing.T) {
-	c := New(twoStateModel(), Options{K: 5, HoldDelay: time.Microsecond, Manifest: certManifest(2)})
+	c := New(twoStateModel(), Options{K: 5, Manifest: certManifest(2)})
 	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
 	// (2,2) is only in the low-probability destination — without the
 	// certificate it holds and escapes (TestAdmitLowProbPairHeldThenEscapes).

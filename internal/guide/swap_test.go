@@ -46,6 +46,36 @@ func TestSwapModelReplacesGuidance(t *testing.T) {
 	}
 }
 
+// TestSwapModelRecompilesHolds: the hold rule is compiled per model, so
+// a swap must recompile it. (tx1,t1) under {tx0,t0} is futile in the
+// SynQuake shape — only thread 1's own states admit it; in the swapped-in
+// model thread 0's next state admits it, so the hold comes back on, for
+// the snapshot that was current at swap time too.
+func TestSwapModelRecompilesHolds(t *testing.T) {
+	a0, b0, b1 := commitOnly(0, 0), commitOnly(1, 0), commitOnly(1, 1)
+	c := New(quakeShape(), Options{HealthWindow: -1})
+	c.OnCommit(1, a0.Commit)
+	if ok, _ := c.WouldAdmit(b1.Commit); !ok {
+		t.Fatal("setup: futile pair held before the swap")
+	}
+
+	c.SwapModel(edges(2, edge{a0, b0, 10}, edge{b0, b1, 10}, edge{b1, a0, 10}))
+
+	if ok, unknown := c.WouldAdmit(b1.Commit); ok || unknown {
+		t.Fatalf("after the swap: ok=%v unknown=%v, want the pair held behind {tx1,t0}", ok, unknown)
+	}
+	var yields int
+	c.yield = func() {
+		if yields++; yields == 1 {
+			c.OnCommit(2, b0.Commit)
+		}
+	}
+	c.Admit(b1.Commit)
+	if st := c.Stats(); st.Holds != 1 || st.Escapes != 0 || st.FutileAdmits != 0 {
+		t.Errorf("stats = %+v, want one hold resolved by thread 0's commit", st)
+	}
+}
+
 // TestSwapModelUnderBlendKeepsPriorWeight pins the blend interaction:
 // swapping a base model under a configured prior neither advances nor
 // rewinds the evidence-driven prior weight — a swap is new data, not

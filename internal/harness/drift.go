@@ -265,9 +265,10 @@ type DriftComparison struct {
 
 // CompareDrift runs the standard drifting workload through all three
 // guidance regimes and reduces to the quantities the online-guidance
-// claim rests on: after the shift, the online learner should reach a
-// lower variance and fewer aborts than both passthrough and the frozen
-// model, and the frozen gate should visibly trip its ladder.
+// claim rests on: after the shift, the online learner should take fewer
+// aborts than both passthrough and the frozen model, and the frozen gate
+// should visibly trip its ladder. Finish-time variance is reported beside
+// them; it does not separate the modes at any seed count tried.
 func CompareDrift(o DriftCompareOptions) DriftComparison {
 	if o.Seeds <= 0 {
 		o.Seeds = 8

@@ -125,9 +125,16 @@ func TestOnlineRecoversAfterShift(t *testing.T) {
 
 // TestCompareDriftOrdersModes is the acceptance measurement (the same
 // comparison cmd/gstm -op online prints): after the shift the online
-// learner absorbs contention the other two modes eat. Variance is
-// logged; the abort ordering is the deterministic part of the claim.
+// learner absorbs contention the other two modes eat. The abort ordering
+// is the claim (over 512 seeds: 10.5 post-shift aborts a run online
+// against 24.5 passthrough). Finish-time sd is held to the margin eight
+// seeds can resolve: sample variances of two equal populations differ by
+// more than F(7,7)'s 95th percentile, 3.79 (sd ratio 1.95), one time in
+// twenty, and over 512 seeds the three modes' sds are not told apart
+// (EXPERIMENTS.md "Drift simulator") — so the test fails when online's sd
+// is resolvably above a baseline's, not when a coin lands the other way.
 func TestCompareDriftOrdersModes(t *testing.T) {
+	const sdRatio95 = 1.95
 	cmp := CompareDrift(DriftCompareOptions{Seeds: 8})
 	t.Logf("comparison: %+v", cmp)
 	if cmp.OnlinePost >= cmp.PassPost {
@@ -142,10 +149,10 @@ func TestCompareDriftOrdersModes(t *testing.T) {
 	if cmp.OnlineRearms == 0 {
 		t.Error("online learner never re-armed across any seed")
 	}
-	if cmp.OnlineSD >= cmp.PassSD {
-		t.Errorf("online meanSD = %.3f, want below passthrough's %.3f", cmp.OnlineSD, cmp.PassSD)
+	if cmp.OnlineSD > sdRatio95*cmp.PassSD {
+		t.Errorf("online meanSD = %.3f, resolvably above passthrough's %.3f", cmp.OnlineSD, cmp.PassSD)
 	}
-	if cmp.OnlineSD >= cmp.FrozenSD {
-		t.Errorf("online meanSD = %.3f, want below frozen's %.3f", cmp.OnlineSD, cmp.FrozenSD)
+	if cmp.OnlineSD > sdRatio95*cmp.FrozenSD {
+		t.Errorf("online meanSD = %.3f, resolvably above frozen's %.3f", cmp.OnlineSD, cmp.FrozenSD)
 	}
 }

@@ -89,6 +89,9 @@ func RunSuite(cfg SuiteConfig, logf func(format string, args ...any)) (SuiteResu
 			}
 			logf("  metric=%.0f%% states=%d fit=%v", out.Analysis.Metric,
 				out.Model.NumStates(), out.Analysis.Fit)
+			if out.Compared != nil {
+				logf("  %s", out.Guided.Guide.Summary())
+			}
 			res.Outcomes[name][th] = out
 		}
 	}

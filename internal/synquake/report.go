@@ -70,8 +70,8 @@ func RunSuite(s Suite, logf func(format string, args ...any)) (SuiteResult, erro
 			if err != nil {
 				return res, fmt.Errorf("synquake: %s @%d threads: %w", sc, th, err)
 			}
-			logf("  metric=%.0f%% frame-var %+.0f%%", out.Analysis.Metric,
-				out.FrameVarianceImprovement)
+			logf("  metric=%.0f%% frame-var %+.0f%%\n  %s", out.Analysis.Metric,
+				out.FrameVarianceImprovement, out.Guided.Guide.Summary())
 			res.ByScenario[sc][th] = out
 		}
 	}
