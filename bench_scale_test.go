@@ -130,8 +130,9 @@ func BenchmarkScaleLibTMRMW(b *testing.B) {
 
 // scaleGateModel builds a synthetic TSA admitting the suite's worker
 // pairs in forward and reverse order (the same shape the explorer's
-// guided path uses), so the gate answers from a known model while the
-// hold machinery stays reachable on out-of-model interleavings.
+// guided path uses), every transaction in conflict with every other, so
+// the gate answers from a known model while the hold machinery stays
+// reachable on out-of-model interleavings.
 func scaleGateModel(workers int) *model.TSA {
 	ps := make([]tts.Pair, workers)
 	for i := range ps {
@@ -148,7 +149,7 @@ func scaleGateModel(workers int) *model.TSA {
 		run = append(run, fwd...)
 		run = append(run, rev...)
 	}
-	return model.Build(len(ps), run).Prune(4)
+	return model.Build(len(ps), run).Prune(4).AssumeAllConflict()
 }
 
 // gateOptions enumerates the gate configurations the admission rows

@@ -14,9 +14,11 @@ import (
 // explainHolds writes, for the max most-travelled states of the model
 // the gate runs (m pruned at tf, as -op model builds it), what happens
 // to every pair the model knows: admitted by one of the state's
-// high-probability destinations, held behind a state another thread can
-// bring about (with the path to it), or released as futile because only
-// the pair's own thread could bring such a state about.
+// high-probability destinations, admitted because the model never saw its
+// transaction in conflict with one of those destinations' committers,
+// held behind a state another thread can bring about (with the path to
+// it), or released as futile because only the pair's own thread could
+// bring such a state about.
 func explainHolds(w io.Writer, m *model.TSA, tf float64, max int) {
 	pruned := m.Prune(tf)
 	plan := guide.ExplainHolds(pruned, tf)
@@ -35,10 +37,13 @@ func explainHolds(w io.Writer, m *model.TSA, tf float64, max int) {
 		keys = keys[:max]
 	}
 	fmt.Fprintf(w, "hold rule at Tfactor %g, pruned model of %d states:\n", tf, pruned.NumStates())
+	if len(plan) == 0 {
+		fmt.Fprintln(w, "idle: the gate tracks no state (no state holds or releases anybody)")
+	}
 	for _, k := range keys {
 		node := pruned.Nodes[k]
 		fmt.Fprintf(w, "%s (out=%d)\n", node.State, node.Total)
-		var admitted, held, futile []uint32
+		var admitted, unconflicted, held, futile []uint32
 		seen := map[uint32]bool{}
 		for _, d := range node.HighProbDests(tf) {
 			if pk := pruned.Nodes[d].State.Commit.Key(); !seen[pk] {
@@ -58,9 +63,15 @@ func explainHolds(w io.Writer, m *model.TSA, tf float64, max int) {
 				futile = append(futile, pk)
 			}
 		}
-		fmt.Fprintf(w, "  admitted: %s\n", pairList(admitted, nil))
-		fmt.Fprintf(w, "  held:     %s\n", pairList(held, verdicts))
-		fmt.Fprintf(w, "  futile:   %s\n", pairList(futile, nil))
+		for _, p := range pruned.Pairs() {
+			if _, judged := verdicts[p.Key()]; !judged && !seen[p.Key()] {
+				unconflicted = append(unconflicted, p.Key())
+			}
+		}
+		fmt.Fprintf(w, "  admitted:    %s\n", pairList(admitted, nil))
+		fmt.Fprintf(w, "  no evidence: %s\n", pairList(unconflicted, nil))
+		fmt.Fprintf(w, "  held:        %s\n", pairList(held, verdicts))
+		fmt.Fprintf(w, "  futile:      %s\n", pairList(futile, nil))
 	}
 }
 

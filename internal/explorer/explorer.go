@@ -160,7 +160,9 @@ func workloadPairs(w Workload) []tts.Pair {
 // workloadModel builds a synthetic TSA over the workload's pairs for
 // the guided path: every pair commits in forward and reverse order so
 // the guide has known states to admit through while still exercising
-// the hold loop (and its Yield hook) on out-of-model interleavings.
+// the hold loop (and its Yield hook) on out-of-model interleavings. The
+// workloads' transactions all conflict; the model says so, or the guide
+// would find nobody worth holding.
 func workloadModel(w Workload) *model.TSA {
 	ps := workloadPairs(w)
 	fwd := make([]tts.State, len(ps))
@@ -174,7 +176,7 @@ func workloadModel(w Workload) *model.TSA {
 		run = append(run, fwd...)
 		run = append(run, rev...)
 	}
-	return model.Build(len(ps), run).Prune(4)
+	return model.Build(len(ps), run).Prune(4).AssumeAllConflict()
 }
 
 // readonlyMixManifest certifies the scanner's transaction ID (101) for

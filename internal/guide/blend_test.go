@@ -23,7 +23,7 @@ func skewedModel(hi, lo tts.Pair) *model.TSA {
 		runs = append(runs, []tts.State{a0, {Commit: hi}})
 	}
 	runs = append(runs, []tts.State{a0, {Commit: lo}})
-	return model.Build(4, runs...)
+	return model.Build(4, runs...).AssumeAllConflict()
 }
 
 // TestPriorOnlyGatesLikeAModel pins the cold-start contract: a

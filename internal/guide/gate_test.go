@@ -85,8 +85,8 @@ func TestGateStress(t *testing.T) {
 	if st.ReadOnlyAdmits != perG {
 		t.Errorf("ReadOnlyAdmits = %d, want %d", st.ReadOnlyAdmits, perG)
 	}
-	if want := uint64((threads-1)*perG + 1); st.Evidence != want {
-		t.Errorf("Evidence = %d, want %d (one per non-readonly commit)", st.Evidence, want)
+	if st.Evidence != 0 {
+		t.Errorf("Evidence = %d without a prior, want 0 (blend decay is its one reader)", st.Evidence)
 	}
 	if st.ModelSwaps == 0 {
 		t.Error("the supervisor never swapped a model in")

@@ -116,15 +116,14 @@ type Options struct {
 }
 
 // Stats counts controller decisions, for reporting and tests. Every
-// Admit call lands in exactly one disposition bucket, so
-// Admits == ImmediateAdmits + Holds + ReadOnlyAdmits holds in every
-// quiescent snapshot — including across SwapModel calls, which touch no
-// counters. The counters live in per-thread stripes that Stats sums
-// without stopping the gate, so a snapshot taken while Admit calls are
-// in flight may be short of the partition by those calls. FutileAdmits
-// is a subset of ImmediateAdmits and so outside the partition.
+// Admit call lands in exactly one disposition bucket and Admits is their
+// sum: Admits == ImmediateAdmits + Holds + ReadOnlyAdmits in every
+// snapshot, across SwapModel calls too, which touch no counters. The
+// counters live in per-thread stripes that Stats sums without stopping the
+// gate; a call in flight is counted when it ends. FutileAdmits is a subset
+// of ImmediateAdmits and so outside the partition.
 type Stats struct {
-	// Admits is the total number of Admit calls.
+	// Admits is the total number of finished Admit calls.
 	Admits uint64
 	// ImmediateAdmits passed on the first check (including passthrough
 	// admits) without a readonly certificate.
@@ -178,15 +177,18 @@ type Stats struct {
 	// weight: 1 on a cold start, 0 once the profiled model has full
 	// trust. Zero when no prior is configured.
 	PriorWeight float64
-	// Evidence is the number of non-readonly commits the controller has
-	// traced. Counted exactly once per commit — model swaps never add
-	// to it — so it drives blend decay monotonically.
+	// Evidence is the number of non-readonly commits traced under a prior
+	// (0 without one: blend decay is its one reader). Counted exactly once
+	// per commit — model swaps never add to it — so the decay is monotone.
 	Evidence uint64
 	// ModelSwaps is the number of SwapModel installations.
 	ModelSwaps uint64
 	// Quarantined reports whether the ladder is latched at passthrough
 	// by Quarantine (online drift guard) awaiting Rearm.
 	Quarantined bool
+	// Idle reports that the active model's compiled tables hold nobody, so
+	// the gate tracks no state.
+	Idle bool
 }
 
 // snapshot is the controller's view of the current state; replaced
@@ -239,6 +241,9 @@ type modelTables struct {
 	// from base and cached under blendMu).
 	hold    map[string]holdSet
 	relaxed map[string]holdSet
+	// idle: a model was compiled and every set came out empty: whatever the
+	// state, everyone is admitted, and nobody reads or writes cur or mu.
+	idle bool
 	// base is the profiled, streamed, or swapped-in live model the
 	// blend path mixes with the prior.
 	base *model.TSA
@@ -253,8 +258,8 @@ type modelTables struct {
 // Controller guides an STM using a trained, analyzed model. An immediate
 // admit and a cached-state commit take no lock and touch one cache line
 // another thread writes: cur, the shared variable the mechanism is made
-// of. Everything else they touch is read-mostly or the calling thread's
-// own stripe.
+// of — and not even that when the tables are idle. Everything else they
+// touch is read-mostly or the calling thread's own stripe.
 type Controller struct {
 	// Read-mostly: set by New or moved by rare control-plane events. No
 	// field in this block may be written per transaction.
@@ -347,15 +352,14 @@ func New(m *model.TSA, opts Options) *Controller {
 		rf:        rf,
 		ro:        effect.NewROSet(opts.Manifest),
 	}
-	tb := &modelTables{base: m}
 	if opts.Prior != nil {
 		c.prior = opts.Prior
 		c.blendEvidence = opts.BlendEvidence
 		if c.blendEvidence == 0 {
 			c.blendEvidence = DefaultBlendEvidence
 		}
-		if tb.base == nil {
-			tb.base = model.New(threads)
+		if m == nil {
+			m = model.New(threads)
 			c.stream.Store(true)
 		}
 		c.blendCache = make(map[string]blendSets)
@@ -366,12 +370,8 @@ func New(m *model.TSA, opts Options) *Controller {
 			}
 		}
 		c.blendBucket = -1 // no bucket computed yet
-	} else if m != nil {
-		tb.hold = holdTables(m, tf)
-		tb.relaxed = holdTables(m, tf*rf)
 	}
-	tb.commits.Store(&commitCache{})
-	c.tables.Store(tb)
+	c.tables.Store(c.compile(m))
 	if opts.HealthWindow >= 0 {
 		w := opts.HealthWindow
 		if w == 0 {
@@ -398,6 +398,17 @@ func New(m *model.TSA, opts Options) *Controller {
 		}
 	}
 	return c
+}
+
+// compile derives the tables of base model m (nil: no guidance yet).
+func (c *Controller) compile(m *model.TSA) *modelTables {
+	tb := &modelTables{base: m}
+	if c.prior == nil && m != nil {
+		tb.hold, tb.idle = holdTables(m, c.tf)
+		tb.relaxed = relaxTables(m, tb.hold, c.tf*c.rf)
+	}
+	tb.commits.Store(&commitCache{})
+	return tb
 }
 
 // setsFor resolves the verdict-table pair for a state key under tables
@@ -433,7 +444,10 @@ func (c *Controller) weightBucket() int {
 	if c.blendEvidence < 0 {
 		return blendBuckets
 	}
-	ev := c.evidence()
+	var ev uint64 // non-readonly commits traced so far, summed over the stripes
+	for i := range c.perThread {
+		ev += c.perThread[i].evidence.Load()
+	}
 	if ev >= uint64(c.blendEvidence) {
 		return 0
 	}
@@ -517,14 +531,6 @@ func (c *Controller) observeCommitLocked(base *model.TSA) {
 	c.havePrev = true
 }
 
-// evidence sums the stripes' non-readonly commit counts.
-func (c *Controller) evidence() (n uint64) {
-	for i := range c.perThread {
-		n += c.perThread[i].evidence.Load()
-	}
-	return n
-}
-
 // Stats returns a snapshot of the decision counters, summed over the
 // per-thread stripes.
 func (c *Controller) Stats() Stats {
@@ -537,10 +543,10 @@ func (c *Controller) Stats() Stats {
 		ThreadHoldTime:  make([]time.Duration, len(c.perThread)),
 		ModelSwaps:      c.swaps.Load(),
 		Quarantined:     c.quarantined.Load(),
+		Idle:            c.tables.Load().idle,
 	}
 	for i := range c.perThread {
 		t := &c.perThread[i]
-		st.Admits += t.admits.Load()
 		st.ImmediateAdmits += t.immediate.Load()
 		st.FutileAdmits += t.futile.Load()
 		st.Holds += t.holds.Load()
@@ -555,6 +561,7 @@ func (c *Controller) Stats() Stats {
 		st.Escapes += st.ThreadEscapes[i]
 		st.ThreadHoldTime[i] = time.Duration(t.holdNanos.Load())
 	}
+	st.Admits = st.ImmediateAdmits + st.Holds + st.ReadOnlyAdmits
 	if c.prior != nil {
 		st.PriorWeight = float64(c.weightBucket()) / blendBuckets
 	}
@@ -563,8 +570,8 @@ func (c *Controller) Stats() Stats {
 
 // Summary renders the admission ledger on one line, for exit reports.
 func (s Stats) Summary() string {
-	return fmt.Sprintf("gate: %d admits, %d holds, %d escapes, %d futile admits, %d unknown-state passes, %d irrevocable admits",
-		s.Admits, s.Holds, s.Escapes, s.FutileAdmits, s.UnknownPasses, s.IrrevocableAdmits)
+	return fmt.Sprintf("gate: %d admits, %d holds, %d escapes, %d futile admits, %d unknown-state passes, %d irrevocable admits, idle tables: %v",
+		s.Admits, s.Holds, s.Escapes, s.FutileAdmits, s.UnknownPasses, s.IrrevocableAdmits, s.Idle)
 }
 
 // SwapModel atomically replaces the controller's base model with next
@@ -583,23 +590,23 @@ func (c *Controller) SwapModel(next *model.TSA) {
 	if next == nil {
 		return
 	}
-	nt := &modelTables{base: next}
-	if c.prior == nil {
-		nt.hold = holdTables(next, c.tf)
-		nt.relaxed = holdTables(next, c.tf*c.rf)
-	}
+	nt := c.compile(next)
 	c.stream.Store(false)
 	nt.gen = c.swaps.Add(1)
-	nt.commits.Store(&commitCache{})
-	c.tables.Store(nt)
+	old := c.tables.Swap(nt)
 	// Refresh the current snapshot's admission sets against the new
 	// model so transactions held right now re-check fresh guidance
 	// instead of waiting for the next commit. Bounded work under mu
 	// (one set resolution), after the lock-free install above; the CAS
-	// yields to any commit that moved the state on meanwhile.
+	// yields to any commit that moved the state on meanwhile. With idle
+	// tables on either side cur is stale or unused: start over, as Reset does.
 	c.mu.Lock()
 	if snap := c.cur.Load(); snap != nil {
-		c.cur.CompareAndSwap(snap, c.newSnapshot(nt, snap.state, snap.anchor.Load()))
+		var fresh *snapshot
+		if !old.idle && !nt.idle {
+			fresh = c.newSnapshot(nt, snap.state, snap.anchor.Load())
+		}
+		c.cur.CompareAndSwap(snap, fresh)
 	}
 	c.mu.Unlock()
 	// A fresh model must not inherit the health debt its predecessor
@@ -703,10 +710,15 @@ func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
 	if c.ro != nil && c.ro.Certified(p.Tx) {
 		return
 	}
-	c.stripe(p.Thread).evidence.Add(1)
+	if c.prior != nil {
+		c.stripe(p.Thread).evidence.Add(1)
+	}
 	tb := c.tables.Load()
+	if tb.idle {
+		return
+	}
 	c.advance(tb, instance, p)
-	if now := c.tables.Load(); now != tb {
+	if now := c.tables.Load(); now != tb && !now.idle {
 		// A swap raced the advance and may have refreshed cur before our
 		// snapshot of the old tables landed on it: redo against the new
 		// ones (once; a second swap is healed by the next commit).
@@ -753,7 +765,7 @@ func (c *Controller) install(next *snapshot, instance uint64) {
 // read and the CAS (cur keeps the same cached pointer), the extension
 // of the previous instance stays installed until the next commit.
 func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
-	if killer == 0 {
+	if killer == 0 || c.tables.Load().idle {
 		return
 	}
 	c.mu.Lock()
@@ -780,30 +792,23 @@ func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 // through up to k re-checks. Every outcome feeds the health monitor.
 func (c *Controller) Admit(p tts.Pair) {
 	tc := c.stripe(p.Thread)
-	tc.admits.Add(1)
-
 	// Certified-readonly transactions bypass the gate before any model
 	// consultation: they cannot cause aborts, so no destination set can
 	// justify holding them, and the bypass must not touch the hold
 	// machinery at all (no snapshot load).
 	if c.ro != nil && c.ro.Certified(p.Tx) {
-		tc.readOnly.Add(1)
-		c.note(tc, false, false)
+		c.note(tc.readOnly.Add(1), false, false)
 		return
 	}
 
-	pk := p.Key()
-
-	lvl := c.Level()
+	pk, lvl := p.Key(), c.Level()
 	if lvl == LevelPassthrough {
 		tc.passthrough.Add(1)
-		tc.immediate.Add(1)
-		c.note(tc, false, false)
+		c.note(tc.immediate.Add(1), false, false)
 		return
 	}
 
-	snap := c.cur.Load()
-	v := snap.verdict(pk, lvl)
+	snap, v := c.look(pk, lvl)
 	if v != vHold {
 		switch v {
 		case vUnknown:
@@ -814,8 +819,7 @@ func (c *Controller) Admit(p tts.Pair) {
 		if lvl == LevelRelaxed {
 			tc.relaxed.Add(1)
 		}
-		tc.immediate.Add(1)
-		c.note(tc, v == vUnknown, false)
+		c.note(tc.immediate.Add(1), v == vUnknown, false)
 		return
 	}
 
@@ -824,7 +828,6 @@ func (c *Controller) Admit(p tts.Pair) {
 	// held finalizes a hold: counters, per-thread starvation evidence,
 	// the livelock high-water mark, and the health window.
 	held := func(escaped, unknown bool) {
-		tc.holds.Add(1)
 		if unknown {
 			tc.unknown.Add(1)
 		}
@@ -838,7 +841,7 @@ func (c *Controller) Admit(p tts.Pair) {
 				break
 			}
 		}
-		c.note(tc, unknown, escaped)
+		c.note(tc.holds.Add(1), unknown, escaped)
 	}
 	for ; stale < c.k && total < maxHoldFactor*c.k; total++ {
 		// Yield so committers make progress, then re-check against the
@@ -890,10 +893,8 @@ func (c *Controller) Admit(p tts.Pair) {
 // should see.
 func (c *Controller) AdmitIrrevocable(p tts.Pair) {
 	tc := c.stripe(p.Thread)
-	tc.admits.Add(1)
 	tc.irrevocable.Add(1)
-	tc.immediate.Add(1)
-	c.note(tc, false, false)
+	c.note(tc.immediate.Add(1), false, false)
 }
 
 // NoteShed records that the overload limiter rejected pair p before it
@@ -918,8 +919,18 @@ func (c *Controller) WouldAdmit(p tts.Pair) (ok, unknown bool) {
 	if lvl == LevelPassthrough {
 		return true, false
 	}
-	v := c.cur.Load().verdict(p.Key(), lvl)
+	_, v := c.look(p.Key(), lvl)
 	return v != vHold, v == vUnknown
+}
+
+// look returns the current state and pair pk's verdict under it. Idle
+// tables track no state and admit everyone.
+func (c *Controller) look(pk uint32, lvl Level) (*snapshot, verdict) {
+	if c.tables.Load().idle {
+		return nil, vAdmit
+	}
+	snap := c.cur.Load()
+	return snap, snap.verdict(pk, lvl)
 }
 
 // verdict reads pair pairKey's verdict off snapshot s at the given

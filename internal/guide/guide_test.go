@@ -34,7 +34,7 @@ func twoStateModel() *model.TSA {
 	for i := 0; i+1 < len(seq); i += 2 {
 		runs = append(runs, seq[i:i+2])
 	}
-	return model.Build(4, runs...)
+	return model.Build(4, runs...).AssumeAllConflict()
 }
 
 func TestAdmitUnknownStateAlwaysPasses(t *testing.T) {
@@ -127,7 +127,7 @@ func TestOnAbortExtendsCurrentState(t *testing.T) {
 		runs = append(runs, []tts.State{withAbort, c2})
 		runs = append(runs, []tts.State{plain, d3})
 	}
-	m := model.Build(4, runs...)
+	m := model.Build(4, runs...).AssumeAllConflict()
 	c := New(m, Options{K: 3})
 
 	c.OnCommit(42, tts.Pair{Tx: 1, Thread: 1})

@@ -73,9 +73,9 @@ const (
 	DefaultRearmWindows = 2
 	// maxThreadCounters bounds the per-thread counter table.
 	maxThreadCounters = 4096
-	// healthBatchDivisor sets how many healthy admits a stripe gathers
-	// before adding them to the shared window count: window/divisor, so
-	// a window's rates are off by at most stripes/divisor of a window,
+	// healthBatchDivisor sets how many admits a stripe counter gathers
+	// before they reach the shared window count: window/divisor, so a
+	// window's rates are off by a few stripes/divisor of a window at most,
 	// and windows below 2×divisor count every admit as it happens.
 	healthBatchDivisor = 16
 )
@@ -86,7 +86,7 @@ const (
 type healthMonitor struct {
 	// Read on every admit, never written after New.
 	window       uint64
-	batch        uint64 // healthy admits a stripe gathers per flush; ≤ 1: none
+	batch        uint64 // admits a stripe counter gathers per flush; ≤ 1: none
 	unknownTrip  float64
 	escapeTrip   float64
 	rearmWindows int
@@ -104,16 +104,13 @@ type healthMonitor struct {
 // stripe is one thread's share of every per-transaction counter, padded
 // so no two threads' stripes share a cache line (or an adjacent-line
 // prefetch pair). Thread IDs past the table alias modulo its length, so
-// the operations stay atomic; Stats sums the stripes. Within a stripe
-// admits == immediate + holds + readOnly once its Admit calls returned.
+// the operations stay atomic; Stats sums the stripes. A finished Admit
+// adds one to exactly one of immediate, holds and readOnly (see note).
 type stripe struct {
-	admits, immediate, holds, readOnly      atomic.Uint64
+	immediate, holds, readOnly, futile      atomic.Uint64
 	escapes, unknown, relaxed, passthrough  atomic.Uint64
 	irrevocable, sheds, evidence, holdNanos atomic.Uint64
-	// healthyAdmits counts this stripe's healthy admits; every batch-th
-	// one carries the batch into the shared health window.
-	healthyAdmits, futile atomic.Uint64
-	_                     [128 - 14*8]byte
+	_                                       [128 - 12*8]byte
 }
 
 // Level returns the controller's current degradation level.
@@ -130,24 +127,11 @@ func (c *Controller) stripe(thread uint16) *stripe {
 	return &c.perThread[i]
 }
 
-// note records one finished admit of stripe tc in the health window.
-// Healthy outcomes — all but a rare few — are gathered per stripe and
-// reach the shared count a batch at a time.
-func (c *Controller) note(tc *stripe, unknown, escaped bool) {
-	h := c.health
-	if h == nil {
-		return
-	}
-	if unknown || escaped || h.batch <= 1 {
-		c.noteOutcome(unknown, escaped)
-	} else if tc.healthyAdmits.Add(1)%h.batch == 0 {
-		c.countAdmits(h.batch)
-	}
-}
-
-// noteOutcome records one finished admit in the current health window
-// directly, bypassing the stripes.
-func (c *Controller) noteOutcome(unknown, escaped bool) {
+// note records one finished admit in the health window: the nth of its
+// disposition on its stripe, as that counter's Add returned it. Bad
+// outcomes are tallied as they happen; the admits themselves reach the
+// shared count a batch at a time, carried by every batch-th one.
+func (c *Controller) note(nth uint64, unknown, escaped bool) {
 	h := c.health
 	if h == nil {
 		return
@@ -158,7 +142,11 @@ func (c *Controller) noteOutcome(unknown, escaped bool) {
 	if escaped {
 		h.escapes.Add(1)
 	}
-	c.countAdmits(1)
+	if h.batch <= 1 {
+		c.countAdmits(1)
+	} else if nth%h.batch == 0 {
+		c.countAdmits(h.batch)
+	}
 }
 
 // countAdmits adds n < window finished admits to the window count and

@@ -4,7 +4,8 @@ import "testing"
 
 // ladderController builds a controller with an 8-admit health window,
 // default trip rates (unknown 0.5, escape 0.25) and a 2-window re-arm,
-// driven directly through noteOutcome for exact per-window rates.
+// driven directly through note (a window under 16 counts every admit as it
+// happens) for exact per-window rates.
 func ladderController() *Controller {
 	return New(twoStateModel(), Options{K: 2, HealthWindow: 8, RearmWindows: 2})
 }
@@ -13,7 +14,7 @@ func ladderController() *Controller {
 // counts (the remaining admits are healthy).
 func window(c *Controller, unknowns, escapes int) {
 	for i := 0; i < 8; i++ {
-		c.noteOutcome(i < unknowns, i < escapes)
+		c.note(uint64(i), i < unknowns, i < escapes)
 	}
 }
 

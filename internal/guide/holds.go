@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"maps"
 	"sort"
 
 	"gstm/internal/model"
@@ -11,7 +12,7 @@ import (
 type verdict uint8
 
 const (
-	vAdmit   verdict = iota // a high-probability destination commits the pair, or the model never saw it
+	vAdmit   verdict = iota // a destination commits the pair, or the model never saw it, or never in conflict with one
 	vUnknown                // no current state, or one the model has no guidance for
 	vFutile                 // not admitted here, nor by any state its thread's waiting can bring about
 	vHold                   // not admitted here, but by a state that can come about while it waits
@@ -36,10 +37,16 @@ var waitingView = func(st tts.State, th uint16) (view tts.State, ok bool) {
 	return view, st.Commit.Thread != th
 }
 
+// conflicted reports whether the model saw transactions a and b on opposite
+// sides of an abort. A variable so the mutation test can invert it.
+var conflicted = func(seen map[[2]uint16]bool, a, b uint16) bool { return seen[[2]uint16{a, b}] }
+
 // holdGraph is a model's hold rule at one Tfactor. Under a state with
 // guidance the gate may hold only a pair that no high-probability
-// destination commits (admitting a predicted casualty re-creates the
-// conflict the guidance removes), and holds it only if the wait can work:
+// destination commits and whose transaction the model saw in conflict with
+// such a committer's (admitting a predicted casualty re-creates the
+// conflict the guidance removes; holding what never conflicts removes no
+// abort, only enforces the profiled order), and only if the wait can work:
 // along high-probability edges, each taken as the waiting thread sees it
 // (waitingView), a state that admits the pair or has no guidance comes
 // about. Otherwise the wait could only end in the k-escape and the pair
@@ -53,24 +60,25 @@ type holdGraph struct {
 	admits []map[uint32]struct{} // commit pairs of i's high-probability destinations; nil: no guidance
 	pred   [][]int               // the high-probability edges, inverted
 	pairs  map[uint16][]uint32   // every pair some tuple names, by thread
+	foes   map[[2]uint16]bool    // transaction IDs some tuple has across an abort, both ways round
 }
 
 func newHoldGraph(m *model.TSA, tf float64) *holdGraph {
 	n := len(m.Nodes)
 	g := &holdGraph{m: m, idx: make(map[string]int, n), admits: make([]map[uint32]struct{}, n),
-		pred: make([][]int, n), pairs: make(map[uint16][]uint32)}
+		pred: make([][]int, n), pairs: make(map[uint16][]uint32), foes: make(map[[2]uint16]bool)}
 	for k := range m.Nodes {
 		g.keys = append(g.keys, k)
 	}
 	sort.Strings(g.keys)
-	known := make(map[tts.Pair]bool)
+	for _, p := range m.Pairs() {
+		g.pairs[p.Thread] = append(g.pairs[p.Thread], p.Key())
+	}
 	for i, k := range g.keys {
 		g.idx[k] = i
-		for _, p := range m.Nodes[k].State.Pairs() {
-			if !known[p] {
-				known[p] = true
-				g.pairs[p.Thread] = append(g.pairs[p.Thread], p.Key())
-			}
+		st := m.Nodes[k].State
+		for _, a := range st.Aborts {
+			g.foes[[2]uint16{a.Tx, st.Commit.Tx}], g.foes[[2]uint16{st.Commit.Tx, a.Tx}] = true, true
 		}
 	}
 	for i, k := range g.keys {
@@ -87,10 +95,18 @@ func newHoldGraph(m *model.TSA, tf float64) *holdGraph {
 	return g
 }
 
-// ends reports whether state i ends a wait for pair pk.
+// ends reports whether state i ends a wait for pair pk: no guidance, or a
+// destination commits it, or none of them was seen in conflict with it.
 func (g *holdGraph) ends(i int, pk uint32) bool {
-	_, ok := g.admits[i][pk]
-	return ok || g.admits[i] == nil
+	if _, ok := g.admits[i][pk]; ok {
+		return true
+	}
+	for c := range g.admits[i] {
+		if conflicted(g.foes, uint16(pk>>16), uint16(c>>16)) {
+			return false
+		}
+	}
+	return true
 }
 
 // each calls f(s, pk, via) for every state s with guidance and every
@@ -142,29 +158,50 @@ func (g *holdGraph) each(f func(s int, pk uint32, via []int)) {
 }
 
 // holdTables compiles m's hold rule at Tfactor tf into the gate's lookup
-// tables. It runs once per model (New, SwapModel), never per transaction.
-func holdTables(m *model.TSA, tf float64) map[string]holdSet {
+// tables, idle when no state holds or releases anybody. It runs once per
+// model (New, SwapModel), never per transaction.
+func holdTables(m *model.TSA, tf float64) (out map[string]holdSet, idle bool) {
 	g := newHoldGraph(m, tf)
-	out := make(map[string]holdSet)
+	out, idle = make(map[string]holdSet), true
 	for i, k := range g.keys {
 		if g.admits[i] != nil {
 			out[k] = make(holdSet)
 		}
 	}
 	g.each(func(s int, pk uint32, via []int) {
-		out[g.keys[s]][pk] = vFutile
+		out[g.keys[s]][pk], idle = vFutile, false
 		if via[s] >= 0 {
 			out[g.keys[s]][pk] = vHold
 		}
 	})
+	return out, idle
+}
+
+// relaxTables restricts hold to the wider destination sets of Tfactor tf: a
+// pair keeps its verdict unless a destination now commits it, so a step
+// down the ladder never adds a hold.
+func relaxTables(m *model.TSA, hold map[string]holdSet, tf float64) map[string]holdSet {
+	out := make(map[string]holdSet, len(hold))
+	for k, set := range hold {
+		if out[k] = set; len(set) == 0 {
+			continue // nothing to release: share the empty set
+		}
+		out[k] = maps.Clone(set)
+		for _, d := range m.Nodes[k].HighProbDests(tf) {
+			if n := m.Nodes[d]; n != nil {
+				delete(out[k], n.State.Commit.Key())
+			}
+		}
+	}
 	return out
 }
 
 // ExplainHolds spells out the hold rule the gate compiles from m at
 // Tfactor tf, for reports and tests: state key → pair key → witness, for
-// every known pair a state with guidance does not admit. A non-empty
-// witness is the path of states that ends the wait: the pair is held. An
-// empty one means there is none: released as futile.
+// every known pair a state with guidance does not admit and has conflict
+// evidence against. A non-empty witness is the path of states that ends
+// the wait: the pair is held. An empty one means there is none: released
+// as futile. An empty plan is an idle gate.
 func ExplainHolds(m *model.TSA, tf float64) map[string]map[uint32][]string {
 	g := newHoldGraph(m, tf)
 	plan := make(map[string]map[uint32][]string)

@@ -9,8 +9,15 @@ import (
 	"gstm/internal/tts"
 )
 
-// edges builds a model from weighted transitions between states.
+// edges builds a model from weighted transitions between states and gives
+// it the evidence the hold rule asks for: every transaction in conflict
+// with every other, so the rule reads as it did before it asked.
 func edges(threads int, es ...edge) *model.TSA {
+	return bareEdges(threads, es...).AssumeAllConflict()
+}
+
+// bareEdges is edges with no evidence beyond what the states carry.
+func bareEdges(threads int, es ...edge) *model.TSA {
 	m := model.New(threads)
 	for _, e := range es {
 		for i := 0; i < e.n; i++ {
@@ -70,11 +77,28 @@ func specAdmits(m *model.TSA, key string, tf float64) map[tts.Pair]bool {
 	return out
 }
 
+// specEvidence is the evidence clause by brute force: some state of the
+// model has p's transaction and the transaction of one of the committers
+// adm on opposite sides of an abort, whichever of the two committed.
+func specEvidence(m *model.TSA, adm map[tts.Pair]bool, p tts.Pair) bool {
+	for c := range adm {
+		for _, n := range m.Nodes {
+			for _, a := range n.State.Aborts {
+				if w := n.State.Commit.Tx; (w == c.Tx && a.Tx == p.Tx) || (w == p.Tx && a.Tx == c.Tx) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // specResolvable is the hold rule by brute force: a forward search from
 // state key over its high-probability destinations, each as p's waiting
 // thread would see it (not at all if that thread commits it, without the
 // thread's casualties otherwise, and only if the model knows the result),
-// looking for a state that admits p or has no guidance.
+// looking for a state that admits p, has no evidence against it, or has
+// no guidance.
 func specResolvable(m *model.TSA, key string, p tts.Pair, tf float64) bool {
 	seen := map[string]bool{}
 	stack := []string{key}
@@ -97,7 +121,7 @@ func specResolvable(m *model.TSA, key string, p tts.Pair, tf float64) bool {
 				continue
 			}
 			seen[d] = true
-			if adm := specAdmits(m, d, tf); adm == nil || adm[p] {
+			if adm := specAdmits(m, d, tf); adm == nil || adm[p] || !specEvidence(m, adm, p) {
 				return true
 			}
 			stack = append(stack, d)
@@ -108,9 +132,18 @@ func specResolvable(m *model.TSA, key string, p tts.Pair, tf float64) bool {
 
 // checkPlan compares every verdict of plan with the brute-force rule and
 // with the gate's own table, and replays every witness through a
-// controller: it must end in an admit that is not an escape.
-func checkPlan(m *model.TSA, tf float64, plan map[string]map[uint32][]string) error {
-	tables := holdTables(m, tf)
+// controller: it must end in an admit that is not an escape. The tables
+// must be idle exactly when no set has an entry. unconflicted counts the
+// verdicts that came out as admits for lack of conflict evidence alone.
+func checkPlan(m *model.TSA, tf float64, plan map[string]map[uint32][]string) (unconflicted int, err error) {
+	tables, idle := holdTables(m, tf)
+	entries := 0
+	for _, set := range tables {
+		entries += len(set)
+	}
+	if idle != (entries == 0) || idle != (len(plan) == 0) {
+		return 0, fmt.Errorf("idle = %v with %d table entries and %d explained states", idle, entries, len(plan))
+	}
 	known := map[tts.Pair]bool{}
 	for _, n := range m.Nodes {
 		for _, p := range n.State.Pairs() {
@@ -123,9 +156,10 @@ func checkPlan(m *model.TSA, tf float64, plan map[string]map[uint32][]string) er
 		for p := range known {
 			witness, listed := verdicts[p.Key()]
 			want := map[bool]verdict{true: vHold, false: vFutile}[len(witness) > 0]
+			free := adm == nil || adm[p] || !specEvidence(m, adm, p)
 			if adm == nil {
 				want = vUnknown
-			} else if adm[p] {
+			} else if free {
 				want = vAdmit
 			}
 			got := vUnknown
@@ -133,28 +167,31 @@ func checkPlan(m *model.TSA, tf float64, plan map[string]map[uint32][]string) er
 				got = set[p.Key()]
 			}
 			if got != want {
-				return fmt.Errorf("%v: the gate reads %v as %d, the explanation as %d", node.State, p, got, want)
+				return 0, fmt.Errorf("%v: the gate reads %v as %d, the explanation as %d", node.State, p, got, want)
 			}
-			if adm == nil || adm[p] {
+			if free {
+				if adm != nil && !adm[p] {
+					unconflicted++
+				}
 				if listed {
-					return fmt.Errorf("%v: admitted or unguided pair %v has a verdict", node.State, p)
+					return 0, fmt.Errorf("%v: admitted, unconflicted or unguided pair %v has a verdict", node.State, p)
 				}
 				continue
 			}
 			if !listed {
-				return fmt.Errorf("%v: no verdict for %v", node.State, p)
+				return 0, fmt.Errorf("%v: no verdict for %v", node.State, p)
 			}
 			if want := specResolvable(m, key, p, tf); want != (len(witness) > 0) {
-				return fmt.Errorf("%v: pair %v held = %v, brute force says %v", node.State, p, len(witness) > 0, want)
+				return 0, fmt.Errorf("%v: pair %v held = %v, brute force says %v", node.State, p, len(witness) > 0, want)
 			}
 			if len(witness) > 0 {
 				if err := replay(m, tf, node.State, p, witness); err != nil {
-					return fmt.Errorf("%v: pair %v: %w", node.State, p, err)
+					return 0, fmt.Errorf("%v: pair %v: %w", node.State, p, err)
 				}
 			}
 		}
 	}
-	return nil
+	return unconflicted, nil
 }
 
 // enter drives c into state st: its commit, then its casualties.
@@ -190,21 +227,28 @@ func replay(m *model.TSA, tf float64, from tts.State, p tts.Pair, witness []stri
 
 // randomTSA draws a small model: ≤ 4 threads, ≤ 4 transaction IDs,
 // ≤ 24 states, skewed edge weights so some edges fall below Pmax/Tfactor.
+// How much conflict evidence it carries varies from model to model: states
+// abort up to 0, 1 or 2 pairs, and up to two abort tuples with no edges
+// ride along, the shape AssumeAllConflict gives a hand-built model.
 func randomTSA(rng *rand.Rand) *model.TSA {
 	threads := 2 + rng.Intn(3)
 	txs := 1 + rng.Intn(4)
 	pair := func() tts.Pair {
 		return tts.Pair{Tx: uint16(rng.Intn(txs)), Thread: uint16(rng.Intn(threads))}
 	}
-	states := make([]tts.State, 2+rng.Intn(23))
-	for i := range states {
+	tuple := func(maxAborts int) tts.State {
 		st := tts.State{Commit: pair()}
-		for n := rng.Intn(3); n > 0; n-- {
+		for n := rng.Intn(maxAborts + 1); n > 0; n-- {
 			if a := pair(); a.Thread != st.Commit.Thread {
 				st.Aborts = append(st.Aborts, a)
 			}
 		}
-		states[i] = *st.Canonicalize()
+		return *st.Canonicalize()
+	}
+	states := make([]tts.State, 2+rng.Intn(23))
+	density := rng.Intn(3)
+	for i := range states {
+		states[i] = tuple(density)
 	}
 	var es []edge
 	for _, from := range states {
@@ -212,22 +256,46 @@ func randomTSA(rng *rand.Rand) *model.TSA {
 			es = append(es, edge{from, states[rng.Intn(len(states))], 1 << rng.Intn(5)})
 		}
 	}
-	return edges(threads, es...)
+	m := bareEdges(threads, es...)
+	for n := rng.Intn(3); n > 0; n-- {
+		m.AddRun([]tts.State{tuple(1)})
+	}
+	return m
 }
 
 // TestCompiledHoldsMatchBruteForce: on random small TSAs every compiled
-// verdict equals the brute-force rule and every held verdict's witness
-// replays to a non-escape admit — and the same check catches the seeded
-// defect of a closure that follows states naming the holder.
+// verdict equals the brute-force rule, every held verdict's witness
+// replays to a non-escape admit, and the tables are idle exactly when
+// every set is empty — and the same check catches two seeded defects: a
+// closure that follows states naming the holder, and the evidence relation
+// inverted.
 func TestCompiledHoldsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	held, futile, caught := 0, 0, 0
+	held, futile, unconflicted, idle := 0, 0, 0, 0
+	stockView, stockConflicted := waitingView, conflicted
+	mutations := []struct {
+		name   string
+		seed   func()
+		caught int
+	}{
+		{name: "a closure that follows the holder's own states", seed: func() {
+			waitingView = func(st tts.State, _ uint16) (tts.State, bool) { return st, true }
+		}},
+		{name: "the evidence relation inverted", seed: func() {
+			conflicted = func(seen map[[2]uint16]bool, a, b uint16) bool { return !stockConflicted(seen, a, b) }
+		}},
+	}
 	for i := 0; i < 300; i++ {
 		m := randomTSA(rng)
 		tf := []float64{1, 2, 4}[rng.Intn(3)]
 		plan := ExplainHolds(m, tf)
-		if err := checkPlan(m, tf, plan); err != nil {
+		n, err := checkPlan(m, tf, plan)
+		if err != nil {
 			t.Fatalf("model %d, Tfactor %v: %v\n%s", i, tf, err, m.Dump(0))
+		}
+		unconflicted += n
+		if len(plan) == 0 {
+			idle++
 		}
 		for _, verdicts := range plan {
 			for _, w := range verdicts {
@@ -238,20 +306,24 @@ func TestCompiledHoldsMatchBruteForce(t *testing.T) {
 				}
 			}
 		}
-		stock := waitingView
-		waitingView = func(st tts.State, _ uint16) (tts.State, bool) { return st, true }
-		if checkPlan(m, tf, ExplainHolds(m, tf)) != nil {
-			caught++
+		for j := range mutations {
+			mutations[j].seed()
+			if _, err := checkPlan(m, tf, ExplainHolds(m, tf)); err != nil {
+				mutations[j].caught++
+			}
+			waitingView, conflicted = stockView, stockConflicted
 		}
-		waitingView = stock
 	}
-	if held < 100 || futile < 100 {
-		t.Errorf("vacuous: %d held and %d futile verdicts checked", held, futile)
+	if held < 100 || futile < 100 || unconflicted < 100 || idle < 10 || idle > 150 {
+		t.Errorf("vacuous: %d held, %d futile and %d unconflicted verdicts checked, %d of 300 models idle", held, futile, unconflicted, idle)
 	}
-	if caught == 0 {
-		t.Error("mutation not caught: a closure that follows the holder's own states passed every model")
+	for _, mut := range mutations {
+		if mut.caught == 0 {
+			t.Errorf("mutation not caught: %s passed every model", mut.name)
+		}
+		t.Logf("%s: caught on %d of 300 models", mut.name, mut.caught)
 	}
-	t.Logf("%d held, %d futile verdicts; mutation caught on %d of 300 models", held, futile, caught)
+	t.Logf("%d held, %d futile, %d unconflicted verdicts, %d idle models", held, futile, unconflicted, idle)
 }
 
 // TestQuakeShapeReleasesFutileHold: in the SynQuake shape (tx1,t1) is

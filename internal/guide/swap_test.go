@@ -158,8 +158,9 @@ func TestQuarantineLatchesPassthrough(t *testing.T) {
 //
 //	Admits == ImmediateAdmits + Holds + ReadOnlyAdmits
 //
-// — and Evidence counts each traced commit exactly once (repeated
-// SwapModel calls never double-count it).
+// — and under a prior Evidence counts each traced commit exactly once
+// (repeated SwapModel calls never double-count it); without one it is not
+// counted at all.
 func TestSwapAccountingProperty(t *testing.T) {
 	models := []*model.TSA{
 		skewedModel(blendB1, blendC2),
@@ -216,8 +217,12 @@ func TestSwapAccountingProperty(t *testing.T) {
 			t.Logf("partition broken: %+v", st)
 			return false
 		}
-		if st.Evidence != commits {
-			t.Logf("Evidence = %d, want %d commits (swaps=%d)", st.Evidence, commits, swaps)
+		wantEvidence := commits
+		if !withPrior {
+			wantEvidence = 0
+		}
+		if st.Evidence != wantEvidence {
+			t.Logf("Evidence = %d, want %d of %d commits (swaps=%d)", st.Evidence, wantEvidence, commits, swaps)
 			return false
 		}
 		if st.ModelSwaps != swaps {

@@ -396,10 +396,12 @@ func TestFaultMatrix(t *testing.T) {
 				{Commit: tts.Pair{Tx: 1001, Thread: 1}},
 				{Commit: tts.Pair{Tx: 1000, Thread: 0}},
 			},
-		)
+		).Prune(4).AssumeAllConflict()
+		// (Without conflict evidence the tables would hold nobody, and an
+		// idle gate follows no state at all, known or unknown.)
 		e := fastExperiment("kmeans", 4)
 		e.MeasureRuns = 2
-		ctrl := guide.New(bogus.Prune(4), guide.Options{
+		ctrl := guide.New(bogus, guide.Options{
 			Tfactor:      4,
 			K:            1,
 			HealthWindow: 32,

@@ -149,6 +149,43 @@ func (m *TSA) ensure(key string, st tts.State) *Node {
 	return n
 }
 
+// Pairs returns every (transaction, thread) pair some state of the model
+// names, committing or aborted, each once, in key order.
+func (m *TSA) Pairs() []tts.Pair {
+	seen := make(map[tts.Pair]bool)
+	var pairs []tts.Pair
+	for _, n := range m.Nodes {
+		for _, p := range n.State.Pairs() {
+			if !seen[p] {
+				seen[p] = true
+				pairs = append(pairs, p)
+			}
+		}
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Key() < pairs[j].Key() })
+	return pairs
+}
+
+// AssumeAllConflict gives a model built by hand (tests, the schedule
+// explorer, synthetic benchmarks) the conflict evidence a profile of a
+// conflicting workload carries in its abort tuples, without touching its
+// transitions: for every two pairs on different threads that m names, one
+// state with no edge in or out in which one aborts the other. The guide
+// holds a pair only behind a committer the model saw its transaction in
+// conflict with (guide.holdGraph); after this call that is every committer.
+// Call it after Prune, which drops states without edges. Returns m.
+func (m *TSA) AssumeAllConflict() *TSA {
+	pairs := m.Pairs()
+	for i, p := range pairs {
+		for _, q := range pairs[:i] {
+			if p.Thread != q.Thread {
+				m.AddRun([]tts.State{{Commit: q, Aborts: []tts.Pair{p}}})
+			}
+		}
+	}
+	return m
+}
+
 // NumStates returns |S|, the number of distinct states in the model —
 // Table III's quantity.
 func (m *TSA) NumStates() int { return len(m.Nodes) }

@@ -326,3 +326,35 @@ func TestDumpMentionsStates(t *testing.T) {
 		t.Errorf("truncated dump wrong: %q", got)
 	}
 }
+
+// TestAssumeAllConflict: every two pairs on different threads meet across
+// an abort in a state of their own, transitions are untouched, and the
+// result does not depend on map order.
+func TestAssumeAllConflict(t *testing.T) {
+	a0 := tts.State{Commit: tts.Pair{Tx: 0, Thread: 0}}
+	b0 := tts.State{Commit: tts.Pair{Tx: 1, Thread: 0}}
+	c1 := tts.State{Commit: tts.Pair{Tx: 2, Thread: 1}}
+	build := func() *TSA { return Build(2, []tts.State{a0, c1, b0, a0}).AssumeAllConflict() }
+	m := build()
+	if m.NumStates() != 5 || m.NumEdges() != 3 {
+		t.Fatalf("%d states, %d edges, want the 3 profiled states + 2 evidence states and the 3 profiled edges\n%s",
+			m.NumStates(), m.NumEdges(), m.Dump(0))
+	}
+	for _, winner := range []tts.State{a0, b0} {
+		ev := tts.State{Commit: winner.Commit, Aborts: []tts.Pair{c1.Commit}}
+		if n := m.Node(ev.Key()); n == nil || n.Total != 0 {
+			t.Errorf("no edge-free evidence state %v", ev)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if again := build(); len(again.Nodes) != len(m.Nodes) {
+			t.Fatal("evidence states differ between builds")
+		} else {
+			for k := range m.Nodes {
+				if again.Nodes[k] == nil {
+					t.Fatalf("evidence state %v missing from a rebuild", tts.MustParseKey(k))
+				}
+			}
+		}
+	}
+}

@@ -22,6 +22,9 @@ type feeder struct {
 	rng  *rand.Rand
 	inst uint64
 	cur  int
+	// victim, when not 0, makes every ordered commit abort the pair that
+	// many places on.
+	victim int
 }
 
 func (f *feeder) pair(i int) tts.Pair {
@@ -37,6 +40,9 @@ func (f *feeder) ordered(nPairs, events int) {
 		f.cur = next
 		f.inst++
 		f.l.OnCommit(f.inst, f.pair(next))
+		if f.victim != 0 {
+			f.l.OnAbort(f.pair((next+f.victim)%nPairs), f.inst)
+		}
 	}
 }
 
@@ -93,6 +99,48 @@ func TestColdStartLearnsAndSwaps(t *testing.T) {
 	}
 	if st.Dropped != 0 {
 		t.Errorf("synchronous feed dropped %d events", st.Dropped)
+	}
+}
+
+// TestSwapPathOnIdleGate: a stream in which nobody aborts gives snapshots
+// whose tables hold nobody, so the gate they are swapped into goes idle —
+// and keeps counting; once the same rotation starts aborting, the next
+// snapshots carry the evidence and the gate tracks state again.
+func TestSwapPathOnIdleGate(t *testing.T) {
+	ctrl := newColdGate()
+	l := newSyncLearner(ctrl, nil)
+	if ctrl.Stats().Idle {
+		t.Fatal("a gate without a model is idle: there is nothing to read idleness off")
+	}
+	f := &feeder{l: l, rng: rand.New(rand.NewSource(1))}
+	f.ordered(8, 4*testEpoch)
+	if gs := ctrl.Stats(); !gs.Idle || gs.ModelSwaps == 0 {
+		t.Fatalf("after an abort-free stream: idle=%v swaps=%d, want an idle gate", gs.Idle, gs.ModelSwaps)
+	}
+	for i := 0; i < 100; i++ {
+		ctrl.Admit(f.pair(i % 8))
+		ctrl.OnCommit(uint64(1<<40+i), f.pair(i%8))
+	}
+	if gs := ctrl.Stats(); gs.Admits != 100 || gs.ImmediateAdmits != 100 || gs.UnknownPasses != 0 {
+		t.Errorf("idle gate's ledger: %+v", gs)
+	}
+
+	// The same rotation, each commit now aborting the pair four places on.
+	f.victim = 4
+	f.ordered(8, 16*testEpoch)
+	gs := ctrl.Stats()
+	if gs.Idle || gs.Quarantined {
+		t.Fatalf("after a stream with aborts: idle=%v quarantined=%v, want a gate that tracks state", gs.Idle, gs.Quarantined)
+	}
+	// Under {<e4>, a0} the model expects b1 next, and f5 is b1's casualty.
+	ctrl.OnCommit(1<<41, f.pair(0))
+	ctrl.OnAbort(f.pair(4), 1<<41)
+	if ok, unknown := ctrl.WouldAdmit(f.pair(1)); !ok || unknown {
+		t.Errorf("the predicted committer: ok=%v unknown=%v, want admitted under a known state", ok, unknown)
+	}
+	ctrl.Admit(f.pair(5))
+	if now := ctrl.Stats(); now.Holds+now.FutileAdmits != gs.Holds+gs.FutileAdmits+1 {
+		t.Errorf("the predicted casualty was neither held nor released as futile: %+v", now)
 	}
 }
 

@@ -39,9 +39,11 @@
 # Atomic call, never per access.
 # Last, the benchmark that judges performance PRs (bench/, a module of
 # its own that tier-1 never compiles) is vetted, tested and run for two
-# seconds on three workloads (two on TL2, one on LibTM), so a change
-# under internal/ that stops it building or trips one of its
-# anti-vacuity guards fails here and not after merge.
+# seconds on all four workloads untraced and once more traced (bank-hot:
+# a gate that holds, plus the cost-ladder probes every traced pass runs on
+# ladder-disjoint's model), so a change under internal/ that stops it
+# building or trips one of its anti-vacuity guards fails here and not
+# after merge.
 # Exits non-zero on the first failure. CI runs this same script
 # (.github/workflows/ci.yml). Set GSTM_FUZZTIME to lengthen the fuzz
 # smoke (default 10s per target).
@@ -161,7 +163,8 @@ done
 
 echo "== gstmbench still builds and runs (bench/ is outside tier-1) =="
 (cd bench && go vet ./... && go test ./...)
-for run in "ladder-disjoint --trace 0" "bank-hot --trace 1" "synquake-quadrants --trace 0"; do
+for run in "ladder-disjoint --trace 0" "bank-hot --trace 0" "stamp-suite --trace 0" \
+    "synquake-quadrants --trace 0" "bank-hot --trace 1"; do
     # shellcheck disable=SC2086 # $run is a workload name plus a flag
     last=$(bash bench/run.sh --workload $run --seed 1 --seconds 2 2>/dev/null | tail -n 1 || true)
     case "$last" in

@@ -131,3 +131,74 @@ func TestGuidedBankHolds(t *testing.T) {
 		t.Fatalf("guided bank held nobody in %d admits: the hold rule prunes everything", gs.Admits)
 	}
 }
+
+// TestGuidedDisjointAlternationIsIdle is the other side: two threads on
+// private arrays with a constant think time, the set-up bench/README.md
+// records as learning strict alternation — "the other thread is next" —
+// and holding 70 % of all calls on data that never conflicts. Nobody
+// aborts, so the model has no evidence that anybody is anybody's casualty:
+// the tables must hold nobody and the gate must not track state. With the
+// two tests above this pins the evidence clause from both sides.
+func TestGuidedDisjointAlternationIsIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const (
+		threads = 2
+		words   = 256
+		ops     = 5000
+	)
+	ladder := func(s *STM) error {
+		var wg, ready sync.WaitGroup
+		ready.Add(threads)
+		errs := make([]error, threads)
+		for th := 0; th < threads; th++ {
+			wg.Add(1)
+			go func(th int) {
+				defer wg.Done()
+				arr := NewArray(words, 1<<20) // private: no other thread touches it
+				think := int64(1)
+				ready.Done()
+				ready.Wait()
+				for i := 0; i < ops && errs[th] == nil; i++ {
+					from, to := i%words, (i+7)%words
+					errs[th] = s.Atomic(uint16(th), 0, func(tx *Tx) error {
+						arr.Set(tx, from, arr.Get(tx, from)-1)
+						arr.Set(tx, to, arr.Get(tx, to)+1)
+						return nil
+					})
+					for w := 0; w < 400; w++ { // constant think time, outside any transaction
+						think = think*31%7 + 1
+					}
+				}
+			}(th)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	m, err := Profile(3, threads, ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController(m, 0, 0)
+	s := New(Options{})
+	Guide(s, ctrl, nil)
+	if err := ladder(s); err != nil {
+		t.Fatal(err)
+	}
+	gs := ctrl.Stats()
+	t.Logf("%d model states: %s", m.NumStates(), gs.Summary())
+	if s.Aborts() != 0 {
+		t.Fatalf("setup: %d aborts on disjoint data", s.Aborts())
+	}
+	if gs.Admits < threads*ops {
+		t.Errorf("%d admits for %d transactions: the idle gate was not consulted, or did not count", gs.Admits, threads*ops)
+	}
+	if gs.Holds != 0 || !gs.Idle {
+		t.Errorf("holds = %d, idle = %v on data that never conflicts: the gate enforces the profiled commit order",
+			gs.Holds, gs.Idle)
+	}
+}
