@@ -37,8 +37,18 @@ func explainHolds(w io.Writer, m *model.TSA, tf float64, max int) {
 		keys = keys[:max]
 	}
 	fmt.Fprintf(w, "hold rule at Tfactor %g, pruned model of %d states:\n", tf, pruned.NumStates())
-	if len(plan) == 0 {
-		fmt.Fprintln(w, "idle: the gate tracks no state (no state holds or releases anybody)")
+	held, futile := 0, 0
+	for _, verdicts := range plan {
+		for _, witness := range verdicts {
+			if len(witness) > 0 {
+				held++
+			} else {
+				futile++
+			}
+		}
+	}
+	if held == 0 {
+		fmt.Fprintf(w, "idle: the gate tracks no state (no state holds anybody; %d futile verdicts admitted without tracking)\n", futile)
 	}
 	for _, k := range keys {
 		node := pruned.Nodes[k]

@@ -128,9 +128,9 @@ type Stats struct {
 	// ImmediateAdmits passed on the first check (including passthrough
 	// admits) without a readonly certificate.
 	ImmediateAdmits uint64
-	// FutileAdmits are the ImmediateAdmits the paper's rule alone would
-	// have held: no destination of the current state commits the pair, and
-	// none that can come about while its thread waits does (see holdGraph).
+	// FutileAdmits are the ImmediateAdmits the paper's rule alone would have
+	// held but no state its thread's wait can bring about admits (holdGraph);
+	// counted only while the gate tracks state, so never when Idle.
 	FutileAdmits uint64
 	// Holds waited at least one re-check before passing.
 	Holds uint64
@@ -186,8 +186,8 @@ type Stats struct {
 	// Quarantined reports whether the ladder is latched at passthrough
 	// by Quarantine (online drift guard) awaiting Rearm.
 	Quarantined bool
-	// Idle reports that the active model's compiled tables hold nobody, so
-	// the gate tracks no state.
+	// Idle reports that the active model's compiled tables hold nobody
+	// (futile verdicts admit), so the gate tracks no state.
 	Idle bool
 }
 
@@ -241,7 +241,7 @@ type modelTables struct {
 	// from base and cached under blendMu).
 	hold    map[string]holdSet
 	relaxed map[string]holdSet
-	// idle: a model was compiled and every set came out empty: whatever the
+	// idle: a model was compiled and no verdict is vHold: whatever the
 	// state, everyone is admitted, and nobody reads or writes cur or mu.
 	idle bool
 	// base is the profiled, streamed, or swapped-in live model the

@@ -19,8 +19,8 @@ const (
 )
 
 // holdSet is one state's verdicts at one Tfactor: nil (vUnknown) when the
-// model has no guidance for the state, otherwise the pairs that are not
-// admitted at once, so a state that holds nobody is an empty map.
+// model has no guidance for the state, otherwise the pairs the paper's rule
+// withholds, held or futile, so a state that withholds nobody is an empty map.
 type holdSet map[uint32]verdict
 
 // waitingView is how state st comes about while thread th waits at the
@@ -158,8 +158,8 @@ func (g *holdGraph) each(f func(s int, pk uint32, via []int)) {
 }
 
 // holdTables compiles m's hold rule at Tfactor tf into the gate's lookup
-// tables, idle when no state holds or releases anybody. It runs once per
-// model (New, SwapModel), never per transaction.
+// tables, idle when no state holds anybody (futile is an admit too). It
+// runs once per model (New, SwapModel), never per transaction.
 func holdTables(m *model.TSA, tf float64) (out map[string]holdSet, idle bool) {
 	g := newHoldGraph(m, tf)
 	out, idle = make(map[string]holdSet), true
@@ -169,9 +169,9 @@ func holdTables(m *model.TSA, tf float64) (out map[string]holdSet, idle bool) {
 		}
 	}
 	g.each(func(s int, pk uint32, via []int) {
-		out[g.keys[s]][pk], idle = vFutile, false
+		out[g.keys[s]][pk] = vFutile
 		if via[s] >= 0 {
-			out[g.keys[s]][pk] = vHold
+			out[g.keys[s]][pk], idle = vHold, false
 		}
 	})
 	return out, idle
@@ -201,7 +201,7 @@ func relaxTables(m *model.TSA, hold map[string]holdSet, tf float64) map[string]h
 // every known pair a state with guidance does not admit and has conflict
 // evidence against. A non-empty witness is the path of states that ends
 // the wait: the pair is held. An empty one means there is none: released
-// as futile. An empty plan is an idle gate.
+// as futile. A plan without a witness is an idle gate.
 func ExplainHolds(m *model.TSA, tf float64) map[string]map[uint32][]string {
 	g := newHoldGraph(m, tf)
 	plan := make(map[string]map[uint32][]string)

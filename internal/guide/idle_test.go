@@ -77,6 +77,48 @@ func TestIdleGateSharesNothing(t *testing.T) {
 	}
 }
 
+// TestFutileOnlyModelIsIdle: a model whose every withheld verdict is futile
+// admits everyone, so its gate is idle (run under -race): the futile
+// verdicts are admitted without tracking, so none is counted, and the
+// current state is never written.
+func TestFutileOnlyModelIsIdle(t *testing.T) {
+	const perG = 5000
+	m := edges(2, quakeCore()...)
+	futile := 0
+	for _, verdicts := range ExplainHolds(m, model.DefaultTfactor) {
+		for _, w := range verdicts {
+			if len(w) > 0 {
+				t.Fatal("setup: the SynQuake core holds a pair")
+			}
+			futile++
+		}
+	}
+	c := New(m, Options{})
+	if futile == 0 || !c.Stats().Idle {
+		t.Fatalf("setup: %d futile verdicts, idle=%v; want some, and an idle gate", futile, c.Stats().Idle)
+	}
+	var wg sync.WaitGroup
+	for th := uint16(0); th < 2; th++ {
+		wg.Add(1)
+		go func(th uint16) {
+			defer wg.Done()
+			for i := uint64(1); i <= perG; i++ {
+				tx := uint16(i % 3)
+				c.Admit(tts.Pair{Tx: tx, Thread: th})
+				c.OnCommit(uint64(th)<<32|i, tts.Pair{Tx: tx, Thread: th})
+			}
+		}(th)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Admits != 2*perG || st.ImmediateAdmits != st.Admits || st.FutileAdmits != 0 || st.Holds != 0 || st.UnknownPasses != 0 {
+		t.Errorf("stats = %+v; want %d admits, all immediate, none futile or unknown", st, 2*perG)
+	}
+	if c.cur.Load() != nil {
+		t.Error("an idle gate wrote the current state")
+	}
+}
+
 // TestSwapBetweenIdleAndHolding: a swap re-reads idleness off the new
 // model, and tables that start tracking state start from no state, as
 // after Reset: unknown until the next commit, then they hold.

@@ -5,7 +5,9 @@ import (
 
 	"gstm/internal/guide"
 	"gstm/internal/stamp"
+	"gstm/internal/stamp/stamptest"
 	"gstm/internal/stats"
+	"gstm/internal/tl2"
 )
 
 func TestNewWorkloadKnowsAllNames(t *testing.T) {
@@ -33,6 +35,26 @@ func fastExperiment(workload string, threads int) Experiment {
 		ProfileSize: stamp.Small,
 		MeasureSize: stamp.Small,
 		Seed:        12345,
+	}
+}
+
+// TestSpinYieldsOnHarnessSTMs: the harness builds its STMs with the default
+// YieldEvery, so stamp.Spin still yields inside kmeans's transactions and
+// the interleaving-emulated path (1-CPU hosts, cmd/gstm) is unchanged.
+func TestSpinYieldsOnHarnessSTMs(t *testing.T) {
+	e := fastExperiment("kmeans", 2)
+	w, err := NewWorkload(e.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &stamptest.YieldCounter{}
+	opts := e.stmOptions()
+	opts.Yield = c.Yield
+	if _, err := stamp.Run(tl2.New(opts), w, stamp.Config{Threads: e.Threads, Size: e.MeasureSize, Seed: e.Seed}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Spin.Load() == 0 {
+		t.Errorf("%d yields, none inside stamp.Spin: the harness's STMs stopped emulating preemption", c.All.Load())
 	}
 }
 

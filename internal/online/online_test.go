@@ -22,8 +22,8 @@ type feeder struct {
 	rng  *rand.Rand
 	inst uint64
 	cur  int
-	// victim, when not 0, makes every ordered commit abort the pair that
-	// many places on.
+	// victim, when not 0, makes one ordered commit in eight, drawn at
+	// random, abort the pair that many places on.
 	victim int
 }
 
@@ -40,7 +40,7 @@ func (f *feeder) ordered(nPairs, events int) {
 		f.cur = next
 		f.inst++
 		f.l.OnCommit(f.inst, f.pair(next))
-		if f.victim != 0 {
+		if f.victim != 0 && f.rng.Intn(8) == 0 {
 			f.l.OnAbort(f.pair((next+f.victim)%nPairs), f.inst)
 		}
 	}
@@ -125,7 +125,10 @@ func TestSwapPathOnIdleGate(t *testing.T) {
 		t.Errorf("idle gate's ledger: %+v", gs)
 	}
 
-	// The same rotation, each commit now aborting the pair four places on.
+	// The same rotation, one commit in eight now aborting the pair four
+	// places on. The commit-only states stay the likely ones, so a
+	// casualty's wait ends behind the next committer: some verdicts hold
+	// and the gate tracks state.
 	f.victim = 4
 	f.ordered(8, 16*testEpoch)
 	gs := ctrl.Stats()

@@ -114,7 +114,7 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 			}
 			c := best
 			_ = s.Atomic(uint16(thread), 0, func(tx *tl2.Tx) error {
-				stamp.Spin(256) // distance re-evaluation in the original's tx
+				stamp.Spin(tx, 256) // distance re-evaluation in the original's tx
 				tx.WriteFloat(w.sumX.At(c), tx.ReadFloat(w.sumX.At(c))+w.px[i])
 				tx.WriteFloat(w.sumY.At(c), tx.ReadFloat(w.sumY.At(c))+w.py[i])
 				w.counts.Set(tx, c, w.counts.Get(tx, c)+1)

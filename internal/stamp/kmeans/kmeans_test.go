@@ -77,6 +77,16 @@ func TestValidateCatchesLostUpdates(t *testing.T) {
 	}
 }
 
+// TestSpinYieldsWhileEmulating: with the interleaving emulation on, every
+// fold's Spin(256) is preempted at least once.
+func TestSpinYieldsWhileEmulating(t *testing.T) {
+	c := stamptest.Yields(t, New(), 4)
+	p := sizeParams(stamp.Medium)
+	if calls := int64(p.points * p.iters); c.Spin.Load() < calls {
+		t.Errorf("%d yields inside Spin for %d Spin(256) calls, want one each at least", c.Spin.Load(), calls)
+	}
+}
+
 func TestConformance(t *testing.T) {
 	stamptest.Conformance(t, func() stamp.Workload { return New() })
 }

@@ -80,27 +80,41 @@ func (w *Workload) Setup(_ *tl2.STM, cfg stamp.Config) error {
 	return nil
 }
 
-// bfs plans a shortest path from (x1,y1) to (x2,y2) over the snapshot,
-// treating non-zero cells as walls (endpoints excepted if free). It
-// returns the cell indices of the path, or nil when unreachable —
-// Lee's algorithm: breadth-first wavefront expansion plus backtrace.
-func (w *Workload) bfs(snapshot []int64, r route) []int {
+// planner is one thread's private planning memory, reused for every plan
+// as the original reuses one private grid per thread: the grid copy, the
+// wavefront's back-pointers and its queue (a cell enters it at most once,
+// so it never grows).
+type planner struct {
+	grid  []int64
+	prev  []int32
+	queue []int
+}
+
+func newPlanner(cells int) *planner {
+	return &planner{prev: make([]int32, cells), queue: make([]int, 0, cells)}
+}
+
+// bfs plans a shortest path from (x1,y1) to (x2,y2) over the planner's
+// grid copy, treating non-zero cells as walls (endpoints excepted if
+// free). It returns the cell indices of the path, the one thing it
+// allocates, or nil when unreachable — Lee's algorithm: breadth-first
+// wavefront expansion plus backtrace.
+func (w *Workload) bfs(pl *planner, r route) []int {
 	W, H := w.p.w, w.p.h
+	grid, prev := pl.grid, pl.prev
 	src := r.y1*W + r.x1
 	dst := r.y2*W + r.x2
-	if snapshot[src] != 0 || snapshot[dst] != 0 {
+	if grid[src] != 0 || grid[dst] != 0 {
 		return nil
 	}
 	if src == dst {
 		return []int{src}
 	}
-	prev := make([]int32, W*H)
 	for i := range prev {
 		prev[i] = -1
 	}
 	prev[src] = int32(src)
-	queue := make([]int, 0, W*H/4)
-	queue = append(queue, src)
+	queue := append(pl.queue[:0], src)
 	for qi := 0; qi < len(queue); qi++ {
 		c := queue[qi]
 		cx, cy := c%W, c/W
@@ -110,18 +124,19 @@ func (w *Workload) bfs(snapshot []int64, r route) []int {
 				continue
 			}
 			n := ny*W + nx
-			if prev[n] != -1 || snapshot[n] != 0 {
+			if prev[n] != -1 || grid[n] != 0 {
 				continue
 			}
 			prev[n] = int32(c)
 			if n == dst {
-				// Backtrace.
-				var path []int
-				for at := dst; ; at = int(prev[at]) {
-					path = append(path, at)
-					if at == src {
-						break
-					}
+				// Backtrace, sized by a first walk.
+				cells := 1
+				for at := dst; at != src; at = int(prev[at]) {
+					cells++
+				}
+				path := make([]int, cells)
+				for i, at := 0, dst; i < cells; i, at = i+1, int(prev[at]) {
+					path[i] = at
 				}
 				return path
 			}
@@ -141,18 +156,20 @@ func (w *Workload) Thread(s *tl2.STM, thread int) {
 	n := len(w.routes)
 	lo := thread * n / w.cfg.Threads
 	hi := (thread + 1) * n / w.cfg.Threads
+	pl := newPlanner(w.grid.Len())
 	for ri := lo; ri < hi; ri++ {
 		id := int64(ri) + 1
 		claimed := false
 		for attempt := 0; attempt < w.p.replans && !claimed; attempt++ {
 			// Plan on a snapshot of committed state (the original plans
 			// on a private grid copy).
-			path := w.bfs(w.grid.Snapshot(), w.routes[ri])
+			pl.grid = w.grid.SnapshotInto(pl.grid)
+			path := w.bfs(pl, w.routes[ri])
 			if path == nil {
 				break // walled in: no path exists right now
 			}
 			err := s.Atomic(uint16(thread), 0, func(tx *tl2.Tx) error {
-				stamp.Spin(16 * len(path)) // wavefront bookkeeping in the original's tx
+				stamp.Spin(tx, 16*len(path)) // wavefront bookkeeping in the original's tx
 				for _, c := range path {
 					if w.grid.Get(tx, c) != 0 {
 						return errCellTaken // invalidated: replan

@@ -14,7 +14,6 @@ package stamp
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -123,19 +122,21 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)
 }
 
-// Spin performs n units of deterministic computation, yielding to the
-// scheduler periodically the way real computation is preempted. The
-// STAMP kernels call it inside transactions to model the substantial
-// per-transaction work of the C originals (sequence hashing, distance
-// evaluation, cavity retriangulation, ...): an aborted attempt wastes
-// the work, which is precisely why abort-count variance turns into
-// execution-time variance.
-func Spin(n int) int64 {
+// Spin performs n units of deterministic computation inside transaction
+// tx. The STAMP kernels call it to model the substantial per-transaction
+// work of the C originals (sequence hashing, distance evaluation, cavity
+// retriangulation, ...): an aborted attempt wastes the work, which is
+// precisely why abort-count variance turns into execution-time variance.
+// Every 256 units it offers tx.Preempt a suspension point, which yields
+// only while the STM emulates interleaving (tl2.Options.YieldEvery > 0),
+// the way computation is preempted on a host with fewer cores than
+// threads; on real cores the work runs uninterrupted.
+func Spin(tx *tl2.Tx, n int) int64 {
 	var acc int64 = 1
 	for i := 0; i < n; i++ {
 		acc = acc*6364136223846793005 + 1442695040888963407
 		if i&255 == 255 {
-			runtime.Gosched()
+			tx.Preempt()
 		}
 	}
 	return acc

@@ -1,10 +1,13 @@
 // Package stamptest provides the shared conformance suite all STAMP
 // kernel ports must pass: multi-threaded runs validate their semantic
-// invariants, single-threaded runs are conflict-free, and workload
-// content is seed-deterministic.
+// invariants, single-threaded runs are conflict-free, workload content
+// is seed-deterministic, and with the STM's interleaving emulation off
+// no transaction yields.
 package stamptest
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"gstm/internal/stamp"
@@ -77,4 +80,48 @@ func Conformance(t *testing.T, mk func() stamp.Workload) {
 			t.Fatal(err)
 		}
 	})
+
+	t.Run("NoYieldsWithoutInterleaving", func(t *testing.T) {
+		// With the emulation off a kernel's transactions, stamp.Spin's
+		// computation included, never reach a suspension point.
+		if c := Yields(t, mk(), -1); c.All.Load() != 0 {
+			t.Errorf("YieldEvery -1: %d yields (%d inside stamp.Spin), want none", c.All.Load(), c.Spin.Load())
+		}
+	})
+}
+
+// YieldCounter counts the suspension points of an STM it is installed in
+// as Options.Yield (it does not yield): all of them, and apart those raised
+// inside stamp.Spin, told by the call stack.
+type YieldCounter struct {
+	All, Spin atomic.Int64
+}
+
+// Yield is the Options.Yield hook.
+func (c *YieldCounter) Yield() {
+	c.All.Add(1)
+	var pcs [16]uintptr
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs[:])])
+	for {
+		f, more := frames.Next()
+		if f.Function == "gstm/internal/stamp.Spin" {
+			c.Spin.Add(1)
+			return
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// Yields runs w once, single-threaded at Medium size, on an STM with the
+// given YieldEvery, and returns the count of its suspension points.
+func Yields(t *testing.T, w stamp.Workload, yieldEvery int) *YieldCounter {
+	t.Helper()
+	c := &YieldCounter{}
+	s := tl2.New(tl2.Options{YieldEvery: yieldEvery, Yield: c.Yield})
+	if _, err := stamp.Run(s, w, stamp.Config{Threads: 1, Size: stamp.Medium, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -1,6 +1,9 @@
 package tl2
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Array is a fixed-length sequence of transactional words, the bulk
 // data structure behind grids, centroid tables and reservation tables
@@ -34,12 +37,17 @@ func (a *Array) Set(tx *Tx, i int, x int64) { tx.Write(&a.vars[i], x) }
 
 // Snapshot copies the committed values non-transactionally, for
 // post-run verification.
-func (a *Array) Snapshot() []int64 {
-	out := make([]int64, len(a.vars))
+func (a *Array) Snapshot() []int64 { return a.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot into dst's storage, reallocated only when its
+// capacity is short: a caller that copies the array over and over (a
+// planner's private grid) allocates once. It returns the filled slice.
+func (a *Array) SnapshotInto(dst []int64) []int64 {
+	dst = slices.Grow(dst[:0], len(a.vars))[:len(a.vars)]
 	for i := range a.vars {
-		out[i] = a.vars[i].Value()
+		dst[i] = a.vars[i].Value()
 	}
-	return out
+	return dst
 }
 
 // Sentinel keys for Map slots. Real keys must avoid these two values.

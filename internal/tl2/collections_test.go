@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"gstm/internal/proptest"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -27,6 +28,30 @@ func TestArrayBasics(t *testing.T) {
 	})
 	if a.At(2).Value() != 100 {
 		t.Error("array write did not commit")
+	}
+}
+
+// TestArraySnapshotInto: SnapshotInto equals Snapshot and fills dst's
+// storage when it has the capacity, growing it only when it does not.
+func TestArraySnapshotInto(t *testing.T) {
+	a := NewArray(5, 0)
+	for i := 0; i < a.Len(); i++ {
+		a.At(i).Store(int64(i * i))
+	}
+	want := a.Snapshot()
+	buf := make([]int64, 2, 8)
+	got := a.SnapshotInto(buf)
+	if !slices.Equal(got, want) {
+		t.Fatalf("SnapshotInto = %v, Snapshot = %v", got, want)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Error("SnapshotInto reallocated a buffer with room for the array")
+	}
+	if again := a.SnapshotInto(got); &again[0] != &got[0] || !slices.Equal(again, want) {
+		t.Error("a second SnapshotInto into its own result did not reuse it")
+	}
+	if short := a.SnapshotInto(make([]int64, 0, 2)); !slices.Equal(short, want) {
+		t.Errorf("SnapshotInto a short buffer = %v, want %v", short, want)
 	}
 }
 

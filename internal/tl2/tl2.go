@@ -301,6 +301,16 @@ func (tx *Tx) yieldEvery() {
 	}
 }
 
+// Preempt is a suspension point inside the transaction's own computation
+// (work between accesses, such as stamp.Spin's): a yield, through
+// Options.Yield when set, only while the STM emulates interleaving
+// (YieldEvery > 0). With interleaving off it is one flag test.
+func (tx *Tx) Preempt() {
+	if tx.yielding {
+		tx.stm.yield()
+	}
+}
+
 const writeIdxThreshold = 64
 
 // Pair returns the (transaction, thread) identity of this attempt.

@@ -3,6 +3,7 @@ package tl2
 import (
 	"errors"
 	"gstm/internal/proptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -415,4 +416,54 @@ func TestSequentialEquivalenceProperty(t *testing.T) {
 	if err := quick.Check(f, proptest.Config(t, 50)); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPreempt: Tx.Preempt is a suspension point only while the STM
+// emulates interleaving (YieldEvery > 0), and then it yields through
+// Options.Yield when that is set, through runtime.Gosched otherwise.
+func TestPreempt(t *testing.T) {
+	t.Run("Off", func(t *testing.T) {
+		yields := 0
+		s := New(Options{YieldEvery: -1, Yield: func() { yields++ }})
+		_ = s.Atomic(0, 0, func(tx *Tx) error {
+			for i := 0; i < 10; i++ {
+				tx.Preempt()
+			}
+			return nil
+		})
+		if yields != 0 {
+			t.Errorf("%d yields with interleaving off, want none", yields)
+		}
+	})
+	t.Run("Hook", func(t *testing.T) {
+		yields := 0
+		s := New(Options{Yield: func() { yields++ }})
+		_ = s.Atomic(0, 0, func(tx *Tx) error {
+			before := yields
+			tx.Preempt()
+			if got := yields - before; got != 1 {
+				t.Errorf("Preempt yielded %d times through the hook, want once", got)
+			}
+			return nil
+		})
+	})
+	t.Run("Gosched", func(t *testing.T) {
+		// On one P a goroutine started inside the body runs only when the
+		// body's goroutine yields the processor.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		for _, yieldEvery := range []int{0, -1} {
+			var ran atomic.Bool
+			done := make(chan struct{})
+			s := New(Options{YieldEvery: yieldEvery})
+			_ = s.Atomic(0, 0, func(tx *Tx) error {
+				go func() { ran.Store(true); close(done) }()
+				tx.Preempt()
+				if got, want := ran.Load(), yieldEvery == 0; got != want {
+					t.Errorf("YieldEvery %d: another goroutine ran during Preempt = %v, want %v", yieldEvery, got, want)
+				}
+				return nil
+			})
+			<-done
+		}
+	})
 }

@@ -33,7 +33,8 @@
 # hardware that did not record the baseline), and any allocation on a
 # benchmark the baseline pins at zero allocs/op fails unconditionally
 # — the zero-alloc commit paths are a contract, not a tuning knob. An
-# inlining pin follows: Tx.maybeYield must still inline, and nothing
+# inlining pin follows: TL2's Tx.maybeYield and Tx.Preempt must still
+# inline, and nothing
 # from the shared transaction driver (internal/txn) may be inlined into
 # either runtime's Tx.Read or Tx.Write — the driver is entered per
 # Atomic call, never per access.
@@ -138,6 +139,10 @@ for pkg in tl2 libtm; do
     trace=$(go build -gcflags=-m "./internal/$pkg" 2>&1)
     if [ "$pkg" = tl2 ] && ! grep -qF 'can inline (*Tx).maybeYield' <<<"$trace"; then
         echo "internal/tl2: (*Tx).maybeYield no longer inlines; Read and Write now pay a call per access" >&2
+        exit 1
+    fi
+    if [ "$pkg" = tl2 ] && ! grep -qF 'can inline (*Tx).Preempt' <<<"$trace"; then
+        echo "internal/tl2: (*Tx).Preempt no longer inlines; stamp.Spin now pays a call per preemption point with interleaving off" >&2
         exit 1
     fi
     # The compiler reports every call it inlined, transitively, at the
