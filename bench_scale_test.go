@@ -13,6 +13,7 @@ package gstm
 // must stay at exactly zero allocations per transaction.
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -200,6 +201,92 @@ func BenchmarkScaleGateAdmission(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// gateTrackedModel: two threads run transactions 0–2, and after each of
+// those six commits any of them may follow, or thread 1's transaction 3,
+// the one state that admits thread 0's transaction 3 (after which the six
+// follow). Every transaction is in conflict with every other, so (3,0) is
+// held behind (3,1) and the gate tracks state; the six states share one
+// verdict table, so nearly every commit among them changes the exact state
+// and none changes the verdicts — SynQuake's shape, whose 20–24 guided
+// states share 6–9 tables.
+func gateTrackedModel() *model.TSA {
+	m := model.New(2)
+	st := func(tx, th uint16) tts.State { return tts.State{Commit: tts.Pair{Tx: tx, Thread: th}} }
+	var six []tts.State
+	for tx := uint16(0); tx < 3; tx++ {
+		six = append(six, st(tx, 0), st(tx, 1))
+	}
+	for _, from := range six {
+		for _, to := range append(six, st(3, 1)) {
+			m.AddRun([]tts.State{from, to})
+		}
+		m.AddRun([]tts.State{st(3, 0), from})
+	}
+	m.AddRun([]tts.State{st(3, 1), st(3, 0)})
+	return m.AssumeAllConflict()
+}
+
+// gateTrackedBody is the fixed work between admission and commit.
+func gateTrackedBody(seed int) int {
+	for j := 0; j < 16; j++ {
+		seed = seed*31 + j
+	}
+	return seed
+}
+
+// gateTrackedSink keeps gateTrackedBody's result alive.
+var gateTrackedSink atomic.Int64
+
+// BenchmarkGateTracked: the tracked gate's fixed cost per transaction —
+// Admit and OnCommit around a fixed body, no STM — from two goroutines on
+// gateTrackedModel, each cycling through its three transactions. The
+// exact state changes on most commits; the verdict class never does.
+func BenchmarkGateTracked(b *testing.B) {
+	ctrl := guide.New(gateTrackedModel(), guide.Options{K: 1})
+	if ctrl.Stats().Idle {
+		b.Fatal("gateTrackedModel compiles to idle tables: the benchmark would time the idle path")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for th := 0; th < 2; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			sum := 0
+			for i := th; i < b.N; i += 2 {
+				sum = gateTrackedStep(ctrl, i, sum)
+			}
+			gateTrackedSink.Add(int64(sum))
+		}(th)
+	}
+	wg.Wait()
+}
+
+// gateTrackedStep runs transaction i of BenchmarkGateTracked: thread i%2,
+// transaction (i/2)%3, instance i+1.
+func gateTrackedStep(ctrl *guide.Controller, i, sum int) int {
+	p := tts.Pair{Tx: uint16(i / 2 % 3), Thread: uint16(i % 2)}
+	ctrl.Admit(p)
+	sum = gateTrackedBody(sum)
+	ctrl.OnCommit(uint64(i+1), p)
+	return sum
+}
+
+// TestGateTrackedAllocFree pins BenchmarkGateTracked's path at zero
+// allocations per transaction, and checks that it never holds.
+func TestGateTrackedAllocFree(t *testing.T) {
+	skipIfRace(t)
+	ctrl := guide.New(gateTrackedModel(), guide.Options{K: 1})
+	i := 0
+	if avg := allocsPerTx(func() { gateTrackedStep(ctrl, i, 0); i++ }); avg != 0 {
+		t.Errorf("tracked Admit+OnCommit allocates %.1f/op at steady state, want 0", avg)
+	}
+	if st := ctrl.Stats(); st.Idle || st.Holds != 0 || st.ImmediateAdmits != uint64(i) {
+		t.Errorf("stats %+v after %d steps: want tracked tables and every admit immediate", st, i)
 	}
 }
 

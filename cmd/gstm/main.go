@@ -78,6 +78,7 @@ import (
 	"gstm/internal/tl2"
 	"gstm/internal/trace"
 	"gstm/internal/tts"
+	"gstm/internal/txn"
 )
 
 // Exit codes: scripts driving the artifact can tell a typo from a
@@ -405,7 +406,7 @@ func recordOneRun(e harness.Experiment) ([]tts.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := tl2.New(tl2.Options{Inject: e.Inject})
+	s := tl2.New(tl2.Options{Inject: e.Inject, YieldEvery: txn.YieldEveryFor(e.Threads)})
 	col := trace.NewCollector()
 	cfg := stamp.Config{Threads: e.Threads, Size: e.MeasureSize, Seed: e.Seed}
 	if cfg.Size == stamp.SizeUnset {

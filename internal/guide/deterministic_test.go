@@ -14,7 +14,9 @@ import (
 // the recorded commit sequence keys and abort count.
 func runDet(t *testing.T, threads, per int) ([]string, uint64, uint64) {
 	t.Helper()
-	s := tl2.New(tl2.Options{})
+	// Pinned to the emulated interleaving the sequence tests were written
+	// against, whatever the host's core count.
+	s := tl2.New(tl2.Options{YieldEvery: 4})
 	g := NewDetGate(threads, 50*time.Millisecond)
 	col := trace.NewCollector()
 	s.SetGate(g)

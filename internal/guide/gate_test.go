@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -93,15 +94,20 @@ func TestGateStress(t *testing.T) {
 	}
 }
 
-// TestHotPathLayout pins the padding the gate's speed rests on: no two
-// threads' stripes share a cache line, and the two words other threads
-// write — the current-state pointer and a snapshot's anchor — sit at
-// least a cache line away from every field read per transaction,
-// wherever the allocator places the object.
+// TestHotPathLayout pins the layout the gate's speed rests on: no two
+// threads' stripes share a cache line, each thread's latest-commit word
+// lives in its own stripe, a snapshot has no field anybody writes after
+// publishing it, and the one shared word commits write — the
+// current-state pointer — sits at least a cache line away from every
+// field read per transaction.
 func TestHotPathLayout(t *testing.T) {
 	const line = 64
-	if sz := unsafe.Sizeof(stripe{}); sz == 0 || sz%(2*line) != 0 {
+	var st stripe
+	if sz := unsafe.Sizeof(st); sz == 0 || sz%(2*line) != 0 {
 		t.Errorf("sizeof(stripe) = %d, want a multiple of %d", sz, 2*line)
+	}
+	if end := unsafe.Offsetof(st.commit) + unsafe.Sizeof(st.commit); end > unsafe.Sizeof(st) {
+		t.Errorf("stripe.commit ends at %d, past the stripe's %d bytes", end, unsafe.Sizeof(st))
 	}
 	var c Controller
 	cur := unsafe.Offsetof(c.cur)
@@ -111,13 +117,11 @@ func TestHotPathLayout(t *testing.T) {
 	if after := unsafe.Offsetof(c.mu); after < cur+line {
 		t.Errorf("mu at %d is within %d bytes of cur at %d", after, line, cur)
 	}
-	var s snapshot
-	anchor := unsafe.Offsetof(s.anchor)
-	if before := unsafe.Offsetof(s.relaxed) + unsafe.Sizeof(s.relaxed); anchor < before+line {
-		t.Errorf("snapshot.anchor at %d is within %d bytes of the admission sets ending at %d", anchor, line, before)
-	}
-	if size := unsafe.Sizeof(s); size < anchor+line {
-		t.Errorf("snapshot.anchor at %d is within %d bytes of the next object at %d", anchor, line, size)
+	snap := reflect.TypeOf(snapshot{})
+	for i := 0; i < snap.NumField(); i++ {
+		if f := snap.Field(i); f.Type.PkgPath() == "sync/atomic" || f.Name == "_" {
+			t.Errorf("snapshot.%s (%v): a snapshot must be immutable once published, with nothing to pad", f.Name, f.Type)
+		}
 	}
 	var h healthMonitor
 	if cfg, cnt := unsafe.Offsetof(h.rearmWindows)+unsafe.Sizeof(h.rearmWindows), unsafe.Offsetof(h.admits); cnt < cfg+line {

@@ -191,27 +191,25 @@ type Stats struct {
 	Idle bool
 }
 
-// snapshot is the controller's view of the current state; replaced
-// wholesale on every update so Admit can read without locking.
-// Snapshots for plain (abort-free) commit states are cached per pair
-// (see commitCache) and reused, so the commit path allocates nothing at
-// steady state.
+// snapshot is the controller's view of the current state, immutable once
+// published, so Admit reads it without locking. Snapshots for plain
+// (abort-free) commit states are cached per pair (see commitCache) and
+// reused, so the commit path allocates nothing at steady state.
 type snapshot struct {
 	state tts.State
-	// hold is the state's verdict table at Tfactor; relaxed the one at
-	// RelaxFactor× Tfactor, consulted at LevelRelaxed.
-	hold, relaxed holdSet
+	// verdicts is the state's verdict class; nil: no guidance.
+	*verdicts
+	// anchor is an abort-extension's killer instance; 0 if commit-only.
+	anchor uint64
+}
 
-	// anchor is the instance of the commit anchoring this state, matched
-	// against an abort's killer. A cached snapshot's anchor is rewritten
-	// by every commit of its pair — only that pair's thread commits it,
-	// so its line has one writer — and the pads keep it a cache line
-	// away from the fields above, which every Admit on every thread
-	// reads, in this snapshot and in whichever one the allocator puts
-	// next.
-	_      [128 - 48]byte
-	anchor atomic.Uint64
-	_      [64 - 8]byte
+// verdicts is a state's pair of verdict tables: hold at Tfactor, relaxed at
+// RelaxFactor× Tfactor, consulted at LevelRelaxed. Immutable, and shared by
+// every state whose tables are equal (see compile), so a pointer is a
+// verdict class: the same pointer, the same verdict for every pair at
+// every level.
+type verdicts struct {
+	hold, relaxed holdSet
 }
 
 // commitCache is the lock-free front of the commit path: the snapshot of
@@ -224,11 +222,6 @@ type commitCache struct {
 	bucket int
 }
 
-// blendSets is one cached blended verdict-table pair for a state key.
-type blendSets struct {
-	hold, relaxed holdSet
-}
-
 // modelTables is everything the controller derives from its active
 // base model. It is immutable once published and replaced wholesale by
 // SwapModel through an atomic pointer, so admission-set resolution
@@ -236,11 +229,10 @@ type blendSets struct {
 // learner can rebuild and install models forever without ever adding a
 // mutex to the commit path.
 type modelTables struct {
-	// hold/relaxed are the compiled per-state verdict tables (no-prior
-	// mode; nil maps in blend mode, where sets are computed per state
-	// from base and cached under blendMu).
-	hold    map[string]holdSet
-	relaxed map[string]holdSet
+	// verdicts are the compiled per-state verdict tables, interned by
+	// content (no-prior mode; nil in blend mode, where tables are computed
+	// per state from base and cached under blendMu).
+	verdicts map[string]*verdicts
 	// idle: a model was compiled and no verdict is vHold: whatever the
 	// state, everyone is admitted, and nobody reads or writes cur or mu.
 	idle bool
@@ -258,8 +250,9 @@ type modelTables struct {
 // Controller guides an STM using a trained, analyzed model. An immediate
 // admit and a cached-state commit take no lock and touch one cache line
 // another thread writes: cur, the shared variable the mechanism is made
-// of — and not even that when the tables are idle. Everything else they
-// touch is read-mostly or the calling thread's own stripe.
+// of, which a commit stores only when it changes the verdict class — and
+// not even that when the tables are idle. Everything else they touch is
+// read-mostly or the calling thread's own stripe.
 type Controller struct {
 	// Read-mostly: set by New or moved by rare control-plane events. No
 	// field in this block may be written per transaction.
@@ -290,7 +283,7 @@ type Controller struct {
 	ro *effect.ROSet
 
 	// cur is the current state, alone on its cache line: every Admit
-	// loads it and every state-changing commit stores it.
+	// loads it and every commit that changes the verdict class stores it.
 	_   [64]byte
 	cur atomic.Pointer[snapshot]
 	_   [64 - 8]byte
@@ -301,7 +294,7 @@ type Controller struct {
 	havePrev    bool       // under mu: a finalized state exists to stream from
 	prevFinal   tts.State  // under mu: last finalized (superseded) state
 	blendMu     sync.Mutex // guards blendCache/blendBucket/blendGen; nested inside mu
-	blendCache  map[string]blendSets
+	blendCache  map[string]*verdicts
 	blendBucket int
 	blendGen    uint64
 
@@ -362,7 +355,7 @@ func New(m *model.TSA, opts Options) *Controller {
 			m = model.New(threads)
 			c.stream.Store(true)
 		}
-		c.blendCache = make(map[string]blendSets)
+		c.blendCache = make(map[string]*verdicts)
 		c.priorHolds = make(holdSet)
 		for _, n := range opts.Prior.Nodes {
 			for _, p := range n.State.Pairs() {
@@ -400,23 +393,39 @@ func New(m *model.TSA, opts Options) *Controller {
 	return c
 }
 
-// compile derives the tables of base model m (nil: no guidance yet).
+// compile derives the tables of base model m (nil: no guidance yet),
+// interning each state's verdict pair by content.
 func (c *Controller) compile(m *model.TSA) *modelTables {
 	tb := &modelTables{base: m}
 	if c.prior == nil && m != nil {
-		tb.hold, tb.idle = holdTables(m, c.tf)
-		tb.relaxed = relaxTables(m, tb.hold, c.tf*c.rf)
+		var hold map[string]holdSet
+		hold, tb.idle = holdTables(m, c.tf)
+		relaxed := relaxTables(m, hold, c.tf*c.rf)
+		tb.verdicts = make(map[string]*verdicts, len(hold))
+		interned := make(map[string]*verdicts)
+		for k, set := range hold {
+			ck := classKey(set, relaxed[k])
+			if interned[ck] == nil {
+				interned[ck] = &verdicts{set, relaxed[k]}
+			}
+			tb.verdicts[k] = interned[ck]
+		}
 	}
 	tb.commits.Store(&commitCache{})
 	return tb
 }
 
-// setsFor resolves the verdict-table pair for a state key under tables
-// tb: the compiled maps when no prior is configured, otherwise the
-// blended sets (cached per weight bucket and swap generation).
-func (c *Controller) setsFor(tb *modelTables, key string) (hold, relaxed holdSet) {
+// classKey renders a state's verdict tables by content (fmt prints a map
+// sorted by key). A variable so the mutation test can drop the relaxed half.
+var classKey = func(hold, relaxed holdSet) string { return fmt.Sprint(hold, relaxed) }
+
+// verdictsFor resolves the verdict tables of a state key under tables tb:
+// the compiled ones when no prior is configured, otherwise the blended
+// ones (cached per weight bucket and swap generation, so a class of their
+// own until the mix moves).
+func (c *Controller) verdictsFor(tb *modelTables, key string) *verdicts {
 	if c.prior == nil {
-		return tb.hold[key], tb.relaxed[key]
+		return tb.verdicts[key]
 	}
 	bucket := c.weightBucket()
 	c.blendMu.Lock()
@@ -429,12 +438,12 @@ func (c *Controller) setsFor(tb *modelTables, key string) (hold, relaxed holdSet
 		c.blendGen = tb.gen
 		clear(c.blendCache)
 	}
-	if s, ok := c.blendCache[key]; ok {
-		return s.hold, s.relaxed
+	if v, ok := c.blendCache[key]; ok {
+		return v
 	}
-	s := c.computeBlend(tb.base, key, float64(bucket)/blendBuckets)
-	c.blendCache[key] = s
-	return s.hold, s.relaxed
+	v := c.computeBlend(tb.base, key, float64(bucket)/blendBuckets)
+	c.blendCache[key] = v
+	return v
 }
 
 // weightBucket quantizes the prior's current weight into
@@ -457,12 +466,12 @@ func (c *Controller) weightBucket() int {
 
 // computeBlend builds the verdict tables for one state from the mixed
 // destination distribution w·P_prior + (1−w)·P_base. A state unknown
-// to both models yields nil sets ("no guidance: admit everyone"), the
+// to both models yields nil ("no guidance: admit everyone"), the
 // same contract as the compiled path. This is the one place the closure
 // of holdGraph is not applied: the mix moves with every streamed commit,
 // so a set is built on demand from its state's destinations alone — every
 // pair of the prior they do not commit is held, nothing is futile.
-func (c *Controller) computeBlend(base *model.TSA, key string, w float64) blendSets {
+func (c *Controller) computeBlend(base *model.TSA, key string, w float64) *verdicts {
 	probs := make(map[string]float64)
 	accum := func(m *model.TSA, weight float64) {
 		if m == nil || weight <= 0 {
@@ -479,7 +488,7 @@ func (c *Controller) computeBlend(base *model.TSA, key string, w float64) blendS
 	accum(c.prior, w)
 	accum(base, 1-w)
 	if len(probs) == 0 {
-		return blendSets{}
+		return nil
 	}
 	var pmax float64
 	for _, p := range probs {
@@ -501,7 +510,7 @@ func (c *Controller) computeBlend(base *model.TSA, key string, w float64) blendS
 		}
 		return set
 	}
-	return blendSets{hold: collect(c.tf), relaxed: collect(c.tf * c.rf)}
+	return &verdicts{hold: collect(c.tf), relaxed: collect(c.tf * c.rf)}
 }
 
 // observeCommitLocked, when the base model is being streamed, folds the
@@ -594,19 +603,22 @@ func (c *Controller) SwapModel(next *model.TSA) {
 	c.stream.Store(false)
 	nt.gen = c.swaps.Add(1)
 	old := c.tables.Swap(nt)
-	// Refresh the current snapshot's admission sets against the new
-	// model so transactions held right now re-check fresh guidance
-	// instead of waiting for the next commit. Bounded work under mu
-	// (one set resolution), after the lock-free install above; the CAS
-	// yields to any commit that moved the state on meanwhile. With idle
-	// tables on either side cur is stale or unused: start over, as Reset does.
+	// Refresh the current snapshot against the new model so transactions
+	// held right now re-check fresh guidance: bounded work under mu, after
+	// the lock-free install above; the CAS yields to any commit that moved
+	// the state on meanwhile. cur's state is exact only up to the old class,
+	// so the newest commit is the base unless cur is its extension. With
+	// idle tables on either side cur is stale or unused, and idle commits
+	// record nothing: start over.
 	c.mu.Lock()
-	if snap := c.cur.Load(); snap != nil {
-		var fresh *snapshot
-		if !old.idle && !nt.idle {
-			fresh = c.newSnapshot(nt, snap.state, snap.anchor.Load())
+	if old.idle || nt.idle {
+		c.restartLocked()
+	} else if snap := c.cur.Load(); snap != nil {
+		st, anchor := snap.state, snap.anchor
+		if kp, k, ok := c.committer(0); ok && uint32(anchor) != k {
+			st, anchor = tts.State{Commit: kp}, 0
 		}
-		c.cur.CompareAndSwap(snap, fresh)
+		c.cur.CompareAndSwap(snap, c.newSnapshot(nt, st, anchor))
 	}
 	c.mu.Unlock()
 	// A fresh model must not inherit the health debt its predecessor
@@ -646,11 +658,21 @@ func (c *Controller) Model() *model.TSA {
 // quarantines again after the next epoch.
 func (c *Controller) Reset() {
 	c.mu.Lock()
-	c.cur.Store(nil)
+	c.restartLocked()
 	c.havePrev = false
 	c.mu.Unlock()
 	c.quarantined.Store(false)
 	c.resetHealth()
+}
+
+// restartLocked forgets the current state and the threads' latest commits,
+// whose instances belong to the history being left (the next run's STM
+// numbers its commits from 1 again). Caller holds c.mu.
+func (c *Controller) restartLocked() {
+	c.cur.Store(nil)
+	for i := range c.perThread {
+		c.perThread[i].commit.Store(0)
+	}
 }
 
 // maxSnapCache bounds the commit-snapshot cache; a workload cannot
@@ -659,13 +681,10 @@ func (c *Controller) Reset() {
 // than grows without limit.
 const maxSnapCache = 4096
 
-// newSnapshot materializes the snapshot of state st under tables tb,
-// anchored by the given commit instance.
+// newSnapshot materializes state st under tables tb, anchored by killer
+// instance anchor.
 func (c *Controller) newSnapshot(tb *modelTables, st tts.State, anchor uint64) *snapshot {
-	s := &snapshot{state: st}
-	s.hold, s.relaxed = c.setsFor(tb, st.Key())
-	s.anchor.Store(anchor)
-	return s
+	return &snapshot{state: st, verdicts: c.verdictsFor(tb, st.Key()), anchor: anchor}
 }
 
 // snapshotForCommitLocked returns the snapshot for the commit-only state
@@ -728,11 +747,12 @@ func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
 
 // advance publishes the state anchored by commit (instance, p) under
 // tables tb. The common case — no prior, pair seen before — is a
-// lock-free lookup and at most one store to a shared line.
+// lock-free lookup, a store to the committer's own stripe and, only when
+// the verdict class changes, one store to a shared line.
 func (c *Controller) advance(tb *modelTables, instance uint64, p tts.Pair) {
 	if c.prior == nil {
 		if next := tb.commits.Load().snaps[p.Key()]; next != nil {
-			c.install(next, instance)
+			c.install(next, instance, p)
 			return
 		}
 	}
@@ -740,50 +760,74 @@ func (c *Controller) advance(tb *modelTables, instance uint64, p tts.Pair) {
 	// sets depend on state guarded by mu.
 	c.mu.Lock()
 	c.observeCommitLocked(tb.base)
-	c.install(c.snapshotForCommitLocked(tb, p), instance)
+	c.install(c.snapshotForCommitLocked(tb, p), instance, p)
 	c.mu.Unlock()
 }
 
-// install anchors next on the given commit and makes it the current
-// state. Same-state repeat commits keep the cached pointer installed
-// and skip the store: held transactions detect state changes by pointer
-// identity, so a repeat reads as "unchanged" and burns stale budget —
-// which is accurate: the admissible set really did not change.
-func (c *Controller) install(next *snapshot, instance uint64) {
-	next.anchor.Store(instance)
-	if c.cur.Load() != next {
+// install records commit (instance, p) in its thread's stripe and makes
+// next current unless cur has next's class. Held transactions detect change
+// by cur's identity, so a same-class commit reads as "unchanged" and burns
+// stale budget — which is accurate: the admissible set did not change.
+func (c *Controller) install(next *snapshot, instance uint64, p tts.Pair) {
+	c.stripe(p.Thread).commit.Store(uint64(p.Key())<<32 | instance&math.MaxUint32)
+	if cur := c.cur.Load(); cur == nil || cur.verdicts != next.verdicts {
 		c.cur.Store(next)
 	}
 }
 
-// OnAbort implements trace.Tracer: an abort attributed to the current
-// state's commit extends that state's tuple, possibly changing the
-// admissible set. Aborts accrete on one another, so they serialize on
-// mu; commits do not take it, so the extension is installed by CAS and
-// loses to any commit that moved the state on. One window is left open
-// and is benign: if the anchoring pair commits again between the anchor
-// read and the CAS (cur keeps the same cached pointer), the extension
-// of the previous instance stays installed until the next commit.
+// committer reads the threads' latest commits off their stripes: the one
+// of instance killer — current iff some stripe names it — or, for killer
+// 0, the newest (instances compared modulo 2^32).
+func (c *Controller) committer(killer uint64) (p tts.Pair, inst uint32, ok bool) {
+	for i := range c.perThread {
+		w := c.perThread[i].commit.Load()
+		if w != 0 && (killer == 0 && (!ok || int32(uint32(w)-inst) > 0) || uint32(w) == uint32(killer)) {
+			p, inst, ok = tts.PairFromKey(uint32(w>>32)), uint32(w), true
+		}
+	}
+	return p, inst, ok
+}
+
+// sameClass is OnAbort's class check; a variable for the mutation test.
+var sameClass = func(a, b *snapshot) bool { return a.verdicts == b.verdicts }
+
+// OnAbort implements trace.Tracer: an abort by a current commit extends
+// that commit's state: cur if cur is the killer's extension or commit-only
+// snapshot, else the killer's commit-only snapshot if it has cur's class.
+// Aborts serialize on mu; commits do not, so the extension is installed by
+// CAS and loses to any class change. With two threads and causal events
+// this is the exact-state rule; two benign same-class windows stay open (a
+// third thread's commit, or the killer pair's next, precedes the extension).
 func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 	if killer == 0 || c.tables.Load().idle {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	snap := c.cur.Load()
-	if snap == nil || snap.anchor.Load() != killer {
+	tb, snap := c.tables.Load(), c.cur.Load()
+	if snap == nil {
 		return
 	}
+	base := snap
+	if snap.anchor != killer {
+		kp, _, ok := c.committer(killer)
+		if !ok {
+			return
+		}
+		if snap.anchor != 0 || snap.state.Commit != kp || len(snap.state.Aborts) > 0 {
+			if base = c.snapshotForCommitLocked(tb, kp); !sameClass(base, snap) {
+				return
+			}
+		}
+	}
 	// Abort-extended states are rare (one per attributed abort) and
-	// unbounded in shape, so they are built fresh rather than cached;
-	// the next commit lands back on the cached commit-only snapshots.
-	// Nothing rewrites an extension's anchor: it keeps the killer.
+	// unbounded in shape, so they are built fresh rather than cached.
 	st := tts.State{
-		Commit: snap.state.Commit,
-		Aborts: append(append([]tts.Pair(nil), snap.state.Aborts...), p),
+		Commit: base.state.Commit,
+		Aborts: append(append([]tts.Pair(nil), base.state.Aborts...), p),
 	}
 	st.Canonicalize()
-	c.cur.CompareAndSwap(snap, c.newSnapshot(c.tables.Load(), st, killer))
+	c.cur.CompareAndSwap(snap, c.newSnapshot(tb, st, killer))
 }
 
 // Admit implements the gate (paper Figure 2). It returns when pair p
@@ -936,7 +980,7 @@ func (c *Controller) look(pk uint32, lvl Level) (*snapshot, verdict) {
 // verdict reads pair pairKey's verdict off snapshot s at the given
 // degradation level; a nil snapshot is an unknown state.
 func (s *snapshot) verdict(pairKey uint32, lvl Level) verdict {
-	if s == nil {
+	if s == nil || s.verdicts == nil {
 		return vUnknown
 	}
 	set := s.hold

@@ -208,8 +208,8 @@ func TestRelaxedNeverAddsHold(t *testing.T) {
 	if st := c.Stats(); yields != 0 || st.Holds != 0 || st.FutileAdmits != 1 || st.RelaxedAdmits != 1 {
 		t.Errorf("yields = %d, stats = %+v; want the pair released at once at the relaxed level", yields, st)
 	}
-	for key, set := range c.tables.Load().relaxed {
-		for pk, v := range set {
+	for key, v := range c.tables.Load().verdicts {
+		for pk, v := range v.relaxed {
 			if guided[key][pk] != v {
 				t.Errorf("%v: relaxed verdict %d for %v, guided %d", tts.MustParseKey(key), v, tts.PairFromKey(pk), guided[key][pk])
 			}

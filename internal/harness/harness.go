@@ -30,6 +30,7 @@ import (
 	"gstm/internal/stats"
 	"gstm/internal/tl2"
 	"gstm/internal/trace"
+	"gstm/internal/txn"
 )
 
 // WorkloadNames lists the STAMP kernels in the paper's table order
@@ -146,9 +147,11 @@ type Experiment struct {
 	Overload *overload.Limiter
 }
 
-// stmOptions builds the tl2 options every experiment-created STM uses.
+// stmOptions builds the tl2 options every experiment-created STM uses;
+// they emulate preemption where the experiment has more threads than Ps.
 func (e *Experiment) stmOptions() tl2.Options {
 	return tl2.Options{
+		YieldEvery:      txn.YieldEveryFor(e.Threads),
 		Inject:          e.Inject,
 		DefaultDeadline: e.TxDeadline,
 		EscalateAfter:   e.EscalateAfter,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 
 	"gstm/internal/guide"
@@ -38,17 +39,25 @@ func fastExperiment(workload string, threads int) Experiment {
 	}
 }
 
-// TestSpinYieldsOnHarnessSTMs: the harness builds its STMs with the default
-// YieldEvery, so stamp.Spin still yields inside kmeans's transactions and
-// the interleaving-emulated path (1-CPU hosts, cmd/gstm) is unchanged.
+// TestSpinYieldsOnHarnessSTMs: the harness's STMs emulate preemption
+// exactly where the experiment has more threads than Ps, and where they do,
+// stamp.Spin yields inside kmeans's transactions.
 func TestSpinYieldsOnHarnessSTMs(t *testing.T) {
-	e := fastExperiment("kmeans", 2)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	two := fastExperiment("kmeans", 2)
+	if ye := two.stmOptions().YieldEvery; ye != 0 {
+		t.Errorf("2 threads on 2 Ps: YieldEvery %d, want the runtime's default", ye)
+	}
+	e := fastExperiment("kmeans", 4)
+	opts := e.stmOptions()
+	if opts.YieldEvery <= 0 {
+		t.Errorf("4 threads on 2 Ps: YieldEvery %d, want the emulation on", opts.YieldEvery)
+	}
 	w, err := NewWorkload(e.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := &stamptest.YieldCounter{}
-	opts := e.stmOptions()
 	opts.Yield = c.Yield
 	if _, err := stamp.Run(tl2.New(opts), w, stamp.Config{Threads: e.Threads, Size: e.MeasureSize, Seed: e.Seed}); err != nil {
 		t.Fatal(err)

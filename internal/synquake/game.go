@@ -7,6 +7,7 @@ import (
 
 	"gstm/internal/libtm"
 	"gstm/internal/stamp"
+	"gstm/internal/txn"
 )
 
 // Config parameterizes one game instance.
@@ -96,7 +97,7 @@ func New(cfg Config) (*Game, error) {
 	g := &Game{
 		cfg:          cfg,
 		scenario:     sc,
-		stm:          libtm.New(libtm.Options{Mode: cfg.Mode}),
+		stm:          libtm.New(libtm.Options{Mode: cfg.Mode, YieldEvery: txn.YieldEveryFor(cfg.Threads)}),
 		cellsPerSide: cfg.MapSize / cfg.CellSize,
 	}
 	treeDepth := 3

@@ -95,7 +95,8 @@ func TestCMBankInvariant(t *testing.T) {
 // stock immediate-abort TL2 under identical load.
 func TestCMReducesAbortsOnLockConflicts(t *testing.T) {
 	run := func(cm ContentionManager) (aborts uint64) {
-		s := New(Options{})
+		// Emulated preemption keeps the lock conflicts coming on any host.
+		s := New(Options{YieldEvery: 4})
 		s.SetContentionManager(cm)
 		v := NewVar(0)
 		const workers = 8

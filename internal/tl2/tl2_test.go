@@ -436,6 +436,8 @@ func TestPreempt(t *testing.T) {
 		}
 	})
 	t.Run("Hook", func(t *testing.T) {
+		// A scheduler hook turns the default emulation on whatever the
+		// number of Ps: Preempt must reach it.
 		yields := 0
 		s := New(Options{Yield: func() { yields++ }})
 		_ = s.Atomic(0, 0, func(tx *Tx) error {

@@ -57,10 +57,24 @@ type hooks struct {
 	lat    *progress.LatencyRecorder
 }
 
+// YieldEveryFor is the Config.YieldEvery for a caller that knows its
+// runtime serves threads workers: the emulation's interval when fewer Ps
+// than threads run them — the cores whose interleaving it stands in for
+// are missing — and otherwise 0, which leaves the choice to Init.
+func YieldEveryFor(threads int) int {
+	if threads > runtime.GOMAXPROCS(0) {
+		return defaultYieldEvery
+	}
+	return 0
+}
+
 // Init configures the core and returns cfg with its defaults resolved.
 func (c *Core) Init(cfg Config) Config {
 	if cfg.YieldEvery == 0 {
-		cfg.YieldEvery = defaultYieldEvery
+		cfg.YieldEvery = -1
+		if runtime.GOMAXPROCS(0) < 2 || cfg.Yield != nil {
+			cfg.YieldEvery = defaultYieldEvery
+		}
 	}
 	c.cfg = cfg
 	c.Irrev.yield = cfg.Yield

@@ -138,7 +138,8 @@ type Policy[T any] interface {
 // many times in a row is starving.
 const DefaultEscalateAfter = 256
 
-// defaultYieldEvery is the access interval between scheduler yields.
+// defaultYieldEvery is the access interval between scheduler yields where
+// the emulation is on by default: one P, or a scheduler hook to serve.
 const defaultYieldEvery = 4
 
 // Config is the part of a runtime's Options the driver owns. Each
@@ -162,9 +163,14 @@ type Config struct {
 	// interleaving of critical sections that true multicore parallelism
 	// produces (and that the paper's pinned-thread testbeds exhibit);
 	// without it, goroutines on a single P run whole transactions
-	// atomically and conflicts vanish. 0 means the default (4);
-	// negative disables yielding. Init returns the resolved value; the
-	// runtimes' access paths read their own copy.
+	// atomically and conflicts vanish. 0 means the default: 4 when
+	// runtime.GOMAXPROCS(0) < 2 at Init or Yield is set, otherwise off —
+	// with a core per thread the interleaving is real and the emulation
+	// only adds a scheduler call every few accesses. Init cannot tell how
+	// many threads will run; a caller that can passes YieldEveryFor(threads),
+	// which keeps the emulation where threads outnumber the Ps. Negative
+	// disables yielding. Init returns the resolved value; the runtimes'
+	// access paths read their own copy.
 	YieldEvery int
 	// EscalateAfter is the abort count at which an Atomic call falls
 	// back to the irrevocable serial path (guaranteed to commit). 0

@@ -3,6 +3,7 @@ package txn
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -375,28 +376,56 @@ func TestWatchdogThresholdFloor(t *testing.T) {
 }
 
 // TestInitResolvesDefaults pins the zero/negative conventions in the
-// one place they are implemented.
+// one place they are implemented. The interleaving emulation defaults on
+// only where it is needed: one P, or a scheduler hook that serializes the
+// threads.
 func TestInitResolvesDefaults(t *testing.T) {
+	hook := func() {}
 	for _, r := range []struct {
+		procs      int
 		cfg        Config
 		yieldEvery int
 		threshold  int64
 		watchdog   bool
 	}{
-		{Config{}, defaultYieldEvery, DefaultEscalateAfter, true},
-		{Config{YieldEvery: -1, EscalateAfter: -1, WatchdogWindow: -1}, -1, -1, false},
-		{Config{YieldEvery: 9, EscalateAfter: 3, WatchdogWindow: time.Second}, 9, 3, true},
+		{1, Config{}, defaultYieldEvery, DefaultEscalateAfter, true},
+		{2, Config{}, -1, DefaultEscalateAfter, true},
+		{4, Config{}, -1, DefaultEscalateAfter, true},
+		{2, Config{Yield: hook}, defaultYieldEvery, DefaultEscalateAfter, true},
+		{1, Config{YieldEvery: -1, EscalateAfter: -1, WatchdogWindow: -1}, -1, -1, false},
+		{2, Config{YieldEvery: 9, EscalateAfter: 3, WatchdogWindow: time.Second}, 9, 3, true},
+		{1, Config{YieldEvery: 9}, 9, DefaultEscalateAfter, true},
+		{2, Config{YieldEvery: -1, Yield: hook}, -1, DefaultEscalateAfter, true},
 	} {
+		prev := runtime.GOMAXPROCS(r.procs)
 		c := &Core{}
 		got := c.Init(r.cfg)
+		runtime.GOMAXPROCS(prev)
 		if got.YieldEvery != r.yieldEvery {
-			t.Errorf("%+v: YieldEvery resolved to %d, want %d", r.cfg, got.YieldEvery, r.yieldEvery)
+			t.Errorf("GOMAXPROCS %d, %+v: YieldEvery resolved to %d, want %d",
+				r.procs, r.cfg, got.YieldEvery, r.yieldEvery)
 		}
 		if th := c.ProgressStats().EscalateThreshold; th != r.threshold {
 			t.Errorf("%+v: threshold %d, want %d", r.cfg, th, r.threshold)
 		}
 		if (c.watchdog != nil) != r.watchdog {
 			t.Errorf("%+v: watchdog armed = %v, want %v", r.cfg, c.watchdog != nil, r.watchdog)
+		}
+	}
+}
+
+// TestYieldEveryForOversubscription: a caller that knows its thread count
+// keeps the emulation exactly where threads outnumber the Ps, and leaves
+// everything else to Init's rule.
+func TestYieldEveryForOversubscription(t *testing.T) {
+	for _, r := range []struct{ procs, threads, want int }{
+		{2, 2, 0}, {2, 1, 0}, {4, 4, 0}, {2, 3, defaultYieldEvery}, {2, 8, defaultYieldEvery}, {1, 2, defaultYieldEvery},
+	} {
+		prev := runtime.GOMAXPROCS(r.procs)
+		got := YieldEveryFor(r.threads)
+		runtime.GOMAXPROCS(prev)
+		if got != r.want {
+			t.Errorf("GOMAXPROCS %d, %d threads: YieldEveryFor = %d, want %d", r.procs, r.threads, got, r.want)
 		}
 	}
 }

@@ -15,7 +15,8 @@
 # ledgers hammered by oversubscribed workers, plus the deterministic
 # collapse-curve acceptance test), a gate stress under the race
 # detector (the lock-free commit advance and CAS-published abort
-# extension against a supervisor swapping models), a fuzz smoke over
+# extension against a supervisor swapping models, then the class-gated
+# commit path against an exact-state reference), a fuzz smoke over
 # the binary decoders and the tts key codecs, and gstmlint (the STM-aware
 # transaction-safety linter, checks gstm000..gstm010, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
@@ -93,6 +94,9 @@ go test -run 'TestOversub' ./internal/harness
 
 echo "== gate stress (lock-free commit advance under race) =="
 go test -race -count=5 -run TestGateStress ./internal/guide
+# Class-gated commits against the exact-state rule, random TSAs and event
+# sequences, with the two seeded mutations it must catch.
+go test -race -count=5 -run 'TestClassGating' ./internal/guide
 
 echo "== fuzz smoke (binary decoders + tts key codecs) =="
 FUZZTIME="${GSTM_FUZZTIME:-10s}"
