@@ -129,6 +129,72 @@ func BenchmarkScaleLibTMRMW(b *testing.B) {
 	})
 }
 
+// libtmSharedReads is BenchmarkLibTMSharedReads's data: eight objects
+// both threads read and nobody writes, and one private object per
+// thread that its transactions write.
+type libtmSharedReads struct {
+	s      *libtm.STM
+	shared [8]*libtm.Obj
+	own    [2]*libtm.Obj
+}
+
+func newLibTMSharedReads() *libtmSharedReads {
+	r := &libtmSharedReads{s: libtm.New(libtm.Options{Mode: libtm.FullyOptimistic, YieldEvery: -1})}
+	for i := range r.shared {
+		r.shared[i] = libtm.NewObj(int64(i))
+	}
+	for i := range r.own {
+		r.own[i] = libtm.NewObj(0)
+	}
+	return r
+}
+
+// step runs one transaction of thread th: read the eight shared
+// objects, write their sum into th's own object.
+func (r *libtmSharedReads) step(th uint16) {
+	_ = r.s.Atomic(th, 0, func(tx *libtm.Tx) error {
+		var sum int64
+		for _, o := range r.shared {
+			sum += tx.Read(o)
+		}
+		tx.Write(r.own[th], sum)
+		return nil
+	})
+}
+
+// BenchmarkLibTMSharedReads: two threads whose fully optimistic
+// transactions read the same eight objects and write only private ones
+// — SynQuake's shape in miniature (the quadtree and cell counters are
+// read by every thread, written by few). No data conflict exists, so
+// any cost that grows with the second thread is metadata traffic on
+// the shared objects' cache lines.
+func BenchmarkLibTMSharedReads(b *testing.B) {
+	r := newLibTMSharedReads()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for th := 0; th < 2; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			for i := th; i < b.N; i += 2 {
+				r.step(uint16(th))
+			}
+		}(th)
+	}
+	wg.Wait()
+}
+
+// TestLibTMSharedReadsAllocFree pins BenchmarkLibTMSharedReads's
+// transaction at zero allocations at steady state.
+func TestLibTMSharedReadsAllocFree(t *testing.T) {
+	skipIfRace(t)
+	r := newLibTMSharedReads()
+	if avg := allocsPerTx(func() { r.step(0) }); avg != 0 {
+		t.Errorf("LibTM shared-read transaction allocates %.1f/op at steady state, want 0", avg)
+	}
+}
+
 // scaleGateModel builds a synthetic TSA admitting the suite's worker
 // pairs in forward and reverse order (the same shape the explorer's
 // guided path uses), every transaction in conflict with every other, so

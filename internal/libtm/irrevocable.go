@@ -14,31 +14,33 @@ package libtm
 // block while holding locks — so the spin terminates; foreign visible
 // readers are doomed unconditionally (AbortReaders semantics regardless
 // of mode), because an irrevocable transaction must not wait on them.
+// Only visible-read modes register readers, so only they take o's
+// mutex; elsewhere the lock is one CAS.
 func (tx *Tx) lockIrrev(o *Obj) {
+	vis := tx.stm.opts.Mode.Reads == VisibleReads
 	for {
-		o.mu.Lock()
-		if o.writerTx == tx {
-			o.mu.Unlock()
+		w := o.owner.Load()
+		if w == tx.instance {
 			return
 		}
-		if o.writerInst != 0 {
-			o.mu.Unlock()
+		if w != 0 {
 			tx.stm.yield()
 			continue
 		}
-		for r := range o.readers {
-			if r == tx {
-				continue
+		if !vis {
+			if o.owner.CompareAndSwap(0, tx.instance) {
+				tx.locked = append(tx.locked, o)
+				return
 			}
-			r.killer.Store(tx.instance)
-			r.doomed.Store(true)
-			delete(o.readers, r)
+			continue
 		}
-		o.writerInst = tx.instance
-		o.writerTx = tx
-		tx.locked = append(tx.locked, o)
+		o.mu.Lock()
+		if o.owner.Load() == 0 {
+			o.doomReaders(tx)
+			tx.ownAndUnlock(o)
+			return
+		}
 		o.mu.Unlock()
-		return
 	}
 }
 
@@ -48,25 +50,14 @@ func (tx *Tx) lockIrrev(o *Obj) {
 // hooks are intentionally not consulted — an injected CommitAbort must
 // not be able to abort a guaranteed-to-commit transaction.
 func (tx *Tx) commitIrrev() {
+	track := tx.stm.opts.Mode.Reads == InvisibleReads
 	for _, w := range tx.writes {
-		w.o.mu.Lock()
-		w.o.val = w.val
-		w.o.version++
-		w.o.lastWriter = tx.instance
-		w.o.writerInst = 0
-		w.o.writerTx = nil
-		w.o.mu.Unlock()
+		w.o.publish(w.val, tx.instance, track)
 	}
 	// Release read-only locks without a version bump (values unchanged,
-	// so concurrent invisible-read validation is undisturbed).
-	for _, o := range tx.locked {
-		o.mu.Lock()
-		if o.writerTx == tx {
-			o.writerInst = 0
-			o.writerTx = nil
-		}
-		o.mu.Unlock()
-	}
-	tx.locked = tx.locked[:0]
+	// so concurrent invisible-read validation is undisturbed); the
+	// written objects are already released, and releaseLocks leaves an
+	// object another writer has since locked alone.
+	tx.releaseLocks()
 	tx.releaseVisibleReads()
 }

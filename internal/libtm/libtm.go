@@ -225,20 +225,32 @@ func (s *STM) yield() {
 // Obj is one transactional object holding an int64. Create with NewObj
 // and never copy it after first use (enforced by `go vet -copylocks`
 // and gstmlint's gstm003).
+//
+// Its metadata follows TL2's discipline (see DESIGN.md, "LibTM object
+// metadata"): the four words are atomic, a reader only loads them, and
+// a writer owns them from taking owner to the store that clears it. The
+// mutex and the reader registry exist for visible readers only;
+// invisible-read modes never touch them.
 type Obj struct {
-	_          noCopy
-	mu         sync.Mutex
-	version    uint64
-	writerInst uint64         // instance holding the write lock (0 = none)
-	writerTx   *Tx            // the locking transaction
-	lastWriter uint64         // instance of the last committed writer
-	readers    map[*Tx]uint64 // visible readers → their instance
-	val        int64
+	_     noCopy
+	owner atomic.Uint64 // instance holding the write lock (0 = free)
+	ver   atomic.Uint64 // committed writes to this object
+	last  atomic.Uint64 // instance of the latest committed writer
+	val   atomic.Int64
+
+	// mu guards readers: registration, the writer-side resolution of
+	// registered readers and their dooming. In VisibleReads mode every
+	// write-lock acquisition happens under mu too, so a registration
+	// and a lock never interleave.
+	mu      sync.Mutex
+	readers map[*Tx]uint64 // visible readers → their instance; nil until the first
 }
 
 // NewObj returns an Obj initialized to x.
 func NewObj(x int64) *Obj {
-	return &Obj{val: x, readers: make(map[*Tx]uint64)}
+	o := &Obj{}
+	o.val.Store(x)
+	return o
 }
 
 // NewFloatObj returns an Obj initialized to the bit pattern of f.
@@ -248,11 +260,7 @@ func NewFloatObj(f float64) *Obj {
 
 // Value loads the committed value non-transactionally (for setup and
 // post-run verification).
-func (o *Obj) Value() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.val
-}
+func (o *Obj) Value() int64 { return o.val.Load() }
 
 // FloatValue loads the committed value as a float64.
 func (o *Obj) FloatValue() float64 {
@@ -260,15 +268,42 @@ func (o *Obj) FloatValue() float64 {
 }
 
 // Store sets the value non-transactionally (setup only).
-func (o *Obj) Store(x int64) {
-	o.mu.Lock()
-	o.val = x
-	o.mu.Unlock()
-}
+func (o *Obj) Store(x int64) { o.val.Store(x) }
 
 // StoreFloat sets a float64 non-transactionally (setup only).
 func (o *Obj) StoreFloat(f float64) {
 	o.Store(int64(math.Float64bits(f)))
+}
+
+// publish installs a committed value under the held write lock and
+// releases it: value, then writer, then version, then owner. A reader
+// that sees the new version therefore finds this writer (or a later
+// one) in last, and a validator that sees owner clear sees the version
+// already moved. ver and last exist for invisible-read validation
+// alone, so track is false where nothing validates — visible-read
+// modes — and under the SkipVersionBump mutation, which is what leaves
+// the version where it was.
+func (o *Obj) publish(x int64, inst uint64, track bool) {
+	o.val.Store(x)
+	if track {
+		o.last.Store(inst)
+		o.ver.Add(1)
+	}
+	o.owner.Store(0)
+}
+
+// doomReaders aborts every registered visible reader other than tx,
+// naming tx's instance as the killer, and empties the registry. Caller
+// holds o.mu.
+func (o *Obj) doomReaders(tx *Tx) {
+	for r := range o.readers {
+		if r == tx {
+			continue
+		}
+		r.killer.Store(tx.instance)
+		r.doomed.Store(true)
+		delete(o.readers, r)
+	}
 }
 
 // ErrRetryLimit is returned when Options.MaxRetries is exceeded.
@@ -388,34 +423,68 @@ func (tx *Tx) Read(o *Obj) int64 {
 		tx.monRead(o, v)
 		return v
 	}
-	if tx.irrev {
+	var v int64
+	switch {
+	case tx.irrev:
 		// Escalated: reads take the write lock (two-phase locking), so
 		// no invisible read can be invalidated and no visible-reader
 		// registration can be doomed — the attempt cannot abort.
 		tx.lockIrrev(o)
-		o.mu.Lock()
-		v := o.val
-		o.mu.Unlock()
-		tx.monRead(o, v)
-		return v
+		v = o.val.Load()
+	case tx.stm.opts.Mode.Reads == VisibleReads:
+		v = tx.readVisible(o)
+	default:
+		v = tx.readInvisible(o)
 	}
-	o.mu.Lock()
-	if o.writerInst != 0 && o.writerTx != tx {
-		k := o.writerInst
-		o.mu.Unlock()
-		tx.abort(k)
-	}
-	v := o.val
-	if tx.stm.opts.Mode.Reads == VisibleReads {
-		if _, already := o.readers[tx]; !already {
-			o.readers[tx] = tx.instance
-			tx.visReads = append(tx.visReads, o)
-		}
-	} else {
-		tx.invReads = append(tx.invReads, readEntry{o, o.version})
-	}
-	o.mu.Unlock()
 	tx.monRead(o, v)
+	return v
+}
+
+// readInvisible takes a (version, value) snapshot of o with loads only
+// and records it for commit-time validation. The owner re-check after
+// the value load is what makes the pair consistent — a writer stores
+// the value before it moves the version, so only a free lock on both
+// sides of an unchanged version vouches for the value — and it aborts
+// at the read itself, naming the holder, when a writer locked o while
+// we read. A version that moved with the lock free again means a writer
+// published in between; read again.
+func (tx *Tx) readInvisible(o *Obj) int64 {
+	for {
+		if w := o.owner.Load(); w != 0 && w != tx.instance {
+			tx.abort(w)
+		}
+		ver := o.ver.Load()
+		v := o.val.Load()
+		if w := o.owner.Load(); w != 0 && w != tx.instance {
+			tx.abort(w)
+		}
+		if o.ver.Load() == ver {
+			tx.invReads = append(tx.invReads, readEntry{o, ver})
+			return v
+		}
+	}
+}
+
+// readVisible registers tx as a reader of o under o's mutex, so a
+// writer resolving readers (lockForWrite, lockIrrev) sees it. Every
+// write-lock acquisition in this mode holds the same mutex, so a free
+// owner here stays free until the value is loaded.
+func (tx *Tx) readVisible(o *Obj) int64 {
+	o.mu.Lock()
+	if w := o.owner.Load(); w != 0 && w != tx.instance {
+		o.mu.Unlock()
+		tx.abort(w)
+	}
+	if o.readers == nil {
+		o.readers = make(map[*Tx]uint64)
+	}
+	n := len(o.readers)
+	o.readers[tx] = tx.instance
+	if len(o.readers) > n {
+		tx.visReads = append(tx.visReads, o) // first registration
+	}
+	v := o.val.Load()
+	o.mu.Unlock()
 	return v
 }
 
@@ -472,45 +541,43 @@ func (tx *Tx) lockForWrite(o *Obj) {
 	if len(tx.locked) == 0 {
 		tx.stm.Irrev.Quiesce()
 	}
+	if tx.stm.opts.Mode.Reads == InvisibleReads {
+		// No reader registers in this mode: the lock is one CAS. A CAS
+		// lost to a writer that has already released again is no
+		// conflict, so it is retried.
+		for {
+			w := o.owner.Load()
+			if w == tx.instance {
+				return // already ours
+			}
+			if w != 0 {
+				tx.abort(w) // writer-writer: newcomer yields
+			}
+			if o.owner.CompareAndSwap(0, tx.instance) {
+				tx.locked = append(tx.locked, o)
+				return
+			}
+		}
+	}
 	for spin := 0; ; spin++ {
 		o.mu.Lock()
-		if o.writerTx == tx {
+		w := o.owner.Load()
+		if w == tx.instance {
 			o.mu.Unlock()
 			return // already ours
 		}
-		if o.writerInst != 0 {
-			k := o.writerInst
+		if w != 0 {
 			o.mu.Unlock()
-			tx.abort(k) // writer-writer: newcomer yields
+			tx.abort(w) // writer-writer: newcomer yields
 		}
-		// Resolve visible readers (other than ourselves).
-		others := 0
-		for r := range o.readers {
-			if r != tx {
-				others++
-			}
-		}
-		if others == 0 || tx.stm.opts.Mutate.SkipReaderWait {
-			o.writerInst = tx.instance
-			o.writerTx = tx
-			tx.locked = append(tx.locked, o)
-			o.mu.Unlock()
+		if !o.hasOtherReaders(tx) || tx.stm.opts.Mutate.SkipReaderWait {
+			tx.ownAndUnlock(o)
 			return
 		}
 		switch tx.stm.opts.Mode.Resolution {
 		case AbortReaders:
-			for r := range o.readers {
-				if r == tx {
-					continue
-				}
-				r.killer.Store(tx.instance)
-				r.doomed.Store(true)
-				delete(o.readers, r)
-			}
-			o.writerInst = tx.instance
-			o.writerTx = tx
-			tx.locked = append(tx.locked, o)
-			o.mu.Unlock()
+			o.doomReaders(tx)
+			tx.ownAndUnlock(o)
 			return
 		case WaitForReaders:
 			o.mu.Unlock()
@@ -524,6 +591,25 @@ func (tx *Tx) lockForWrite(o *Obj) {
 			tx.stm.yield()
 		}
 	}
+}
+
+// hasOtherReaders reports whether a visible reader other than tx is
+// registered on o. Caller holds o.mu.
+func (o *Obj) hasOtherReaders(tx *Tx) bool {
+	n := len(o.readers)
+	if _, mine := o.readers[tx]; mine {
+		n--
+	}
+	return n > 0
+}
+
+// ownAndUnlock makes tx o's owner and releases o.mu, which the caller
+// holds with o's owner free. Under the mutex nobody else can be taking
+// the lock, so a plain store does.
+func (tx *Tx) ownAndUnlock(o *Obj) {
+	o.owner.Store(tx.instance)
+	tx.locked = append(tx.locked, o)
+	o.mu.Unlock()
 }
 
 // Commit finishes the attempt: acquire commit-time locks, validate
@@ -552,28 +638,20 @@ func (policy) Commit(tx *Tx) {
 		}
 	}
 	tx.checkDoomed()
-	// Validate invisible reads: version unchanged and no foreign writer.
-	// The mutation knockout (oracle sensitivity harness) skips this loop
-	// wholesale, committing on top of whatever snapshot the reads saw.
+	// Validate invisible reads: no foreign writer and the version
+	// unchanged, two loads per entry. A moved version (possibly on an
+	// object we hold ourselves) names the writer that published it, never
+	// ourselves. The mutation knockout (oracle sensitivity harness) skips
+	// this loop wholesale, committing on top of whatever snapshot the
+	// reads saw.
 	if !tx.stm.opts.Mutate.SkipReadValidation &&
 		!(tx.roCert && tx.stm.opts.Mutate.SkipROValidation) {
 		for _, r := range tx.invReads {
-			r.o.mu.Lock()
-			bad := r.o.version != r.ver || (r.o.writerInst != 0 && r.o.writerTx != tx)
-			var k uint64
-			if bad {
-				if r.o.writerInst != 0 && r.o.writerTx != tx {
-					k = r.o.writerInst // a foreign writer holds the lock
-				} else {
-					// The version moved (possibly while we hold our own
-					// commit-time lock): the culprit is the committer that
-					// bumped it, never ourselves.
-					k = r.o.lastWriter
-				}
+			if w := r.o.owner.Load(); w != 0 && w != tx.instance {
+				tx.abort(w) // a foreign writer holds the lock
 			}
-			r.o.mu.Unlock()
-			if bad {
-				tx.abort(k)
+			if r.o.ver.Load() != r.ver {
+				tx.abort(r.o.last.Load())
 			}
 		}
 	}
@@ -583,19 +661,12 @@ func (policy) Commit(tx *Tx) {
 	if inj := tx.stm.opts.Inject; inj != nil {
 		inj.Sleep(fault.LockReleaseDelay)
 	}
-	// Publish writes and release write locks. The SkipVersionBump
+	// Publish writes, releasing their locks. The SkipVersionBump
 	// mutation (oracle sensitivity harness) publishes the value without
 	// moving the version, blinding concurrent invisible-read validation.
+	track := tx.stm.opts.Mode.Reads == InvisibleReads && !tx.stm.opts.Mutate.SkipVersionBump
 	for _, w := range tx.writes {
-		w.o.mu.Lock()
-		w.o.val = w.val
-		if !tx.stm.opts.Mutate.SkipVersionBump {
-			w.o.version++
-		}
-		w.o.lastWriter = tx.instance
-		w.o.writerInst = 0
-		w.o.writerTx = nil
-		w.o.mu.Unlock()
+		w.o.publish(w.val, tx.instance, track)
 	}
 	tx.locked = tx.locked[:0]
 	tx.releaseVisibleReads()
@@ -606,16 +677,16 @@ func (policy) Commit(tx *Tx) {
 // policy's Release: the driver runs it after a conflict abort, a user
 // error, a trapped read-only violation and a panic out of the body.
 func (tx *Tx) cleanupAfterAbort() {
+	tx.releaseLocks()
+	tx.releaseVisibleReads()
+}
+
+// releaseLocks drops the write locks tx still owns without publishing.
+func (tx *Tx) releaseLocks() {
 	for _, o := range tx.locked {
-		o.mu.Lock()
-		if o.writerTx == tx {
-			o.writerInst = 0
-			o.writerTx = nil
-		}
-		o.mu.Unlock()
+		o.owner.CompareAndSwap(tx.instance, 0)
 	}
 	tx.locked = tx.locked[:0]
-	tx.releaseVisibleReads()
 }
 
 func (tx *Tx) releaseVisibleReads() {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gstm/internal/effect"
 	"gstm/internal/trace"
 	"gstm/internal/tts"
 )
@@ -88,6 +89,24 @@ func TestUserErrorRollsBackAllModes(t *testing.T) {
 				t.Error("post-rollback write lost")
 			}
 		})
+	}
+}
+
+// objSink keeps TestNewObjAllocatesOnce's objects alive.
+var objSink *Obj
+
+// TestNewObjAllocatesOnce pins NewObj at one allocation: the object
+// itself. The visible-reader registry is allocated on the first
+// registration, so invisible-read workloads never build one.
+func TestNewObjAllocatesOnce(t *testing.T) {
+	if effect.RaceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	if avg := testing.AllocsPerRun(200, func() { objSink = NewObj(1) }); avg != 1 {
+		t.Errorf("NewObj allocates %.1f/op, want 1", avg)
+	}
+	if objSink.readers != nil {
+		t.Error("NewObj built a reader registry")
 	}
 }
 
@@ -265,10 +284,7 @@ func TestRetryLimit(t *testing.T) {
 	s := New(Options{Mode: FullyOptimistic, MaxRetries: 2})
 	o := NewObj(0)
 	// White box: park a foreign write lock on the object.
-	o.mu.Lock()
-	o.writerInst = 99
-	o.writerTx = &Tx{}
-	o.mu.Unlock()
+	o.owner.Store(99)
 	err := s.Atomic(0, 0, func(tx *Tx) error {
 		_ = tx.Read(o)
 		return nil

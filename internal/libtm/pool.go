@@ -14,15 +14,18 @@ import (
 // alloc-free tests in bench_scale_test.go.
 //
 // Pooling is safe for writing transactions too, not just certified
-// read-only ones, because every externally visible registration of the
-// descriptor pointer dies before the Atomic call returns: commit and
-// commitIrrev delete visible-reader entries and release write locks on
-// the way out, the driver's release rule (package txn) runs
-// cleanupAfterAbort on every other exit, and a writer can only doom a
-// descriptor while it is still registered in o.readers — so no stale
-// doom can reach a recycled Tx. A panic out of the body is released
-// like any other exit but never recycled: the body may have leaked the
-// pointer.
+// read-only ones, because no object keeps the descriptor past the
+// Atomic call. A write lock names its holder by instance number (Obj's
+// owner word), never by pointer, and commit, commitIrrev and
+// cleanupAfterAbort clear it on every exit (the driver's release rule,
+// package txn, runs cleanupAfterAbort on every exit that does not
+// commit). The one place an object holds the pointer is a visible-reader
+// registration in o.readers, and that is also the only path to a doom: a
+// writer dooms exactly the descriptors it finds registered, under o.mu,
+// and every registration is deleted under the same mutex before the call
+// returns — so no stale doom can reach a recycled Tx. A panic out of the
+// body is released like any other exit but never recycled: the body may
+// have leaked the pointer.
 var txPool = sync.Pool{New: func() any { return new(Tx) }}
 
 // putTx scrubs a descriptor and returns it to the pool. Slices are

@@ -16,7 +16,8 @@
 # collapse-curve acceptance test), a gate stress under the race
 # detector (the lock-free commit advance and CAS-published abort
 # extension against a supervisor swapping models, then the class-gated
-# commit path against an exact-state reference), a fuzz smoke over
+# commit path against an exact-state reference, then LibTM's lock-free
+# object metadata in every mode corner), a fuzz smoke over
 # the binary decoders and the tts key codecs, and gstmlint (the STM-aware
 # transaction-safety linter, checks gstm000..gstm010, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
@@ -97,6 +98,10 @@ go test -race -count=5 -run TestGateStress ./internal/guide
 # Class-gated commits against the exact-state rule, random TSAs and event
 # sequences, with the two seeded mutations it must catch.
 go test -race -count=5 -run 'TestClassGating' ./internal/guide
+# LibTM's lock-free object metadata (CAS write locks, load-only invisible
+# reads and validation) in every mode corner: killer attribution per
+# conflict kind, isolation, exact counters.
+go test -race -count=5 -run 'TestKillerAttributionParity|TestInvariantPreservedAllModes|TestConcurrentCountersExactAllModes' ./internal/libtm
 
 echo "== fuzz smoke (binary decoders + tts key codecs) =="
 FUZZTIME="${GSTM_FUZZTIME:-10s}"
