@@ -18,13 +18,6 @@
 // report non-determinism data for guided / default runs. The -freq flag
 // is the paper's Tfactor (usually 4).
 //
-// Cold start: -op coldstart measures guidance served from a static
-// prior (gstmlint -prior) with no trained model — the controller
-// streams a live model and blends over as commits accumulate
-// (-blend-evidence tunes the hand-over) — and reports it against
-// default execution, plus against profiled guidance when -model names
-// an existing trained model.
-//
 // Online guidance: -op online runs the drifting-workload simulator
 // three ways — passthrough, a frozen offline-profiled model, and the
 // continuously-learning online controller — and reports post-shift
@@ -96,10 +89,8 @@ func main() {
 		bench        = flag.String("bench", "kmeans", "benchmark: "+fmt.Sprint(harness.WorkloadNames))
 		threads      = flag.Int("threads", 8, "worker thread count")
 		runs         = flag.Int("runs", 20, "number of runs")
-		op           = flag.String("op", "default", "operation: mcmc_data|analyze|model|default|ND_mcmc|ND_only|coldstart|online|overload|inspect|dot|trace")
+		op           = flag.String("op", "default", "operation: mcmc_data|analyze|model|default|ND_mcmc|ND_only|online|overload|inspect|dot|trace")
 		modelPath    = flag.String("model", "state_data", "model file path")
-		staticPrior  = flag.String("static-prior", "", "cold-start model synthesized by gstmlint -prior (required by -op coldstart)")
-		blendEv      = flag.Int("blend-evidence", 0, "commits to decay the static prior's weight to zero (0 = default, <0 = prior-only)")
 		freq         = flag.Float64("freq", 4, "Tfactor: guidance threshold divisor")
 		k            = flag.Int("k", 0, "guide progress-escape retries (0 = default)")
 		sizeFlag     = flag.String("size", "", "input size override (small|medium|large)")
@@ -252,56 +243,6 @@ func main() {
 		harness.RenderStarvation(os.Stdout, gs)
 		if inj != nil {
 			fmt.Printf("faults: %s\n", inj.Counts())
-		}
-
-	case "coldstart":
-		if *staticPrior == "" {
-			fatalf(exitUsage, "-op coldstart requires -static-prior (generate with gstmlint -prior)")
-		}
-		prior := loadModel(*staticPrior)
-		if prior.Threads != *threads {
-			fmt.Fprintf(os.Stderr, "warning: prior materialized for %d threads, running %d (regenerate with gstmlint -prior-threads %d)\n",
-				prior.Threads, *threads, *threads)
-		}
-		def, err := e.Measure(nil)
-		if err != nil {
-			fatalf(measureExitCode(err), "default run: %v", err)
-		}
-		printSummary("default", *bench, def, false)
-
-		g := gopts
-		g.Tfactor, g.K, g.Inject = *freq, *k, inj
-		g.Prior, g.BlendEvidence = prior, *blendEv
-		ctrl := guide.New(nil, g)
-		cold, err := e.Measure(ctrl)
-		if err != nil {
-			fatalf(measureExitCode(err), "cold-start run: %v", err)
-		}
-		printSummary("coldstart", *bench, cold, false)
-		gs := cold.Guide
-		fmt.Printf("blend: prior weight %.2f after %d commits of evidence\n%s\n",
-			gs.PriorWeight, gs.Evidence, gs.Summary())
-		printComparison("cold-start vs default", harness.Compare(def, cold))
-
-		// The side-by-side the prior exists to approximate: profiled
-		// guidance, when a trained model is on disk.
-		if f, err := os.Open(*modelPath); err == nil {
-			m, err := model.Decode(f)
-			f.Close()
-			if err != nil {
-				fatalf(exitIO, "decoding model %s: %v", *modelPath, err)
-			}
-			pg := gopts
-			pg.Tfactor, pg.K, pg.Inject = *freq, *k, inj
-			pctrl := guide.New(m.Prune(*freq), pg)
-			prof, err := e.Measure(pctrl)
-			if err != nil {
-				fatalf(measureExitCode(err), "guided run: %v", err)
-			}
-			printSummary("guided", *bench, prof, false)
-			printComparison("profiled vs default", harness.Compare(def, prof))
-		} else {
-			fmt.Printf("no trained model at %s: skipping the profiled side (run -op mcmc_data to compare)\n", *modelPath)
 		}
 
 	case "online":
@@ -496,14 +437,6 @@ func printSummary(mode, bench string, res harness.ModeResult, nd bool) {
 			fmt.Println()
 		}
 	}
-}
-
-// printComparison is the one-line guided-vs-default verdict the
-// coldstart op prints per mode pair (positive percentages = improved).
-func printComparison(label string, c harness.Comparison) {
-	fmt.Printf("%s: variance %+.1f%%, abort tail %+.1f%%, non-determinism %+.1f%%, aborts %+.1f%%, slowdown %.2fx\n",
-		label, c.AvgVarianceImprovement(), c.AvgTailImprovement(),
-		c.NonDetReduction, c.AbortReduction, c.Slowdown)
 }
 
 func fatalf(code int, format string, args ...any) {

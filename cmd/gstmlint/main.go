@@ -8,7 +8,6 @@
 //	gstmlint [-checks gstm001,gstm003] [-skip gstm010] [-list] [-json] [-v] [packages...]
 //	gstmlint -fix [-diff] [packages...]
 //	gstmlint -footprint [-json] [packages...]
-//	gstmlint -prior out.tsa [-prior-threads N] [packages...]
 //	gstmlint -manifest out.gsm [packages...]
 //
 // Packages are directories or "dir/..." wildcards (default "./...").
@@ -39,18 +38,14 @@
 // named packages are loaded too, so footprints of an entry point
 // include the workload packages it calls into.
 //
-// -prior lowers that same conflict graph into a synthetic cold-start
-// TSA (see internal/lint.SynthesizePrior) and writes it to the named
-// file in the model container format, loadable by `gstm -static-prior`.
-// -footprint and -prior share a single load+footprint pass; add -lint
-// to run the checks over the same loaded packages too.
-//
 // -manifest runs the interprocedural effect inference (readonly /
 // write-bounded / unknown per Atomic site, see internal/lint.InferEffects)
 // and writes the sealed site manifest to the named file. The manifest
 // is what gstm.Options.Manifest loads to unlock the certified
 // read-only fast paths; `gstm -manifest` and the check.sh freshness
-// gate consume the same file.
+// gate consume the same file. -footprint and -manifest share a single
+// load pass; add -lint to run the checks over the same loaded packages
+// too.
 package main
 
 import (
@@ -77,10 +72,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list registered checks and exit")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic (or the footprint graph as JSON with -footprint)")
 	footprint := fs.Bool("footprint", false, "print static transaction footprints and the conflict graph instead of linting")
-	priorOut := fs.String("prior", "", "synthesize a cold-start TSA from the static conflict graph and write it to this file")
-	priorThreads := fs.Int("prior-threads", lint.DefaultPriorThreads, "thread count the -prior model is materialized for")
 	manifestOut := fs.String("manifest", "", "infer per-site effect classes and write the sealed site manifest to this file")
-	lintToo := fs.Bool("lint", false, "also run the lint checks when -footprint or -prior is given")
+	lintToo := fs.Bool("lint", false, "also run the lint checks when -footprint or -manifest is given")
 	fix := fs.Bool("fix", false, "apply machine-applicable suggested fixes (rewrites files gofmt-clean)")
 	diff := fs.Bool("diff", false, "with -fix: print the rewrites as diffs instead of writing files")
 	verbose := fs.Bool("v", false, "also print type-check warnings for packages that do not fully type-check")
@@ -162,12 +155,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 		return 2
 	}
-	// Footprints (and the prior synthesized from them) follow calls
-	// into workload packages, so those modes pull in module-local
-	// dependencies of the named entry points. Everything downstream —
-	// footprint report, prior synthesis, and -lint — shares this one
-	// load pass; lint.Run skips the dependency-only packages itself.
-	needGraph := *footprint || *priorOut != "" || *manifestOut != ""
+	// Footprints and effects follow calls into workload packages, so
+	// those modes pull in module-local dependencies of the named entry
+	// points. Everything downstream — footprint report, manifest, and
+	// -lint — shares this one load pass; lint.Run skips the
+	// dependency-only packages itself.
+	needGraph := *footprint || *manifestOut != ""
 	load := loader.Load
 	if needGraph {
 		load = loader.LoadWithDeps
@@ -187,8 +180,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 
 	if needGraph {
-		g := lint.Footprint(pkgs, loader.ModuleRoot)
 		if *footprint {
+			g := lint.Footprint(pkgs, loader.ModuleRoot)
 			if *jsonOut {
 				if err := g.RenderJSON(stdout); err != nil {
 					fmt.Fprintf(stderr, "gstmlint: %v\n", err)
@@ -197,29 +190,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			} else {
 				g.RenderText(stdout)
 			}
-		}
-		if *priorOut != "" {
-			prior, err := lint.SynthesizePrior(g, lint.PriorOptions{Threads: *priorThreads})
-			if err != nil {
-				fmt.Fprintf(stderr, "gstmlint: %v\n", err)
-				return 2
-			}
-			f, err := os.Create(*priorOut)
-			if err != nil {
-				fmt.Fprintf(stderr, "gstmlint: %v\n", err)
-				return 2
-			}
-			if err := prior.Encode(f); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(stderr, "gstmlint: writing prior: %v\n", err)
-				return 2
-			}
-			fmt.Fprintf(stdout, "gstmlint: prior: %d states, %d edges (%d threads) -> %s\n",
-				prior.NumStates(), prior.NumEdges(), prior.Threads, *priorOut)
 		}
 		if *manifestOut != "" {
 			m := lint.BuildManifest(lint.InferEffects(pkgs, loader.ModuleRoot))

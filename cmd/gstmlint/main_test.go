@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gstm/internal/effect"
-	"gstm/internal/model"
 )
 
 // runCapture invokes run() with stdout/stderr redirected to temp files
@@ -196,6 +195,19 @@ func TestFootprintFlag(t *testing.T) {
 	if len(g.Sites) != 1 || len(g.Edges) != 1 {
 		t.Errorf("got %d sites / %d edges, want 1 / 1", len(g.Sites), len(g.Edges))
 	}
+
+	// -lint shares the footprint's load pass: the fixture's findings
+	// still surface (exit 1) after the report.
+	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "deadread")
+	code, stdout, _ = runCapture(t, "-footprint", "-lint", "-checks", "gstm007", fixture)
+	if code != 1 {
+		t.Fatalf("-lint exit code = %d, want 1 (fixture has findings)", code)
+	}
+	for _, want := range []string{"static transaction footprints", "gstm007"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("combined run lacks %q:\n%s", want, stdout)
+		}
+	}
 }
 
 // TestFixDiffDryRun pins the CI dry-run gate: -fix -diff prints the
@@ -229,49 +241,5 @@ func TestDiffRequiresFix(t *testing.T) {
 	code, _, stderr := runCapture(t, "-diff", "./...")
 	if code != 2 || !strings.Contains(stderr, "-diff requires -fix") {
 		t.Errorf("code = %d, stderr = %q; want usage error 2", code, stderr)
-	}
-}
-
-// TestPriorFlag generates a cold-start model from the examples and
-// checks the written container decodes with the right thread count.
-func TestPriorFlag(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "prior.tsa")
-	example := filepath.Join("..", "..", "examples", "quickstart")
-	code, stdout, stderr := runCapture(t, "-prior", out, "-prior-threads", "4", example)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "prior:") {
-		t.Errorf("no synthesis summary in output:\n%s", stdout)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatalf("prior file missing: %v", err)
-	}
-	defer f.Close()
-	m, err := model.Decode(f)
-	if err != nil {
-		t.Fatalf("written prior does not decode: %v", err)
-	}
-	if m.Threads != 4 || m.NumStates() == 0 {
-		t.Errorf("decoded prior: %d threads, %d states; want 4 threads and some states", m.Threads, m.NumStates())
-	}
-}
-
-// TestPriorWithLint shares one load pass between prior synthesis and
-// the checks: the fixture's findings still surface (exit 1) and the
-// prior is still written.
-func TestPriorWithLint(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "prior.tsa")
-	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "deadread")
-	code, stdout, _ := runCapture(t, "-prior", out, "-lint", "-checks", "gstm007", fixture)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (fixture has findings)", code)
-	}
-	if !strings.Contains(stdout, "gstm007") {
-		t.Errorf("lint findings missing from combined run:\n%s", stdout)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Errorf("prior not written in combined run: %v", err)
 	}
 }

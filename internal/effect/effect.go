@@ -5,7 +5,7 @@
 // the runtime side cashes a `readonly` verdict in as a cheaper commit
 // path (no write set, no commit locks, no guide hold). Because the
 // proof is static and the payoff is a skipped safety mechanism, the
-// manifest format is deliberately paranoid: a GSTMEFF1 container with
+// manifest format is deliberately paranoid: a GSTMEFF2 container with
 // a CRC32-C trailer (internal/binio Seal/Unseal), length-prefixed
 // fields, and decode errors that carry byte offsets — the same
 // discipline as the model/trace containers.
@@ -77,10 +77,6 @@ type Site struct {
 	// Writes is the certified may-write set for write-bounded sites
 	// (storage labels from the footprint pass).
 	Writes []string
-	// CostReads/CostWrites carry the loop-weighted access estimates
-	// from the cost pass, so manifest consumers can rank sites without
-	// re-running the analysis.
-	CostReads, CostWrites float64
 }
 
 // Manifest is the full certified-site set for one module, in source
@@ -135,8 +131,13 @@ func (m *Manifest) CertifiedReadOnly() map[uint16]string {
 	return certified
 }
 
-// magicEFF1 tags the sealed manifest container.
-var magicEFF1 = [8]byte{'G', 'S', 'T', 'M', 'E', 'F', 'F', '1'}
+// magicEFF2 tags the sealed manifest container. GSTMEFF1, the previous
+// version, also carried two per-site cost estimates; Decode rejects it
+// rather than misread its sites.
+var (
+	magicEFF2 = [8]byte{'G', 'S', 'T', 'M', 'E', 'F', 'F', '2'}
+	magicEFF1 = [8]byte{'G', 'S', 'T', 'M', 'E', 'F', 'F', '1'}
+)
 
 const (
 	flagIrrevocable = 1 << 0
@@ -145,12 +146,12 @@ const (
 	maxSites = 1 << 20
 )
 
-// Encode writes the sealed GSTMEFF1 container. The encoding is a pure
+// Encode writes the sealed GSTMEFF2 container. The encoding is a pure
 // function of the manifest contents, so regenerating an unchanged
 // module yields byte-identical output (the check.sh freshness gate
 // relies on this).
 func (m *Manifest) Encode(w io.Writer) error {
-	buf := append([]byte(nil), magicEFF1[:]...)
+	buf := append([]byte(nil), magicEFF2[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Sites)))
 	str := func(s string) error {
 		if len(s) > math.MaxUint16 {
@@ -185,14 +186,12 @@ func (m *Manifest) Encode(w io.Writer) error {
 				return err
 			}
 		}
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.CostReads))
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(s.CostWrites))
 	}
 	_, err := w.Write(binio.Seal(buf))
 	return err
 }
 
-// Decode reads a sealed GSTMEFF1 container, verifying the CRC before
+// Decode reads a sealed GSTMEFF2 container, verifying the CRC before
 // trusting any field. Every failure names the operation and its byte
 // offset.
 func Decode(r io.Reader) (*Manifest, error) {
@@ -208,12 +207,15 @@ func Decode(r io.Reader) (*Manifest, error) {
 	fail := func(what string, err error) error {
 		return fmt.Errorf("effect: decoding %s at offset %d: %w", what, rd.Offset(), err)
 	}
-	magic, err := rd.Bytes(len(magicEFF1))
+	magic, err := rd.Bytes(len(magicEFF2))
 	if err != nil {
 		return nil, fail("magic", err)
 	}
-	if string(magic) != string(magicEFF1[:]) {
-		return nil, fmt.Errorf("effect: bad magic %q (not a GSTMEFF1 manifest)", magic)
+	if string(magic) == string(magicEFF1[:]) {
+		return nil, fmt.Errorf("effect: manifest is format version GSTMEFF1, this build reads GSTMEFF2; regenerate it with gstmlint -manifest")
+	}
+	if string(magic) != string(magicEFF2[:]) {
+		return nil, fmt.Errorf("effect: bad magic %q (not a GSTMEFF2 manifest)", magic)
 	}
 	count, err := rd.U32()
 	if err != nil {
@@ -222,7 +224,7 @@ func Decode(r io.Reader) (*Manifest, error) {
 	if count > maxSites {
 		return nil, fmt.Errorf("effect: site count %d exceeds cap %d", count, maxSites)
 	}
-	if err := rd.CheckCount(count, 22, "manifest sites"); err != nil {
+	if err := rd.CheckCount(count, 16, "manifest sites"); err != nil {
 		return nil, fail("site count", err)
 	}
 	str := func(what string) (string, error) {
@@ -235,13 +237,6 @@ func Decode(r io.Reader) (*Manifest, error) {
 			return "", fail(what, err)
 		}
 		return string(b), nil
-	}
-	u64 := func(what string) (uint64, error) {
-		b, err := rd.Bytes(8)
-		if err != nil {
-			return 0, fail(what, err)
-		}
-		return binary.BigEndian.Uint64(b), nil
 	}
 	m := &Manifest{Sites: make([]Site, 0, count)}
 	for i := uint32(0); i < count; i++ {
@@ -283,15 +278,6 @@ func Decode(r io.Reader) (*Manifest, error) {
 			}
 			s.Writes = append(s.Writes, label)
 		}
-		cr, err := u64("read cost")
-		if err != nil {
-			return nil, err
-		}
-		cw, err := u64("write cost")
-		if err != nil {
-			return nil, err
-		}
-		s.CostReads, s.CostWrites = math.Float64frombits(cr), math.Float64frombits(cw)
 		m.Sites = append(m.Sites, s)
 	}
 	if rd.Remaining() != 0 {

@@ -5,18 +5,18 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gstm/internal/binio"
 )
 
 func sample() *Manifest {
 	return &Manifest{Sites: []Site{
 		{Key: "gstm/examples.scan@bank.go:10", Tx: "tx 100", TxID: 100,
-			Class: ReadOnly, CostReads: 12, CostWrites: 0},
+			Class: ReadOnly},
 		{Key: "gstm/examples.transfer@bank.go:30", Tx: "tx 101", TxID: 101,
-			Class: WriteBounded, Writes: []string{"Var accounts[a]", "Var accounts[b]"},
-			CostReads: 2, CostWrites: 2},
+			Class: WriteBounded, Writes: []string{"Var accounts[a]", "Var accounts[b]"}},
 		{Key: "gstm/examples.audit@bank.go:55", Tx: "tx audit", TxID: -1,
-			Class: Unknown, Reason: "dynamic call through stored func value",
-			CostReads: 64, CostWrites: 1},
+			Class: Unknown, Reason: "dynamic call through stored func value"},
 		{Key: "gstm/examples.reset@bank.go:70", Tx: "tx 102", TxID: 102,
 			Irrevocable: true, Class: WriteBounded, Writes: []string{"Var accounts[0]"}},
 	}}
@@ -39,8 +39,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		g := got.Sites[i]
 		if g.Key != want.Key || g.Tx != want.Tx || g.TxID != want.TxID ||
 			g.Irrevocable != want.Irrevocable || g.Class != want.Class ||
-			g.Reason != want.Reason || g.CostReads != want.CostReads ||
-			g.CostWrites != want.CostWrites || len(g.Writes) != len(want.Writes) {
+			g.Reason != want.Reason || len(g.Writes) != len(want.Writes) {
 			t.Errorf("site %d mismatch: got %+v, want %+v", i, g, want)
 		}
 		for j := range want.Writes {
@@ -104,6 +103,30 @@ func TestDecodeBadMagic(t *testing.T) {
 	_, err := Decode(strings.NewReader("not a manifest at all"))
 	if err == nil {
 		t.Fatal("garbage input decoded cleanly")
+	}
+}
+
+// TestDecodeRejectsVersion1: a well-sealed GSTMEFF1 container (whose
+// sites also carried two cost estimates) is refused by version, with the
+// command that regenerates it, and never read as GSTMEFF2.
+func TestDecodeRejectsVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sample().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := binio.Unseal(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("GSTMEFF1"), payload[len("GSTMEFF2"):]...)
+	_, err = Decode(bytes.NewReader(binio.Seal(old)))
+	if err == nil {
+		t.Fatal("a GSTMEFF1 container decoded cleanly")
+	}
+	for _, want := range []string{"GSTMEFF1", "regenerate"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }
 

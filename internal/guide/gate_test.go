@@ -39,7 +39,7 @@ func TestGateStress(t *testing.T) {
 	supervisor.Add(1)
 	go func() {
 		defer supervisor.Done()
-		models := []*model.TSA{twoStateModel(), skewedModel(blendC2, blendB1)}
+		models := []*model.TSA{twoStateModel(), skewedModel(pairC2, pairB1)}
 		for i := 0; !stop.Load(); i++ {
 			c.SwapModel(models[i%2])
 			c.Quarantine()
@@ -85,9 +85,6 @@ func TestGateStress(t *testing.T) {
 	}
 	if st.ReadOnlyAdmits != perG {
 		t.Errorf("ReadOnlyAdmits = %d, want %d", st.ReadOnlyAdmits, perG)
-	}
-	if st.Evidence != 0 {
-		t.Errorf("Evidence = %d without a prior, want 0 (blend decay is its one reader)", st.Evidence)
 	}
 	if st.ModelSwaps == 0 {
 		t.Error("the supervisor never swapped a model in")

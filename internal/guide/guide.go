@@ -17,7 +17,6 @@ package guide
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -41,23 +40,6 @@ const DefaultK = 8
 // maxHoldFactor bounds total re-checks at maxHoldFactor×k, so a storm
 // of state changes cannot hold a transaction indefinitely.
 const maxHoldFactor = 64
-
-// DefaultBlendEvidence is the number of observed commits over which a
-// static prior's weight decays linearly from 1 (cold start: only the
-// prior exists) to 0 (the profiled/streamed model has earned full
-// trust). Sized so one harness run at Table-III scale completes the
-// hand-over.
-const DefaultBlendEvidence = 4096
-
-// blendBuckets quantizes the prior weight so the blended admission
-// sets are recomputed at most blendBuckets times over the decay, not
-// on every commit.
-const blendBuckets = 32
-
-// maxStreamStates caps how many states the streamed live model may
-// accrete when the controller starts from a prior alone; past this the
-// model keeps re-weighting existing states but learns no new ones.
-const maxStreamStates = 1 << 16
 
 // Options configures a Controller.
 type Options struct {
@@ -83,19 +65,6 @@ type Options struct {
 	// RearmWindows is how many consecutive healthy windows step the
 	// ladder back up one level. ≤ 0 means DefaultRearmWindows.
 	RearmWindows int
-	// Prior, when non-nil, is a statically synthesized cold-start model
-	// (lint.SynthesizePrior) blended with the profiled model: admission
-	// sets are computed from w·P_prior + (1−w)·P_model, where w decays
-	// linearly from 1 to 0 over BlendEvidence observed commits. With a
-	// Prior set, New accepts a nil profiled model — the controller then
-	// streams a live model from the commits it traces and hands over to
-	// it as evidence accumulates.
-	Prior *model.TSA
-	// BlendEvidence is the commit count over which the prior's weight
-	// decays to zero. 0 means DefaultBlendEvidence; negative pins the
-	// weight at 1 (prior-only, for measuring the cold-start gate in
-	// isolation). Ignored when Prior is nil.
-	BlendEvidence int
 	// Manifest, when non-nil, is the sealed static-effect manifest
 	// (internal/effect). Pairs whose transaction ID is certified
 	// readonly are admitted immediately and never held: a read-only
@@ -165,22 +134,14 @@ type Stats struct {
 	MaxHoldRechecks uint64
 	// ThreadEscapes[t] counts thread t's progress escapes and
 	// ThreadHoldTime[t] its cumulative time spent held — the
-	// starvation evidence per thread. Both are as long as the larger of
-	// the model's and the prior's thread count; a thread ID at or past
-	// that aliases onto slot ID mod length (as does every per-thread sum
-	// behind the totals above, harmlessly).
+	// starvation evidence per thread. Both are as long as the model's
+	// thread count; a thread ID at or past that aliases onto slot ID mod
+	// length (as does every per-thread sum behind the totals above,
+	// harmlessly).
 	ThreadEscapes []uint64
 	// ThreadHoldTime is indexed like ThreadEscapes.
 	ThreadHoldTime []time.Duration
 
-	// PriorWeight is the static prior's current (quantized) blend
-	// weight: 1 on a cold start, 0 once the profiled model has full
-	// trust. Zero when no prior is configured.
-	PriorWeight float64
-	// Evidence is the number of non-readonly commits traced under a prior
-	// (0 without one: blend decay is its one reader). Counted exactly once
-	// per commit — model swaps never add to it — so the decay is monotone.
-	Evidence uint64
 	// ModelSwaps is the number of SwapModel installations.
 	ModelSwaps uint64
 	// Quarantined reports whether the ladder is latched at passthrough
@@ -217,9 +178,6 @@ type verdicts struct {
 // published; a miss republishes a grown copy under Controller.mu.
 type commitCache struct {
 	snaps map[uint32]*snapshot
-	// bucket is the blend-weight bucket the entries were built under
-	// (always 0 without a prior); a step invalidates them all.
-	bucket int
 }
 
 // modelTables is everything the controller derives from its active
@@ -230,17 +188,14 @@ type commitCache struct {
 // mutex to the commit path.
 type modelTables struct {
 	// verdicts are the compiled per-state verdict tables, interned by
-	// content (no-prior mode; nil in blend mode, where tables are computed
-	// per state from base and cached under blendMu).
+	// content.
 	verdicts map[string]*verdicts
 	// idle: a model was compiled and no verdict is vHold: whatever the
 	// state, everyone is admitted, and nobody reads or writes cur or mu.
 	idle bool
-	// base is the profiled, streamed, or swapped-in live model the
-	// blend path mixes with the prior.
+	// base is the model the tables were compiled from: the one New
+	// received or the latest SwapModel installation.
 	base *model.TSA
-	// gen is the swap generation, used to invalidate the blend cache.
-	gen uint64
 	// commits caches the snapshots built from these tables (never nil);
 	// hanging it here is what lets SwapModel drop it by replacing the
 	// tables.
@@ -260,13 +215,7 @@ type Controller struct {
 	k      int
 	inject *fault.Injector
 	yield  func()
-	// Static-prior blending (nil prior disables all of it; the
-	// precomputed tables maps are then the only lookup path).
-	prior         *model.TSA
-	priorHolds    holdSet // every pair the prior names, held: a blended set's starting point
-	tf, rf        float64
-	blendEvidence int
-	stream        atomic.Bool // base started empty: learn it from traced commits
+	tf, rf float64
 	// level is the degradation-ladder position (see health.go); the
 	// health monitor moves it, Admit polls it. quarantined latches the
 	// ladder at passthrough until an external supervisor (the online
@@ -288,15 +237,9 @@ type Controller struct {
 	cur atomic.Pointer[snapshot]
 	_   [64 - 8]byte
 
-	// Slow path: commit-cache misses, blended and streamed commits,
-	// abort extension and model swaps serialize on mu.
-	mu          sync.Mutex
-	havePrev    bool       // under mu: a finalized state exists to stream from
-	prevFinal   tts.State  // under mu: last finalized (superseded) state
-	blendMu     sync.Mutex // guards blendCache/blendBucket/blendGen; nested inside mu
-	blendCache  map[string]*verdicts
-	blendBucket int
-	blendGen    uint64
+	// Slow path: commit-cache misses, abort extension and model swaps
+	// serialize on mu.
+	mu sync.Mutex
 
 	degradations    atomic.Uint64
 	rearms          atomic.Uint64
@@ -308,13 +251,10 @@ var _ trace.Tracer = (*Controller)(nil)
 
 // New builds a Controller from a model, compiling its hold rule
 // (holdTables). The model should have passed analyze.Analyze first;
-// New does not re-check. When opts.Prior is set, m may be nil: the
-// controller starts on the prior alone and streams a live model from the
-// commits it traces; when both are given, admission sets blend the two
-// by accumulated evidence. With neither a model nor a prior the
-// controller starts with no guidance — every state is unknown, everything
-// passes — which is the cold-start posture of an online learner that will
-// SwapModel in its first snapshot once it has seen enough of the stream.
+// New does not re-check. With a nil model the controller starts with no
+// guidance — every state is unknown, everything passes — which is the
+// cold-start posture of an online learner that will SwapModel in its
+// first snapshot once it has seen enough of the stream.
 func New(m *model.TSA, opts Options) *Controller {
 	tf := opts.Tfactor
 	if tf <= 0 {
@@ -332,9 +272,6 @@ func New(m *model.TSA, opts Options) *Controller {
 	if m != nil {
 		threads = max(threads, m.Threads)
 	}
-	if opts.Prior != nil {
-		threads = max(threads, opts.Prior.Threads)
-	}
 	threads = min(threads, maxThreadCounters)
 	c := &Controller{
 		k:         k,
@@ -344,25 +281,6 @@ func New(m *model.TSA, opts Options) *Controller {
 		tf:        tf,
 		rf:        rf,
 		ro:        effect.NewROSet(opts.Manifest),
-	}
-	if opts.Prior != nil {
-		c.prior = opts.Prior
-		c.blendEvidence = opts.BlendEvidence
-		if c.blendEvidence == 0 {
-			c.blendEvidence = DefaultBlendEvidence
-		}
-		if m == nil {
-			m = model.New(threads)
-			c.stream.Store(true)
-		}
-		c.blendCache = make(map[string]*verdicts)
-		c.priorHolds = make(holdSet)
-		for _, n := range opts.Prior.Nodes {
-			for _, p := range n.State.Pairs() {
-				c.priorHolds[p.Key()] = vHold
-			}
-		}
-		c.blendBucket = -1 // no bucket computed yet
 	}
 	c.tables.Store(c.compile(m))
 	if opts.HealthWindow >= 0 {
@@ -397,7 +315,7 @@ func New(m *model.TSA, opts Options) *Controller {
 // interning each state's verdict pair by content.
 func (c *Controller) compile(m *model.TSA) *modelTables {
 	tb := &modelTables{base: m}
-	if c.prior == nil && m != nil {
+	if m != nil {
 		var hold map[string]holdSet
 		hold, tb.idle = holdTables(m, c.tf)
 		relaxed := relaxTables(m, hold, c.tf*c.rf)
@@ -418,127 +336,6 @@ func (c *Controller) compile(m *model.TSA) *modelTables {
 // classKey renders a state's verdict tables by content (fmt prints a map
 // sorted by key). A variable so the mutation test can drop the relaxed half.
 var classKey = func(hold, relaxed holdSet) string { return fmt.Sprint(hold, relaxed) }
-
-// verdictsFor resolves the verdict tables of a state key under tables tb:
-// the compiled ones when no prior is configured, otherwise the blended
-// ones (cached per weight bucket and swap generation, so a class of their
-// own until the mix moves).
-func (c *Controller) verdictsFor(tb *modelTables, key string) *verdicts {
-	if c.prior == nil {
-		return tb.verdicts[key]
-	}
-	bucket := c.weightBucket()
-	c.blendMu.Lock()
-	defer c.blendMu.Unlock()
-	if bucket != c.blendBucket || tb.gen != c.blendGen {
-		// The prior's weight crossed a quantization step, or a model swap
-		// replaced the base: every cached set was computed under the old
-		// mix.
-		c.blendBucket = bucket
-		c.blendGen = tb.gen
-		clear(c.blendCache)
-	}
-	if v, ok := c.blendCache[key]; ok {
-		return v
-	}
-	v := c.computeBlend(tb.base, key, float64(bucket)/blendBuckets)
-	c.blendCache[key] = v
-	return v
-}
-
-// weightBucket quantizes the prior's current weight into
-// 0..blendBuckets (ceil, so any remaining prior influence rounds up
-// rather than vanishing early).
-func (c *Controller) weightBucket() int {
-	if c.blendEvidence < 0 {
-		return blendBuckets
-	}
-	var ev uint64 // non-readonly commits traced so far, summed over the stripes
-	for i := range c.perThread {
-		ev += c.perThread[i].evidence.Load()
-	}
-	if ev >= uint64(c.blendEvidence) {
-		return 0
-	}
-	w := 1 - float64(ev)/float64(c.blendEvidence)
-	return int(math.Ceil(w * blendBuckets))
-}
-
-// computeBlend builds the verdict tables for one state from the mixed
-// destination distribution w·P_prior + (1−w)·P_base. A state unknown
-// to both models yields nil ("no guidance: admit everyone"), the
-// same contract as the compiled path. This is the one place the closure
-// of holdGraph is not applied: the mix moves with every streamed commit,
-// so a set is built on demand from its state's destinations alone — every
-// pair of the prior they do not commit is held, nothing is futile.
-func (c *Controller) computeBlend(base *model.TSA, key string, w float64) *verdicts {
-	probs := make(map[string]float64)
-	accum := func(m *model.TSA, weight float64) {
-		if m == nil || weight <= 0 {
-			return
-		}
-		n := m.Node(key)
-		if n == nil || n.Total <= 0 {
-			return
-		}
-		for d, cnt := range n.Out {
-			probs[d] += weight * float64(cnt) / float64(n.Total)
-		}
-	}
-	accum(c.prior, w)
-	accum(base, 1-w)
-	if len(probs) == 0 {
-		return nil
-	}
-	var pmax float64
-	for _, p := range probs {
-		if p > pmax {
-			pmax = p
-		}
-	}
-	collect := func(tf float64) (set holdSet) {
-		for d, p := range probs {
-			if p < pmax/tf {
-				continue
-			}
-			if st, err := tts.ParseKey(d); err == nil {
-				if set == nil {
-					set = maps.Clone(c.priorHolds)
-				}
-				delete(set, st.Commit.Key())
-			}
-		}
-		return set
-	}
-	return &verdicts{hold: collect(c.tf), relaxed: collect(c.tf * c.rf)}
-}
-
-// observeCommitLocked, when the base model is being streamed, folds the
-// superseded snapshot state (now final — this commit ends its
-// accretion) into it as a transition from the previous final state.
-// Caller holds c.mu. Blend-decay evidence is NOT counted here — OnCommit
-// counts it exactly once per traced commit, whether or not the base is
-// streamed, swapped, or absent, so repeated SwapModel calls can never
-// double-count a commit.
-func (c *Controller) observeCommitLocked(base *model.TSA) {
-	if !c.stream.Load() {
-		return
-	}
-	snap := c.cur.Load()
-	if snap == nil {
-		c.havePrev = false
-		return
-	}
-	final := snap.state
-	if c.havePrev && base.NumStates() < maxStreamStates {
-		base.AddRun([]tts.State{c.prevFinal, final})
-		c.blendMu.Lock()
-		delete(c.blendCache, c.prevFinal.Key())
-		c.blendMu.Unlock()
-	}
-	c.prevFinal = final
-	c.havePrev = true
-}
 
 // Stats returns a snapshot of the decision counters, summed over the
 // per-thread stripes.
@@ -565,15 +362,11 @@ func (c *Controller) Stats() Stats {
 		st.Sheds += t.sheds.Load()
 		st.RelaxedAdmits += t.relaxed.Load()
 		st.PassthroughAdmits += t.passthrough.Load()
-		st.Evidence += t.evidence.Load()
 		st.ThreadEscapes[i] = t.escapes.Load()
 		st.Escapes += st.ThreadEscapes[i]
 		st.ThreadHoldTime[i] = time.Duration(t.holdNanos.Load())
 	}
 	st.Admits = st.ImmediateAdmits + st.Holds + st.ReadOnlyAdmits
-	if c.prior != nil {
-		st.PriorWeight = float64(c.weightBucket()) / blendBuckets
-	}
 	return st
 }
 
@@ -589,19 +382,12 @@ func (s Stats) Summary() string {
 // installed with a single atomic pointer store — Admit, OnCommit, and
 // OnAbort never block on a swap in progress, and a swapper stalled
 // before calling SwapModel holds nothing the commit path waits on.
-// With a prior configured the new base keeps blending against the
-// accumulated evidence (the prior's remaining weight is unchanged: a
-// swap is new data, not new commits). Swapping also stops the
-// controller's internal base streaming — the external learner owns the
-// base now, and the same commit must not be folded into both its
-// accumulator and ours.
 func (c *Controller) SwapModel(next *model.TSA) {
 	if next == nil {
 		return
 	}
 	nt := c.compile(next)
-	c.stream.Store(false)
-	nt.gen = c.swaps.Add(1)
+	c.swaps.Add(1)
 	old := c.tables.Swap(nt)
 	// Refresh the current snapshot against the new model so transactions
 	// held right now re-check fresh guidance: bounded work under mu, after
@@ -642,8 +428,8 @@ func (c *Controller) SwapModel(next *model.TSA) {
 	}
 }
 
-// Model returns the active base model — the one New received, the
-// streamed live model, or the latest SwapModel installation.
+// Model returns the active base model — the one New received or the
+// latest SwapModel installation.
 func (c *Controller) Model() *model.TSA {
 	return c.tables.Load().base
 }
@@ -651,15 +437,12 @@ func (c *Controller) Model() *model.TSA {
 // Reset clears the dynamic state — the current snapshot, the health
 // window, the degradation ladder, and any quarantine latch — between
 // runs; the trained model, options, and cumulative counters are kept.
-// Accumulated blend evidence, the streamed model, and any swapped-in
-// model are learned state, not run state, so they survive Reset; only
-// the stream's transition chain is cut (runs are independent
-// histories). A learner that still distrusts its model simply
-// quarantines again after the next epoch.
+// A swapped-in model is learned state, not run state, so it survives
+// Reset. A learner that still distrusts its model simply quarantines
+// again after the next epoch.
 func (c *Controller) Reset() {
 	c.mu.Lock()
 	c.restartLocked()
-	c.havePrev = false
 	c.mu.Unlock()
 	c.quarantined.Store(false)
 	c.resetHealth()
@@ -684,31 +467,19 @@ const maxSnapCache = 4096
 // newSnapshot materializes state st under tables tb, anchored by killer
 // instance anchor.
 func (c *Controller) newSnapshot(tb *modelTables, st tts.State, anchor uint64) *snapshot {
-	return &snapshot{state: st, verdicts: c.verdictsFor(tb, st.Key()), anchor: anchor}
+	return &snapshot{state: st, verdicts: tb.verdicts[st.Key()], anchor: anchor}
 }
 
 // snapshotForCommitLocked returns the snapshot for the commit-only state
 // anchored by pair p, publishing it into tb's commit cache when it had
 // to be built. Caller holds c.mu.
 func (c *Controller) snapshotForCommitLocked(tb *modelTables, p tts.Pair) *snapshot {
-	bucket := 0
-	if c.prior != nil {
-		bucket = c.weightBucket()
-	}
 	old := tb.commits.Load()
-	if old.bucket != bucket {
-		old = &commitCache{} // a blend-weight step outdates every cached set
-	}
 	if s := old.snaps[p.Key()]; s != nil {
 		return s
 	}
 	s := c.newSnapshot(tb, tts.State{Commit: p}, 0)
-	if c.stream.Load() {
-		// A streamed base changes under its own states with every
-		// commit: nothing built from it is worth keeping.
-		return s
-	}
-	next := &commitCache{snaps: map[uint32]*snapshot{p.Key(): s}, bucket: bucket}
+	next := &commitCache{snaps: map[uint32]*snapshot{p.Key(): s}}
 	if len(old.snaps) < maxSnapCache {
 		for k, v := range old.snaps {
 			next.snaps[k] = v
@@ -729,9 +500,6 @@ func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
 	if c.ro != nil && c.ro.Certified(p.Tx) {
 		return
 	}
-	if c.prior != nil {
-		c.stripe(p.Thread).evidence.Add(1)
-	}
 	tb := c.tables.Load()
 	if tb.idle {
 		return
@@ -746,20 +514,16 @@ func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
 }
 
 // advance publishes the state anchored by commit (instance, p) under
-// tables tb. The common case — no prior, pair seen before — is a
-// lock-free lookup, a store to the committer's own stripe and, only when
-// the verdict class changes, one store to a shared line.
+// tables tb. The common case — pair seen before — is a lock-free lookup,
+// a store to the committer's own stripe and, only when the verdict class
+// changes, one store to a shared line.
 func (c *Controller) advance(tb *modelTables, instance uint64, p tts.Pair) {
-	if c.prior == nil {
-		if next := tb.commits.Load().snaps[p.Key()]; next != nil {
-			c.install(next, instance, p)
-			return
-		}
+	if next := tb.commits.Load().snaps[p.Key()]; next != nil {
+		c.install(next, instance, p)
+		return
 	}
-	// First encounter of the pair, or a blended or streamed base whose
-	// sets depend on state guarded by mu.
+	// First encounter of the pair: build and publish its snapshot under mu.
 	c.mu.Lock()
-	c.observeCommitLocked(tb.base)
 	c.install(c.snapshotForCommitLocked(tb, p), instance, p)
 	c.mu.Unlock()
 }

@@ -108,11 +108,11 @@ type healthMonitor struct {
 // adds one to exactly one of immediate, holds and readOnly (see note).
 // commit is the latest tracked commit: pair key<<32 | low 32 instance bits.
 type stripe struct {
-	immediate, holds, readOnly, futile      atomic.Uint64
-	escapes, unknown, relaxed, passthrough  atomic.Uint64
-	irrevocable, sheds, evidence, holdNanos atomic.Uint64
-	commit                                  atomic.Uint64
-	_                                       [128 - 13*8]byte
+	immediate, holds, readOnly, futile     atomic.Uint64
+	escapes, unknown, relaxed, passthrough atomic.Uint64
+	irrevocable, sheds, holdNanos          atomic.Uint64
+	commit                                 atomic.Uint64
+	_                                      [128 - 12*8]byte
 }
 
 // Level returns the controller's current degradation level.

@@ -428,25 +428,3 @@ func TestResolvableHoldEscapesAfterKStale(t *testing.T) {
 		t.Errorf("yields = %d, escapes = %d, max re-checks = %d; want %d, 1, %d", yields, st.Escapes, st.MaxHoldRechecks, k, k)
 	}
 }
-
-// TestBlendPathDoesNotApplyClosure pins the one documented exception:
-// under a prior the sets are built per state from its own destinations,
-// so a pair the compiled rule releases as futile is still held. A pair
-// neither model names is admitted at once on both paths.
-func TestBlendPathDoesNotApplyClosure(t *testing.T) {
-	p, unseen := tts.Pair{Tx: 1, Thread: 1}, tts.Pair{Tx: 9, Thread: 1}
-	compiled := New(quakeShape(), Options{HealthWindow: -1})
-	blended := New(nil, Options{Prior: quakeShape(), BlendEvidence: -1, HealthWindow: -1})
-	for _, c := range []*Controller{compiled, blended} {
-		c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
-		if ok, unknown := c.WouldAdmit(unseen); !ok || unknown {
-			t.Errorf("a pair the model never saw: ok=%v unknown=%v, want admitted under a known state", ok, unknown)
-		}
-	}
-	if ok, _ := compiled.WouldAdmit(p); !ok {
-		t.Error("compiled rule holds the futile pair")
-	}
-	if ok, unknown := blended.WouldAdmit(p); ok || unknown {
-		t.Errorf("blend path: ok=%v unknown=%v, want the pair held", ok, unknown)
-	}
-}

@@ -28,8 +28,6 @@ func TestOrderWithoutConflictIsNotHeld(t *testing.T) {
 	}
 	for name, c := range map[string]*Controller{
 		"no model": New(nil, Options{}),
-		"prior":    New(nil, Options{Prior: alternation()}),
-		"blend":    New(alternation(), Options{Prior: alternation()}),
 		"holding":  New(alternation().AssumeAllConflict(), Options{}),
 	} {
 		if c.Stats().Idle {

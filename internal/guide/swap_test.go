@@ -9,19 +9,38 @@ import (
 	"gstm/internal/tts"
 )
 
+var (
+	pairA0 = tts.Pair{Tx: 0, Thread: 0}
+	pairB1 = tts.Pair{Tx: 1, Thread: 1}
+	pairC2 = tts.Pair{Tx: 2, Thread: 2}
+)
+
+// skewedModel builds a model where {<a0>} goes to the hi pair's
+// singleton 90 times and the lo pair's once — hi clears the Tfactor
+// gate, lo falls well below it.
+func skewedModel(hi, lo tts.Pair) *model.TSA {
+	a0 := tts.State{Commit: pairA0}
+	runs := make([][]tts.State, 0, 91)
+	for i := 0; i < 90; i++ {
+		runs = append(runs, []tts.State{a0, {Commit: hi}})
+	}
+	runs = append(runs, []tts.State{a0, {Commit: lo}})
+	return model.Build(4, runs...).AssumeAllConflict()
+}
+
 // TestSwapModelReplacesGuidance pins the basic swap contract: after
 // SwapModel the gate answers from the new model, including for the
 // snapshot that was current at swap time (held transactions must not
 // wait for the next commit to see fresh guidance).
 func TestSwapModelReplacesGuidance(t *testing.T) {
-	before := skewedModel(blendB1, blendC2) // a0 → b1 high-prob, c2 not
-	after := skewedModel(blendC2, blendB1)  // a0 → c2 high-prob, b1 not
+	before := skewedModel(pairB1, pairC2) // a0 → b1 high-prob, c2 not
+	after := skewedModel(pairC2, pairB1)  // a0 → c2 high-prob, b1 not
 	c := New(before, Options{HealthWindow: -1})
-	c.OnCommit(1, blendA0)
-	if ok, _ := c.WouldAdmit(blendB1); !ok {
+	c.OnCommit(1, pairA0)
+	if ok, _ := c.WouldAdmit(pairB1); !ok {
 		t.Fatal("setup: old model rejects its own high-prob pair")
 	}
-	if ok, _ := c.WouldAdmit(blendC2); ok {
+	if ok, _ := c.WouldAdmit(pairC2); ok {
 		t.Fatal("setup: old model admits the low-prob pair")
 	}
 
@@ -29,10 +48,10 @@ func TestSwapModelReplacesGuidance(t *testing.T) {
 
 	// No new commit has happened: the refreshed snapshot alone must
 	// flip both answers.
-	if ok, _ := c.WouldAdmit(blendC2); !ok {
+	if ok, _ := c.WouldAdmit(pairC2); !ok {
 		t.Error("swapped model's high-prob pair still rejected")
 	}
-	if ok, _ := c.WouldAdmit(blendB1); ok {
+	if ok, _ := c.WouldAdmit(pairB1); ok {
 		t.Error("old model's high-prob pair still admitted after swap")
 	}
 	if got := c.Model(); got != after {
@@ -73,40 +92,6 @@ func TestSwapModelRecompilesHolds(t *testing.T) {
 	c.Admit(b1.Commit)
 	if st := c.Stats(); st.Holds != 1 || st.Escapes != 0 || st.FutileAdmits != 0 {
 		t.Errorf("stats = %+v, want one hold resolved by thread 0's commit", st)
-	}
-}
-
-// TestSwapModelUnderBlendKeepsPriorWeight pins the blend interaction:
-// swapping a base model under a configured prior neither advances nor
-// rewinds the evidence-driven prior weight — a swap is new data, not
-// new commits — and the blended sets recompute from the new base.
-func TestSwapModelUnderBlendKeepsPriorWeight(t *testing.T) {
-	prior := skewedModel(blendB1, blendC2)
-	c := New(nil, Options{Prior: prior, BlendEvidence: 8, HealthWindow: -1})
-	for i := 1; i <= 20; i++ {
-		c.OnCommit(uint64(i), blendA0)
-	}
-	st := c.Stats()
-	if st.PriorWeight != 0 || st.Evidence != 20 {
-		t.Fatalf("setup: weight %v evidence %d, want 0 and 20", st.PriorWeight, st.Evidence)
-	}
-
-	c.SwapModel(skewedModel(blendC2, blendB1))
-	c.OnCommit(21, blendA0)
-
-	st = c.Stats()
-	if st.Evidence != 21 {
-		t.Errorf("Evidence = %d after swap + one commit, want 21 (swaps must not count)", st.Evidence)
-	}
-	if st.PriorWeight != 0 {
-		t.Errorf("PriorWeight = %v after swap, want 0 still", st.PriorWeight)
-	}
-	// Prior weight is 0, so guidance is purely the swapped base now.
-	if ok, _ := c.WouldAdmit(blendC2); !ok {
-		t.Error("swapped base's high-prob pair rejected under blend")
-	}
-	if ok, _ := c.WouldAdmit(blendB1); ok {
-		t.Error("replaced base's high-prob pair still admitted under blend")
 	}
 }
 
@@ -158,47 +143,32 @@ func TestQuarantineLatchesPassthrough(t *testing.T) {
 //
 //	Admits == ImmediateAdmits + Holds + ReadOnlyAdmits
 //
-// — and under a prior Evidence counts each traced commit exactly once
-// (repeated SwapModel calls never double-count it); without one it is not
-// counted at all.
+// — and ModelSwaps counts every installation.
 func TestSwapAccountingProperty(t *testing.T) {
 	models := []*model.TSA{
-		skewedModel(blendB1, blendC2),
-		skewedModel(blendC2, blendB1),
+		skewedModel(pairB1, pairC2),
+		skewedModel(pairC2, pairB1),
 		twoStateModel(),
 	}
-	prop := func(ops []uint8, withPrior bool) bool {
-		var opts Options
-		opts.K = 2
-		opts.HealthWindow = 4
-		opts.Manifest = certManifest(7)
-		if withPrior {
-			opts.Prior = models[0]
-			opts.BlendEvidence = 8
-		}
-		var seed *model.TSA
-		if !withPrior {
-			seed = models[2]
-		}
-		c := New(seed, opts)
+	prop := func(ops []uint8) bool {
+		c := New(models[2], Options{K: 2, HealthWindow: 4, Manifest: certManifest(7)})
 		instance := uint64(0)
-		commits, swaps := uint64(0), uint64(0)
+		swaps := uint64(0)
 		for _, op := range ops {
 			switch op % 8 {
 			case 0:
-				c.Admit(blendB1)
+				c.Admit(pairB1)
 			case 1:
-				c.Admit(blendC2)
+				c.Admit(pairC2)
 			case 2:
 				c.Admit(tts.Pair{Tx: 7, Thread: 3}) // certified readonly
 			case 3:
-				c.AdmitIrrevocable(blendA0)
+				c.AdmitIrrevocable(pairA0)
 			case 4:
 				instance++
-				commits++
-				c.OnCommit(instance, blendA0)
+				c.OnCommit(instance, pairA0)
 			case 5:
-				c.OnAbort(blendC2, instance)
+				c.OnAbort(pairC2, instance)
 			case 6:
 				c.SwapModel(models[int(op/8)%len(models)])
 				swaps++
@@ -215,14 +185,6 @@ func TestSwapAccountingProperty(t *testing.T) {
 		st := c.Stats()
 		if st.Admits != st.ImmediateAdmits+st.Holds+st.ReadOnlyAdmits {
 			t.Logf("partition broken: %+v", st)
-			return false
-		}
-		wantEvidence := commits
-		if !withPrior {
-			wantEvidence = 0
-		}
-		if st.Evidence != wantEvidence {
-			t.Logf("Evidence = %d, want %d of %d commits (swaps=%d)", st.Evidence, wantEvidence, commits, swaps)
 			return false
 		}
 		if st.ModelSwaps != swaps {

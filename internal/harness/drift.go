@@ -12,8 +12,7 @@ import (
 )
 
 // This file is the drifting-workload generator: a deterministic tick
-// simulator (the same machinery as the cold-start simulator in
-// prior_test.go, exported) whose hot set rotates mid-run. Before the
+// simulator whose hot set rotates mid-run. Before the
 // shift one group of transactions contends; after it, a disjoint group
 // does. It exists to measure how guidance regimes cope with drift:
 //

@@ -96,16 +96,6 @@ type Experiment struct {
 	// Guide overrides the controller health/ladder options used by Run;
 	// Tfactor, K and Inject are filled from the experiment itself.
 	Guide guide.Options
-	// Prior, when non-nil, is a statically synthesized cold-start model
-	// (gstmlint -prior). Run then measures a third mode guided by the
-	// prior alone — no profiled model, the controller streams a live one
-	// and blends over — so cold-start guidance can be reported next to
-	// profiled guidance.
-	Prior *model.TSA
-	// BlendEvidence tunes how many observed commits decay the prior's
-	// weight to zero (guide.Options.BlendEvidence): 0 = default,
-	// negative = prior-only.
-	BlendEvidence int
 	// TxDeadline, when positive, bounds every Atomic call in the
 	// measured workloads (tl2.Options.DefaultDeadline); calls that miss
 	// it surface as run errors wrapping tl2.ErrDeadline.
@@ -447,23 +437,15 @@ type Outcome struct {
 	Default, Guided ModeResult
 	// Compared is non-nil when both modes ran.
 	Compared *Comparison
-	// ColdStart holds the measurement result of the prior-guided mode;
-	// zero unless Experiment.Prior was set.
-	ColdStart ModeResult
-	// ColdCompared contrasts cold-start guidance against default
-	// execution; non-nil when Experiment.Prior was set. Unlike Guided it
-	// does not wait for the analyzer verdict — the prior exists exactly
-	// when no profiled model does.
-	ColdCompared *Comparison
 	// OnlineMode holds the measurement result of the online-learned
 	// mode and OnlineLearn the learner's counters; zero unless
 	// Experiment.Online was set.
 	OnlineMode  ModeResult
 	OnlineLearn online.Stats
 	// OnlineCompared contrasts online-learned guidance against default
-	// execution; non-nil when Experiment.Online was set. Like the
-	// cold-start mode it never waits for an offline analyzer verdict —
-	// the learner audits its own snapshots every epoch.
+	// execution; non-nil when Experiment.Online was set. Unlike Guided it
+	// never waits for an offline analyzer verdict — the learner audits
+	// its own snapshots every epoch.
 	OnlineCompared *Comparison
 	// Elapsed is the total pipeline wall time.
 	Elapsed time.Duration
@@ -499,20 +481,6 @@ func (e Experiment) Run() (Outcome, error) {
 		}
 		cmp := Compare(out.Default, out.Guided)
 		out.Compared = &cmp
-	}
-	if e.Prior != nil {
-		gopts := e.Guide
-		gopts.Tfactor, gopts.K, gopts.Inject = e.Tfactor, e.K, e.Inject
-		gopts.Manifest = e.Manifest
-		gopts.Prior = e.Prior
-		gopts.BlendEvidence = e.BlendEvidence
-		ctrl := guide.New(nil, gopts)
-		out.ColdStart, err = e.Measure(ctrl)
-		if err != nil {
-			return out, err
-		}
-		cmp := Compare(out.Default, out.ColdStart)
-		out.ColdCompared = &cmp
 	}
 	if e.Online {
 		out.OnlineMode, out.OnlineLearn, err = e.MeasureOnline()

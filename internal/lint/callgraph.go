@@ -29,8 +29,6 @@ type program struct {
 	// summaries memoizes the footprint analyzer's per-function access
 	// summaries.
 	summaries map[*funcNode]*fpSummary
-	// costs memoizes the cost analyzer's per-function estimates.
-	costs map[*funcNode]CostEstimate
 	// hot memoizes gstm010's module-wide writer index, keyed by storage
 	// label (built lazily by hotspots).
 	hot map[string]*hotspotInfo
@@ -78,7 +76,6 @@ func newProgram(pkgs []*Package) *program {
 		funcs:     map[string]*funcNode{},
 		terminals: map[*funcNode][]effectTerminal{},
 		summaries: map[*funcNode]*fpSummary{},
-		costs:     map[*funcNode]CostEstimate{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {

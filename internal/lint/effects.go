@@ -94,7 +94,6 @@ func InferEffects(pkgs []*Package, moduleRoot string) []SiteEffect {
 					Irrevocable: site.irrevocable,
 					Reads:       fp.reads(),
 					Writes:      fp.writes(),
-					Cost:        pr.siteCost(pkg, site),
 					Notes:       fp.notes,
 				},
 				Class:  cls,
@@ -129,8 +128,6 @@ func BuildManifest(effects []SiteEffect) *effect.Manifest {
 			Irrevocable: e.Site.Irrevocable,
 			Class:       e.Class,
 			Reason:      e.Reason,
-			CostReads:   e.Site.Cost.Reads,
-			CostWrites:  e.Site.Cost.Writes,
 		}
 		if e.Class == effect.WriteBounded {
 			s.Writes = append([]string(nil), e.Site.Writes...)

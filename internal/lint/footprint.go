@@ -66,9 +66,6 @@ type SiteFootprint struct {
 	// "pkg/path.Type.field" for fields.
 	Reads  []string `json:"reads"`
 	Writes []string `json:"writes"`
-	// Cost is the loop-weighted static commit-cost estimate (cost.go);
-	// prior synthesis uses it to down-weight expensive transactions.
-	Cost CostEstimate `json:"cost"`
 	// Notes lists analysis horizons (dynamic calls, unresolved storage)
 	// that make the footprint a lower bound rather than exact.
 	Notes []string `json:"notes,omitempty"`
@@ -127,7 +124,6 @@ func Footprint(pkgs []*Package, moduleRoot string) *ConflictGraph {
 				Irrevocable: site.irrevocable,
 				Reads:       fp.reads(),
 				Writes:      fp.writes(),
-				Cost:        pr.siteCost(pkg, site),
 				Notes:       fp.notes,
 			})
 		}
@@ -226,7 +222,6 @@ func (g *ConflictGraph) RenderText(w io.Writer) {
 		fmt.Fprintf(w, "[%d] %s:%d tx %s%s (%s, %s)\n", i, s.File, s.Line, s.Tx, irrev, s.Func, s.Pkg)
 		fmt.Fprintf(w, "    reads:  %s\n", renderSet(s.Reads))
 		fmt.Fprintf(w, "    writes: %s\n", renderSet(s.Writes))
-		fmt.Fprintf(w, "    cost:   %s\n", s.Cost)
 		for _, n := range s.Notes {
 			fmt.Fprintf(w, "    note:   %s\n", n)
 		}
@@ -317,6 +312,19 @@ func (s *fpSummary) labels(write bool) []string {
 		}
 	}
 	return sortedKeys(set)
+}
+
+// nestedAtomicClosures returns the closure bodies of every *other*
+// Atomic site in pkg, so a site-level walk does not absorb nested
+// sites (they are analyzed separately).
+func nestedAtomicClosures(pkg *Package, self *ast.FuncLit) map[ast.Node]bool {
+	nested := map[ast.Node]bool{}
+	for _, other := range atomicSitesIn(pkg) {
+		if other.closure != nil && other.closure != self {
+			nested[other.closure] = true
+		}
+	}
+	return nested
 }
 
 // siteFootprint computes the footprint of one Atomic site.

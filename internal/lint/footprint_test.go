@@ -162,6 +162,11 @@ func TestFootprintGolden(t *testing.T) {
 	if !edge(move, score) || !edge(attack, score) {
 		t.Error("TxScore should conflict with both TxMove and TxAttack")
 	}
+	// The relation analyze.CrossCheck is fed needs constant transaction
+	// IDs on conflicting sites; the golden text shows labels, not IDs.
+	if len(g.TxIDPairs()) == 0 {
+		t.Error("conflict graph has no transaction-ID pairs; the entry points regressed")
+	}
 }
 
 // TestFootprintJSON sanity-checks the JSON rendering round-trips the

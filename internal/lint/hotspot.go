@@ -24,7 +24,7 @@ const DefaultHotspotWriters = 3
 // and at runtime the word becomes the workload's commit bottleneck
 // regardless of how admissions are scheduled. That is a design smell
 // best seen before any profile exists, so the check runs on the same
-// module-wide footprint index the prior synthesizer uses and reports
+// module-wide footprint index as the -footprint report and reports
 // at the storage *declaration* (one finding per hotspot, not one per
 // writer). Deliberate hot counters are suppressed at the declaration
 // with `//gstm:ignore gstm010 -- why`.

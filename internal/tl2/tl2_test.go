@@ -451,7 +451,12 @@ func TestPreempt(t *testing.T) {
 	})
 	t.Run("Gosched", func(t *testing.T) {
 		// On one P a goroutine started inside the body runs only when the
-		// body's goroutine yields the processor.
+		// body's goroutine yields the processor. One yield is not enough
+		// to see it run: Gosched puts the caller on the global run queue,
+		// and every 61st schedule the scheduler serves that queue first,
+		// handing the P straight back to the caller. So Preempt is called
+		// up to eight times, stopping once the goroutine has run; without
+		// yielding, eight calls must not let it run either.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for _, yieldEvery := range []int{0, -1} {
 			var ran atomic.Bool
@@ -459,7 +464,9 @@ func TestPreempt(t *testing.T) {
 			s := New(Options{YieldEvery: yieldEvery})
 			_ = s.Atomic(0, 0, func(tx *Tx) error {
 				go func() { ran.Store(true); close(done) }()
-				tx.Preempt()
+				for i := 0; i < 8 && !ran.Load(); i++ {
+					tx.Preempt()
+				}
 				if got, want := ran.Load(), yieldEvery == 0; got != want {
 					t.Errorf("YieldEvery %d: another goroutine ran during Preempt = %v, want %v", yieldEvery, got, want)
 				}

@@ -18,14 +18,13 @@
 # extension against a supervisor swapping models, then the class-gated
 # commit path against an exact-state reference, then LibTM's lock-free
 # object metadata in every mode corner), a fuzz smoke over
-# the binary decoders and the tts key codecs, and gstmlint (the STM-aware
-# transaction-safety linter, checks gstm000..gstm010, including the
+# the binary decoders and the tts key codecs, 200 repeats of TL2's
+# Preempt scheduling test (it once failed about 1 run in 60), and
+# gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm011, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
 # stage runs -fix -diff as a dry-run gate too — any machine-applicable
 # fix left unapplied in the tree fails the build with the diff it
-# would make — and finishes with a static-prior smoke: synthesize a
-# cold-start model from the examples (gstmlint -prior) and run one
-# tiny gstm -op coldstart pipeline against it. A manifest-freshness
+# would make. A manifest-freshness
 # gate then regenerates the effect manifest (gstmlint -manifest) over
 # the same packages and fails if it differs from the committed
 # MANIFEST.gsm — a stale certificate is a soundness hazard, not just
@@ -103,6 +102,9 @@ go test -race -count=5 -run 'TestClassGating' ./internal/guide
 # conflict kind, isolation, exact counters.
 go test -race -count=5 -run 'TestKillerAttributionParity|TestInvariantPreservedAllModes|TestConcurrentCountersExactAllModes' ./internal/libtm
 
+echo "== preempt repeat (TL2 Preempt yields, or does not, as configured) =="
+go test -run 'TestPreempt/Gosched' -count=200 ./internal/tl2
+
 echo "== fuzz smoke (binary decoders + tts key codecs) =="
 FUZZTIME="${GSTM_FUZZTIME:-10s}"
 go test -run='^$' -fuzz=FuzzModelDecode -fuzztime="$FUZZTIME" ./internal/model
@@ -123,15 +125,9 @@ if [ -n "$fixdiff" ]; then
     exit 1
 fi
 
-echo "== static prior smoke (gstmlint -prior -> gstm -op coldstart) =="
-prior=$(mktemp)
-manifest=$(mktemp)
-trap 'rm -f "$prior" "$manifest"' EXIT
-go run ./cmd/gstmlint -prior "$prior" -prior-threads 4 ./examples/... ./cmd/synquake/...
-go run ./cmd/gstm -bench kmeans -threads 4 -runs 2 -size small \
-    -op coldstart -static-prior "$prior" -model "$prior.nonexistent"
-
 echo "== manifest freshness (gstmlint -manifest vs MANIFEST.gsm) =="
+manifest=$(mktemp)
+trap 'rm -f "$manifest"' EXIT
 go run ./cmd/gstmlint -manifest "$manifest" ./examples/... ./cmd/synquake/...
 if ! cmp -s "$manifest" MANIFEST.gsm; then
     echo "MANIFEST.gsm is stale against the current sources; regenerate with:" >&2
