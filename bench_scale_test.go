@@ -13,6 +13,7 @@ package gstm
 // must stay at exactly zero allocations per transaction.
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -278,7 +279,11 @@ func BenchmarkScaleGateAdmission(b *testing.B) {
 // verdict table, so nearly every commit among them changes the exact state
 // and none changes the verdicts — SynQuake's shape, whose 20–24 guided
 // states share 6–9 tables.
-func gateTrackedModel() *model.TSA {
+func gateTrackedModel() *model.TSA { return gateShapeModel().AssumeAllConflict() }
+
+// gateShapeModel is gateTrackedModel's state graph without its conflicts:
+// no state has an abort, so its compiled tables hold nobody (an idle gate).
+func gateShapeModel() *model.TSA {
 	m := model.New(2)
 	st := func(tx, th uint16) tts.State { return tts.State{Commit: tts.Pair{Tx: tx, Thread: th}} }
 	var six []tts.State
@@ -292,7 +297,7 @@ func gateTrackedModel() *model.TSA {
 		m.AddRun([]tts.State{st(3, 0), from})
 	}
 	m.AddRun([]tts.State{st(3, 1), st(3, 0)})
-	return m.AssumeAllConflict()
+	return m
 }
 
 // gateTrackedBody is the fixed work between admission and commit.
@@ -427,5 +432,105 @@ func TestScaleGateAdmissionAllocFree(t *testing.T) {
 				t.Errorf("gate-admitted RMW allocates %.1f/op at steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// BenchmarkParallelDriver: one transaction's fixed cost through a real
+// runtime and the shared driver, from two goroutines on two Ps, each with
+// a thread ID and a location of its own. No data is shared, so what the
+// two threads still contend on is the runtime's and the driver's own
+// words: the cost BenchmarkGateTracked, with no STM, cannot see. Gates:
+// none, an idle one (gateShapeModel: tables that hold nobody) and
+// BenchmarkGateTracked's tracked one, each installed as tracer too.
+func BenchmarkParallelDriver(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, rt := range []string{"tl2", "libtm"} {
+		for _, gate := range []string{"nogate", "idle", "tracked"} {
+			b.Run(rt+"/"+gate, func(b *testing.B) {
+				step := parallelDriverStep(b, rt, gate)
+				var ids atomic.Uint32
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					th := uint16(ids.Add(1) - 1)
+					for i := 0; pb.Next(); i++ {
+						step(th, i)
+					}
+				})
+			})
+		}
+	}
+}
+
+// parallelDriverStep builds BenchmarkParallelDriver's runtime and gate
+// and returns its transaction: thread th's ith, transaction ID i%3, an
+// increment of th's own location (see parallelDriverLoc).
+func parallelDriverStep(tb testing.TB, rt, gate string) func(th uint16, i int) {
+	var ctrl *guide.Controller
+	switch gate {
+	case "idle":
+		ctrl = guide.New(gateShapeModel(), guide.Options{K: 1})
+	case "tracked":
+		ctrl = guide.New(gateTrackedModel(), guide.Options{K: 1})
+	}
+	if ctrl != nil && ctrl.Stats().Idle != (gate == "idle") {
+		tb.Fatalf("%s gate compiled to idle=%v", gate, ctrl.Stats().Idle)
+	}
+	switch rt {
+	case "tl2":
+		s := tl2.New(tl2.Options{YieldEvery: -1})
+		if ctrl != nil {
+			s.SetGate(ctrl)
+			s.SetTracer(ctrl)
+		}
+		var vars [parallelDriverLocs]*tl2.Var
+		for j := range vars {
+			vars[j] = tl2.NewVar(0)
+		}
+		return func(th uint16, i int) {
+			v := vars[parallelDriverLoc(th)]
+			_ = s.Atomic(th, uint16(i%3), func(tx *tl2.Tx) error {
+				tx.Write(v, tx.Read(v)+1)
+				return nil
+			})
+		}
+	default:
+		s := libtm.New(libtm.Options{Mode: libtm.FullyOptimistic, YieldEvery: -1})
+		if ctrl != nil {
+			s.SetGate(ctrl)
+			s.SetTracer(ctrl)
+		}
+		var objs [parallelDriverLocs]*libtm.Obj
+		for j := range objs {
+			objs[j] = libtm.NewObj(0)
+		}
+		return func(th uint16, i int) {
+			o := objs[parallelDriverLoc(th)]
+			_ = s.Atomic(th, uint16(i%3), func(tx *libtm.Tx) error {
+				tx.Write(o, tx.Read(o)+1)
+				return nil
+			})
+		}
+	}
+}
+
+// parallelDriverLocs locations are allocated back to back (24–48 bytes
+// each), and thread th uses parallelDriverLoc(th): eight apart, so the
+// two threads' locations share no cache line.
+const parallelDriverLocs = 9
+
+func parallelDriverLoc(th uint16) int { return 8 * int(th%2) }
+
+// TestParallelDriverAllocFree pins every BenchmarkParallelDriver case at
+// zero allocations per transaction, alternating its two thread IDs.
+func TestParallelDriverAllocFree(t *testing.T) {
+	skipIfRace(t)
+	for _, rt := range []string{"tl2", "libtm"} {
+		for _, gate := range []string{"nogate", "idle", "tracked"} {
+			step, i := parallelDriverStep(t, rt, gate), 0
+			if avg := allocsPerTx(func() { step(uint16(i%2), i); i++ }); avg != 0 {
+				t.Errorf("%s/%s: %.1f allocs per transaction at steady state, want 0", rt, gate, avg)
+			}
+		}
 	}
 }

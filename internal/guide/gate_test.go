@@ -207,3 +207,20 @@ func TestSmallHealthWindowsStayExact(t *testing.T) {
 		}
 	}
 }
+
+// TestHealthBatchPowerOfTwo: the admit batch is window/healthBatchDivisor
+// rounded down to a power of two (so the admit path masks instead of
+// dividing), and 1 — every admit counted — for windows too small to batch.
+func TestHealthBatchPowerOfTwo(t *testing.T) {
+	for _, r := range []struct{ window, batch uint64 }{
+		{1, 1}, {8, 1}, {31, 1}, {32, 2}, {48, 2}, {64, 4}, {100, 4},
+		{DefaultHealthWindow, 16}, {300, 16}, {1000, 32}, {1 << 20, 1 << 16},
+	} {
+		if got := healthBatch(r.window); got != r.batch {
+			t.Errorf("window %d: batch %d, want %d", r.window, got, r.batch)
+		}
+	}
+	if c := New(twoStateModel(), Options{HealthWindow: 100}); c.health.batch != 4 {
+		t.Errorf("New with window 100: batch %d, want 4", c.health.batch)
+	}
+}

@@ -302,7 +302,7 @@ func New(m *model.TSA, opts Options) *Controller {
 		}
 		c.health = &healthMonitor{
 			window:       uint64(w),
-			batch:        uint64(w) / healthBatchDivisor,
+			batch:        healthBatch(uint64(w)),
 			unknownTrip:  ut,
 			escapeTrip:   et,
 			rearmWindows: rw,

@@ -1,6 +1,7 @@
 package guide
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -74,9 +75,10 @@ const (
 	// maxThreadCounters bounds the per-thread counter table.
 	maxThreadCounters = 4096
 	// healthBatchDivisor sets how many admits a stripe counter gathers
-	// before they reach the shared window count: window/divisor, so a
-	// window's rates are off by a few stripes/divisor of a window at most,
-	// and windows below 2×divisor count every admit as it happens.
+	// before they reach the shared window count: window/divisor rounded
+	// down to a power of two, so a window's rates are off by a few
+	// stripes/divisor of a window at most, and windows below 2×divisor
+	// count every admit as it happens.
 	healthBatchDivisor = 16
 )
 
@@ -86,7 +88,7 @@ const (
 type healthMonitor struct {
 	// Read on every admit, never written after New.
 	window       uint64
-	batch        uint64 // admits a stripe counter gathers per flush; ≤ 1: none
+	batch        uint64 // admits a stripe counter gathers per flush: a power of two, 1 for none
 	unknownTrip  float64
 	escapeTrip   float64
 	rearmWindows int
@@ -132,7 +134,8 @@ func (c *Controller) stripe(thread uint16) *stripe {
 // note records one finished admit in the health window: the nth of its
 // disposition on its stripe, as that counter's Add returned it. Bad
 // outcomes are tallied as they happen; the admits themselves reach the
-// shared count a batch at a time, carried by every batch-th one.
+// shared count a batch at a time, carried by every batch-th one (batch is
+// a power of two, so that test is a mask, not a division).
 func (c *Controller) note(nth uint64, unknown, escaped bool) {
 	h := c.health
 	if h == nil {
@@ -144,11 +147,19 @@ func (c *Controller) note(nth uint64, unknown, escaped bool) {
 	if escaped {
 		h.escapes.Add(1)
 	}
-	if h.batch <= 1 {
-		c.countAdmits(1)
-	} else if nth%h.batch == 0 {
+	if nth&(h.batch-1) == 0 {
 		c.countAdmits(h.batch)
 	}
+}
+
+// healthBatch is the admit batch for a window of w: w/healthBatchDivisor
+// rounded down to a power of two, at least 1.
+func healthBatch(w uint64) uint64 {
+	b := w / healthBatchDivisor
+	if b <= 1 {
+		return 1
+	}
+	return 1 << (bits.Len64(b) - 1)
 }
 
 // countAdmits adds n < window finished admits to the window count and

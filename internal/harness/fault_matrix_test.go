@@ -312,15 +312,45 @@ func TestFaultMatrix(t *testing.T) {
 		// Every snapshot build fails: the learner can never install a
 		// model, so the staleness guard must park the gate at
 		// passthrough — degraded, not wedged — while the run completes.
+		// Quarantine takes one warm-up epoch and DefaultStaleEpochs stale
+		// ones, and the learner closes epochs in the background as events
+		// arrive, so a fixed run count sometimes ends short of them. The
+		// runs go on, under a deadline, until it has seen them.
 		e := fastExperiment("kmeans", 4)
-		e.MeasureRuns = 2
+		e.MeasureRuns = 1
 		e.EpochEvents = 256
 		e.Inject = fault.NewInjector(41).
 			Set(fault.SnapshotAbort, fault.Rule{Every: 1})
-		res, st, err := e.MeasureOnline()
-		if err != nil {
-			t.Fatal(err)
+		e.fill()
+		ctrl, l := e.onlineGate()
+		l.Start()
+		var res ModeResult
+		for deadline := time.Now().Add(time.Minute); ; {
+			r, err := e.measureWith(ctrl, l)
+			if err != nil {
+				l.Close()
+				t.Fatal(err)
+			}
+			res.Commits += r.Commits
+			// Let the learner finish the epochs this run filled, so none
+			// lands before the next run resets the gate.
+			for prev := l.Stats().Epochs; ; prev = l.Stats().Epochs {
+				time.Sleep(20 * time.Millisecond)
+				if l.Stats().Epochs == prev {
+					break
+				}
+			}
+			if l.Stats().StaleSkips >= online.DefaultStaleEpochs {
+				break
+			}
+			if time.Now().After(deadline) {
+				l.Close()
+				t.Fatalf("%d stale epochs not reached within a minute: %+v", online.DefaultStaleEpochs, l.Stats())
+			}
 		}
+		l.Close()
+		st := l.Stats()
+		res.Guide = ctrl.Stats()
 		if res.Commits == 0 {
 			t.Error("snapshot aborts prevented commits")
 		}

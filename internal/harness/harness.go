@@ -270,18 +270,7 @@ func (e Experiment) Measure(ctrl *guide.Controller) (ModeResult, error) {
 // the measurement runs — that continuity is the mode being measured.
 func (e Experiment) MeasureOnline() (ModeResult, online.Stats, error) {
 	e.fill()
-	gopts := e.Guide
-	gopts.Tfactor, gopts.K, gopts.Inject = e.Tfactor, e.K, e.Inject
-	gopts.Manifest = e.Manifest
-	ctrl := guide.New(nil, gopts)
-	l := online.New(ctrl, online.Options{
-		EpochEvents: e.EpochEvents,
-		EpochTarget: e.EpochTarget,
-		StateBudget: e.StateBudget,
-		MaxMetric:   e.MaxMetric,
-		Tfactor:     e.Tfactor,
-		Inject:      e.Inject,
-	})
+	ctrl, l := e.onlineGate()
 	l.Start()
 	res, err := e.measureWith(ctrl, l)
 	l.Close()
@@ -290,6 +279,23 @@ func (e Experiment) MeasureOnline() (ModeResult, online.Stats, error) {
 	// learner's agree on what this mode did.
 	res.Guide = ctrl.Stats()
 	return res, l.Stats(), err
+}
+
+// onlineGate builds MeasureOnline's cold gate and the learner that feeds
+// it, not yet started. e must be filled.
+func (e Experiment) onlineGate() (*guide.Controller, *online.Learner) {
+	gopts := e.Guide
+	gopts.Tfactor, gopts.K, gopts.Inject = e.Tfactor, e.K, e.Inject
+	gopts.Manifest = e.Manifest
+	ctrl := guide.New(nil, gopts)
+	return ctrl, online.New(ctrl, online.Options{
+		EpochEvents: e.EpochEvents,
+		EpochTarget: e.EpochTarget,
+		StateBudget: e.StateBudget,
+		MaxMetric:   e.MaxMetric,
+		Tfactor:     e.Tfactor,
+		Inject:      e.Inject,
+	})
 }
 
 // measureWith is the shared measurement loop. learner, when non-nil,

@@ -71,23 +71,27 @@ const (
 	VerdictTrip
 )
 
-// Observe feeds the current counter values. Safe for concurrent use;
+// Observe classifies the window ending at now. Safe for concurrent use;
 // returns VerdictNone until a full window has elapsed since the last
-// closed window, then classifies that window. Nil-safe (returns
-// VerdictNone).
-func (w *Watchdog) Observe(now time.Time, commits, aborts uint64) Verdict {
+// closed window, then reads the counters (counts returns commits and
+// aborts) and classifies that window. counts is called only to anchor or
+// close a window, so a caller may make it as costly as a sum over
+// stripes. Nil-safe (returns VerdictNone).
+func (w *Watchdog) Observe(now time.Time, counts func() (commits, aborts uint64)) Verdict {
 	if w == nil {
 		return VerdictNone
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.lastSample.IsZero() {
-		w.lastSample, w.lastCommits, w.lastAborts = now, commits, aborts
+		w.lastSample = now
+		w.lastCommits, w.lastAborts = counts()
 		return VerdictNone
 	}
 	if now.Sub(w.lastSample) < w.window {
 		return VerdictNone
 	}
+	commits, aborts := counts()
 	dc := commits - w.lastCommits
 	da := aborts - w.lastAborts
 	w.lastSample, w.lastCommits, w.lastAborts = now, commits, aborts

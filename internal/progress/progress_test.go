@@ -8,30 +8,39 @@ import (
 	"gstm/internal/tts"
 )
 
+// at returns a counter reader that reports the given totals.
+func at(commits, aborts uint64) func() (uint64, uint64) {
+	return func() (uint64, uint64) { return commits, aborts }
+}
+
 func TestWatchdogObserve(t *testing.T) {
 	w := NewWatchdog(10 * time.Millisecond)
 	t0 := time.Unix(0, 0)
 
-	if v := w.Observe(t0, 0, 0); v != VerdictNone {
+	if v := w.Observe(t0, at(0, 0)); v != VerdictNone {
 		t.Fatalf("first observation = %v, want VerdictNone (anchor)", v)
 	}
-	// Inside the window: no verdict regardless of counters.
-	if v := w.Observe(t0.Add(time.Millisecond), 0, 50); v != VerdictNone {
+	// Inside the window: no verdict, and the counters are not even read.
+	unread := func() (uint64, uint64) {
+		t.Fatal("counters read inside the window")
+		return 0, 50
+	}
+	if v := w.Observe(t0.Add(time.Millisecond), unread); v != VerdictNone {
 		t.Fatalf("mid-window observation = %v, want VerdictNone", v)
 	}
 	// Window elapsed, aborts advanced, commits did not: trip.
-	if v := w.Observe(t0.Add(11*time.Millisecond), 0, 100); v != VerdictTrip {
+	if v := w.Observe(t0.Add(11*time.Millisecond), at(0, 100)); v != VerdictTrip {
 		t.Fatalf("zero-commit window = %v, want VerdictTrip", v)
 	}
 	if w.Trips() != 1 {
 		t.Fatalf("Trips = %d, want 1", w.Trips())
 	}
 	// Next window has commits: healthy.
-	if v := w.Observe(t0.Add(22*time.Millisecond), 5, 200); v != VerdictHealthy {
+	if v := w.Observe(t0.Add(22*time.Millisecond), at(5, 200)); v != VerdictHealthy {
 		t.Fatalf("commit-bearing window = %v, want VerdictHealthy", v)
 	}
 	// A quiet window (no commits, no aborts) is not livelock.
-	if v := w.Observe(t0.Add(33*time.Millisecond), 5, 200); v != VerdictHealthy {
+	if v := w.Observe(t0.Add(33*time.Millisecond), at(5, 200)); v != VerdictHealthy {
 		t.Fatalf("idle window = %v, want VerdictHealthy (no churn)", v)
 	}
 	if w.Trips() != 1 {
@@ -42,8 +51,8 @@ func TestWatchdogObserve(t *testing.T) {
 func TestWatchdogReset(t *testing.T) {
 	w := NewWatchdog(time.Millisecond)
 	t0 := time.Unix(0, 0)
-	w.Observe(t0, 0, 0)
-	w.Observe(t0.Add(2*time.Millisecond), 0, 10)
+	w.Observe(t0, at(0, 0))
+	w.Observe(t0.Add(2*time.Millisecond), at(0, 10))
 	if w.Trips() != 1 {
 		t.Fatalf("Trips = %d, want 1", w.Trips())
 	}
@@ -52,14 +61,14 @@ func TestWatchdogReset(t *testing.T) {
 		t.Fatalf("Trips after Reset = %d, want 0", w.Trips())
 	}
 	// Post-reset, the first observation re-anchors.
-	if v := w.Observe(t0.Add(time.Hour), 0, 20); v != VerdictNone {
+	if v := w.Observe(t0.Add(time.Hour), at(0, 20)); v != VerdictNone {
 		t.Fatalf("post-reset observation = %v, want VerdictNone", v)
 	}
 }
 
 func TestWatchdogNilSafe(t *testing.T) {
 	var w *Watchdog
-	if v := w.Observe(time.Unix(0, 0), 1, 2); v != VerdictNone {
+	if v := w.Observe(time.Unix(0, 0), at(1, 2)); v != VerdictNone {
 		t.Errorf("nil Observe = %v, want VerdictNone", v)
 	}
 	if w.Trips() != 0 {

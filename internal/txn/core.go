@@ -19,16 +19,14 @@ import (
 // irrevocable token. Both runtimes' STM structs embed it, so its
 // methods are their public bookkeeping surface. Initialize with Init;
 // do not copy.
+//
+// Layout rule: no word written per transaction shares a cache line with
+// a word read per transaction. The first block is read on every attempt
+// and written almost never; the instance counter, written by every
+// thread, sits alone on padded lines; the commit/abort counters are
+// striped per thread, 128 bytes apart. TestCoreLayout pins the rule.
 type Core struct {
 	cfg Config
-
-	instances    atomic.Uint64
-	commits      atomic.Uint64
-	roCommits    atomic.Uint64
-	aborts       atomic.Uint64
-	escalations  atomic.Uint64
-	deadlineMiss atomic.Uint64
-	sheds        atomic.Uint64
 
 	// hooks is the installed tracer/gate/monitor/recorder set, replaced
 	// whole by the setters so the hot path pays one load per use.
@@ -46,6 +44,52 @@ type Core struct {
 
 	ro    *effect.ROSet
 	roLog effect.ViolationLog
+
+	// Written only on a deadline miss or a shed.
+	deadlineMiss atomic.Uint64
+	sheds        atomic.Uint64
+
+	_ [128]byte
+	// instances numbers attempts in birth order across all threads (TL2's
+	// Greedy manager reads it so, and the gate finds the newest commit by
+	// comparing them), so it stays one counter.
+	instances atomic.Uint64
+	_         [120]byte
+	stripes   [coreStripes]coreStripe
+	_         [32]byte // with the last stripe's tail, 128 bytes to the embedder's next field
+}
+
+// coreStripes is the number of per-thread counter stripes; a power of
+// two, so picking one is a mask.
+const coreStripes = 16
+
+// coreStripe is one thread's share of the per-transaction counters,
+// padded to 128 bytes so no two stripes share a line or an adjacent-line
+// prefetch pair. Thread IDs past the array alias modulo its length, so
+// the adds stay atomic; the readers sum every stripe.
+type coreStripe struct {
+	commits, roCommits, aborts, escalations atomic.Uint64
+	_                                       [128 - 4*8]byte
+}
+
+// stripe returns the counter stripe of the given thread.
+func (c *Core) stripe(thread uint16) *coreStripe {
+	return &c.stripes[thread%coreStripes]
+}
+
+// counts is the stripes' sum: one pass, no stop of the writers.
+type counts struct{ commits, roCommits, aborts, escalations uint64 }
+
+func (c *Core) counts() counts {
+	var n counts
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		n.commits += s.commits.Load()
+		n.roCommits += s.roCommits.Load()
+		n.aborts += s.aborts.Load()
+		n.escalations += s.escalations.Load()
+	}
+	return n
 }
 
 // hooks is one immutable snapshot of the installed hooks; gate, mon and
@@ -130,29 +174,35 @@ func (c *Core) NextInstance() uint64 { return c.instances.Add(1) }
 // NoteCommit counts and traces a commit made outside the driver
 // (tl2.AtomicIrrevocable).
 func (c *Core) NoteCommit(instance uint64, p tts.Pair) {
-	c.commits.Add(1)
+	c.stripe(p.Thread).commits.Add(1)
 	c.hooks.Load().tracer.OnCommit(instance, p)
 }
 
 // Commits returns the number of committed transactions, certified
 // read-only ones included (those are counted in their own counter, one
 // atomic add per commit either way).
-func (c *Core) Commits() uint64 { return c.commits.Load() + c.roCommits.Load() }
+func (c *Core) Commits() uint64 {
+	n := c.counts()
+	return n.commits + n.roCommits
+}
 
 // Aborts returns the number of aborted transaction attempts.
-func (c *Core) Aborts() uint64 { return c.aborts.Load() }
+func (c *Core) Aborts() uint64 { return c.counts().aborts }
 
 // ROCommits returns how many commits ran in Certified mode.
-func (c *Core) ROCommits() uint64 { return c.roCommits.Load() }
+func (c *Core) ROCommits() uint64 { return c.counts().roCommits }
 
 // ResetCounters zeroes every per-run counter (between runs): commits,
 // certified commits, aborts and sheds. Progress counters
 // (ProgressStats) and the violation log describe the STM's lifetime
 // and are kept.
 func (c *Core) ResetCounters() {
-	c.commits.Store(0)
-	c.roCommits.Store(0)
-	c.aborts.Store(0)
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.commits.Store(0)
+		s.roCommits.Store(0)
+		s.aborts.Store(0)
+	}
 	c.sheds.Store(0)
 }
 
@@ -167,7 +217,7 @@ func (c *Core) ROViolationKeys() []string { return c.roLog.Keys() }
 // ProgressStats snapshots the progress-guarantee counters.
 func (c *Core) ProgressStats() progress.Stats {
 	return progress.Stats{
-		Escalations:       c.escalations.Load(),
+		Escalations:       c.counts().escalations,
 		DeadlineExceeded:  c.deadlineMiss.Load(),
 		WatchdogTrips:     c.watchdog.Trips(),
 		EscalateThreshold: c.escThreshold.Load(),
@@ -198,6 +248,13 @@ func (c *Core) shouldEscalate(attempts int, t0 time.Time) bool {
 	return et > 0 && time.Since(t0) >= et
 }
 
+// progressCounts is the watchdog's reading: commits (certified ones
+// included) and aborts, summed over the stripes.
+func (c *Core) progressCounts() (commits, aborts uint64) {
+	n := c.counts()
+	return n.commits + n.roCommits, n.aborts
+}
+
 // observeWatchdog feeds the livelock watchdog from the abort path and
 // applies its verdict: a zero-commit window halves the effective
 // escalation threshold (floor 1) so starving transactions reach the
@@ -206,7 +263,7 @@ func (c *Core) observeWatchdog() {
 	if c.watchdog == nil {
 		return
 	}
-	switch c.watchdog.Observe(time.Now(), c.Commits(), c.aborts.Load()) {
+	switch c.watchdog.Observe(time.Now(), c.progressCounts) {
 	case progress.VerdictTrip:
 		c.cfg.Overload.NotePressure()
 		if th := c.escThreshold.Load(); th > 1 {

@@ -150,14 +150,14 @@ func (cl *call[T]) loop(ctx context.Context, fn func(T) error, t0 time.Time) err
 			if mon != nil {
 				mon.OnTxCommit(inst)
 			}
-			switch mode {
+			switch st := c.stripe(cl.pair.Thread); mode {
 			case Certified:
-				c.roCommits.Add(1)
+				st.roCommits.Add(1)
 			case Irrevocable:
-				c.escalations.Add(1)
+				st.escalations.Add(1)
 				fallthrough
 			default:
-				c.commits.Add(1)
+				st.commits.Add(1)
 			}
 			c.hooks.Load().tracer.OnCommit(inst, cl.pair)
 			return nil
@@ -168,7 +168,7 @@ func (cl *call[T]) loop(ctx context.Context, fn func(T) error, t0 time.Time) err
 		if err != nil {
 			return err
 		}
-		c.aborts.Add(1)
+		c.stripe(cl.pair.Thread).aborts.Add(1)
 		c.cfg.Overload.NoteAbort()
 		c.hooks.Load().tracer.OnAbort(cl.pair, killer)
 		attempts++

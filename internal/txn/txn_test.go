@@ -345,7 +345,8 @@ func TestForeignPanicReleasesEverything(t *testing.T) {
 func TestWatchdogHalvesAndRestoresThreshold(t *testing.T) {
 	c := newCore(Config{EscalateAfter: 64, WatchdogWindow: time.Millisecond})
 	c.observeWatchdog() // anchor the first window
-	c.aborts.Add(3)
+	c.stripe(0).aborts.Add(2)
+	c.stripe(coreStripes + 1).aborts.Add(1)
 	time.Sleep(2 * time.Millisecond)
 	c.observeWatchdog() // zero-commit window: trip
 	if th := c.escThreshold.Load(); th != 32 {
@@ -354,7 +355,8 @@ func TestWatchdogHalvesAndRestoresThreshold(t *testing.T) {
 	if got := c.ProgressStats().WatchdogTrips; got != 1 {
 		t.Fatalf("trips = %d, want 1", got)
 	}
-	c.commits.Add(3)
+	c.stripe(1).commits.Add(2)
+	c.stripe(coreStripes - 1).roCommits.Add(1)
 	time.Sleep(2 * time.Millisecond)
 	c.observeWatchdog() // healthy window: restore the configured value
 	if th := c.escThreshold.Load(); th != 64 {
@@ -366,7 +368,7 @@ func TestWatchdogThresholdFloor(t *testing.T) {
 	c := newCore(Config{EscalateAfter: 2, WatchdogWindow: time.Millisecond})
 	for i := 0; i < 5; i++ {
 		c.observeWatchdog()
-		c.aborts.Add(1)
+		c.stripe(uint16(i)).aborts.Add(1)
 		time.Sleep(2 * time.Millisecond)
 	}
 	c.observeWatchdog()

@@ -5,7 +5,9 @@
 # backing tl2.Var/libtm.Obj's no-copy contract), build + full test
 # suite (shuffled, so inter-test ordering dependencies can't hide),
 # the race detector over both STM runtimes plus the fault matrix
-# (injected aborts/stalls must never deadlock the gate), a race-mode
+# (injected aborts/stalls must never deadlock the gate) and the shared
+# driver's per-thread counter stripes (exact totals on both runtimes,
+# thread IDs aliasing, five times over), a race-mode
 # smoke of the schedule explorer and its oracle/scheduler stack
 # (-short trims the schedule budgets), a bounded online-controller
 # soak under the race detector (the streaming learner building epoch
@@ -19,7 +21,9 @@
 # commit path against an exact-state reference, then LibTM's lock-free
 # object metadata in every mode corner), a fuzz smoke over
 # the binary decoders and the tts key codecs, 200 repeats of TL2's
-# Preempt scheduling test (it once failed about 1 run in 60), and
+# Preempt scheduling test (it once failed about 1 run in 60) and of the
+# fault matrix's snapshot-abort case (it once failed about 1 run in 100),
+# and
 # gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm011, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
 # stage runs -fix -diff as a dry-run gate too — any machine-applicable
@@ -70,6 +74,7 @@ go test -shuffle=on ./...
 echo "== race detector (STM runtimes + fault matrix) =="
 go test -race ./internal/tl2 ./internal/libtm
 go test -race -run TestFaultMatrix ./internal/harness
+go test -race -count=5 -run TestCoreCountersExact ./internal/txn
 
 echo "== explorer smoke (scheduler + oracle, race mode) =="
 go test -race -short ./internal/sched ./internal/oracle ./internal/explorer
@@ -104,6 +109,9 @@ go test -race -count=5 -run 'TestKillerAttributionParity|TestInvariantPreservedA
 
 echo "== preempt repeat (TL2 Preempt yields, or does not, as configured) =="
 go test -run 'TestPreempt/Gosched' -count=200 ./internal/tl2
+
+echo "== snapshot-abort repeat (the learner quarantines a gate it can never feed) =="
+go test -run 'TestFaultMatrix/OnlineSnapshotAbort' -count=200 ./internal/harness
 
 echo "== fuzz smoke (binary decoders + tts key codecs) =="
 FUZZTIME="${GSTM_FUZZTIME:-10s}"
