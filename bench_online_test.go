@@ -8,14 +8,16 @@ package gstm
 //     the streaming learner to a guided STM must cost only the tracer
 //     fan-out on the commit path — epoch builds and model swaps happen
 //     off it.
-//   - BenchmarkOnlineObserve: the raw per-event enqueue (the learner's
-//     share of every commit/abort), pinned at 0 allocs/op at steady
-//     state by TestHotPathAllocationFree.
-//   - BenchmarkOnlineEpochSwap: the full streaming pipeline — drain,
+//   - BenchmarkOnlineObserve (and BenchmarkOnlineObserveParallel, two
+//     producers when run with -cpu 2): the raw per-event enqueue (the
+//     learner's share of every commit/abort), pinned at 0 allocs/op at
+//     steady state by TestHotPathAllocationFree.
+//   - BenchmarkOnlineEpochSwap: the full streaming pipeline — dequeue,
 //     state rebuild, decay/fold, snapshot audit and lock-free model
 //     swap — amortized per event at a sim-scale epoch length.
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"gstm/internal/guide"
@@ -60,7 +62,7 @@ func BenchmarkOnlineGateOverhead(b *testing.B) {
 // once full, the drop branch — the two states a loaded system sees.
 func BenchmarkOnlineObserve(b *testing.B) {
 	ctrl := guide.New(nil, guide.Options{})
-	l := online.New(ctrl, online.Options{EpochEvents: 1 << 20})
+	l := online.New(ctrl, online.Options{})
 	pair := tts.Pair{Tx: 1, Thread: 1}
 	inst := uint64(0)
 	b.ReportAllocs()
@@ -72,9 +74,31 @@ func BenchmarkOnlineObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkOnlineObserveParallel is BenchmarkOnlineObserve from
+// GOMAXPROCS producers at once, each tracing its own thread ID: the
+// cost of the ring's claim CAS and the drop counter when producers
+// contend for them.
+func BenchmarkOnlineObserveParallel(b *testing.B) {
+	ctrl := guide.New(nil, guide.Options{})
+	l := online.New(ctrl, online.Options{})
+	var threads atomic.Uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		t := threads.Add(1)
+		pair := tts.Pair{Tx: 1, Thread: uint16(t)}
+		inst := uint64(t) << 40
+		for pb.Next() {
+			inst++
+			l.OnCommit(inst, pair)
+			l.OnAbort(pair, inst)
+		}
+	})
+}
+
 // BenchmarkOnlineEpochSwap pushes an alternating two-thread conflict
 // stream through a synchronous learner, so every EpochEvents-th event
-// pays a full epoch: drain, sort, state rebuild, decay, fold, audit
+// pays a full epoch: dequeue, state rebuild, decay, fold, audit
 // and (when the snapshot is healthy) the atomic model swap. The
 // reported per-event cost is the amortized streaming-pipeline overhead;
 // the swap counter check keeps the bench honest about snapshots

@@ -135,16 +135,17 @@ type (
 )
 
 // Online continuously-learning guidance (see internal/online): a
-// background learner drains the live commit/abort stream into epoch
-// snapshots, audits each snapshot, and swaps healthy models into the
-// controller lock-free; drift and staleness guards quarantine the gate
-// to passthrough and re-arm it when a later epoch probes healthy.
+// background learner cuts the live commit/abort stream into epochs of
+// exactly EpochEvents events by ring position, folds each into an epoch
+// snapshot, audits it, and swaps healthy models into the controller
+// lock-free; drift and staleness guards quarantine the gate to
+// passthrough and re-arm it when a later epoch probes healthy.
 type (
 	// OnlineLearner is the streaming TSA controller; attach it with
 	// GuideOnline (or wire it as one sink of a MultiTracer).
 	OnlineLearner = online.Learner
-	// OnlineOptions configures epoch length, state budget, decay,
-	// drift/staleness thresholds and event-ring shape.
+	// OnlineOptions configures epoch length (which also sizes the
+	// event ring), state budget, decay and drift/staleness thresholds.
 	OnlineOptions = online.Options
 	// OnlineStats is the learner's counter snapshot.
 	OnlineStats = online.Stats
@@ -295,9 +296,9 @@ func Guide(s *STM, ctrl *Controller, col *Collector) {
 }
 
 // GuideOnline wires continuously-learning guidance into an STM: ctrl
-// gates transaction starts while a background learner drains the
-// commit/abort stream, builds epoch snapshots and swaps healthy models
-// into ctrl lock-free. The controller may start empty
+// gates transaction starts while a background learner folds the
+// commit/abort stream epoch by epoch, builds snapshots and swaps healthy
+// models into ctrl lock-free. The controller may start empty
 // (guide.New(nil, ...)); it admits everything until the first healthy
 // snapshot lands. The returned learner is already started — call its
 // Close method at end of run to flush the final partial epoch, and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -313,9 +314,8 @@ func TestFaultMatrix(t *testing.T) {
 		// model, so the staleness guard must park the gate at
 		// passthrough — degraded, not wedged — while the run completes.
 		// Quarantine takes one warm-up epoch and DefaultStaleEpochs stale
-		// ones, and the learner closes epochs in the background as events
-		// arrive, so a fixed run count sometimes ends short of them. The
-		// runs go on, under a deadline, until it has seen them.
+		// ones, and a fixed run count sometimes ends short of them. The
+		// runs go on, under a deadline, until the learner has seen them.
 		e := fastExperiment("kmeans", 4)
 		e.MeasureRuns = 1
 		e.EpochEvents = 256
@@ -332,13 +332,19 @@ func TestFaultMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			res.Commits += r.Commits
-			// Let the learner finish the epochs this run filled, so none
-			// lands before the next run resets the gate.
-			for prev := l.Stats().Epochs; ; prev = l.Stats().Epochs {
-				time.Sleep(20 * time.Millisecond)
-				if l.Stats().Epochs == prev {
+			// Wait until the learner has folded every complete epoch of
+			// the accepted stream, so none lands after the next run resets
+			// the gate.
+			for {
+				st := l.Stats()
+				if st.Epochs == (st.Events+st.Dups)/uint64(e.EpochEvents) {
 					break
 				}
+				if time.Now().After(deadline) {
+					l.Close()
+					t.Fatalf("epochs not folded within a minute: %+v", st)
+				}
+				runtime.Gosched()
 			}
 			if l.Stats().StaleSkips >= online.DefaultStaleEpochs {
 				break

@@ -117,12 +117,10 @@ type Experiment struct {
 	// swaps epoch snapshots into the gate as they prove healthy.
 	Online bool
 	// EpochEvents and StateBudget tune the online learner (0 = the
-	// learner's defaults). Ignored unless Online is set. EpochTarget,
-	// when positive, auto-tunes the epoch size to that wall-clock
-	// cadence from the observed event rate (online.Options.EpochTarget).
+	// learner's defaults). Ignored unless Online is set. An epoch is
+	// exactly EpochEvents accepted events, cut by ring position.
 	EpochEvents int
 	StateBudget int
-	EpochTarget time.Duration
 	// MaxMetric is the online learner's snapshot fitness ceiling (0 =
 	// the offline analyzer's bar). Soaks and small workloads may relax
 	// it: the drift guard re-scores every installed snapshot each
@@ -290,7 +288,6 @@ func (e Experiment) onlineGate() (*guide.Controller, *online.Learner) {
 	ctrl := guide.New(nil, gopts)
 	return ctrl, online.New(ctrl, online.Options{
 		EpochEvents: e.EpochEvents,
-		EpochTarget: e.EpochTarget,
 		StateBudget: e.StateBudget,
 		MaxMetric:   e.MaxMetric,
 		Tfactor:     e.Tfactor,

@@ -5,16 +5,19 @@
 //
 // The Learner sits on the trace fan-out next to the guide controller
 // (trace.Multi). Its tracer hooks are the hot path and do no work
-// beyond stamping a global sequence number and enqueueing a fixed-size
-// event into a lock-free bounded ring — zero allocations, no locks, no
-// blocking: when the rings are full events are dropped and counted,
-// never waited on. Everything heavy happens per epoch, off the commit
-// path: every EpochEvents events the learner drains the rings,
-// restores global order by sequence number, folds the epoch's
-// transition chain into a decayed, budget-bounded accumulator model
-// (the paper's §VI pruning applied online), and builds a pruned
-// snapshot that is installed into the guide with a single lock-free
-// pointer swap (guide.Controller.SwapModel).
+// beyond one CAS that claims a position in a lock-free bounded ring —
+// zero allocations, no locks, no blocking: when the ring is full the
+// event is dropped and counted, never waited on, and claims no
+// position. The claimed position is the event's place in the stream,
+// and epoch i is positions [i·EpochEvents, (i+1)·EpochEvents). So a
+// given stream of accepted events is cut into the same epochs however
+// the learner goroutine is scheduled. Everything heavy happens per
+// epoch, off the commit path: the learner groups the epoch's events
+// into its transaction sequence (trace.Build, the same grouping the
+// offline profile uses), folds the transition chain into a decayed,
+// budget-bounded accumulator model (the paper's §VI pruning applied
+// online), and builds a pruned snapshot that is installed into the
+// guide with a single lock-free pointer swap (guide.Controller.SwapModel).
 //
 // Two guards keep a bad model from steering the gate:
 //
@@ -38,10 +41,9 @@ package online
 
 import (
 	"math"
-	"sort"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gstm/internal/analyze"
 	"gstm/internal/fault"
@@ -59,41 +61,27 @@ const (
 	DefaultDriftTrip   = 0.6
 	DefaultStaleEpochs = 2
 	DefaultMinStates   = 2
-	DefaultRingSize    = 1024
-	DefaultRings       = 4
-	// MinEpochEvents / MaxEpochEvents bound the auto-tuned epoch size
-	// (EpochTarget): below the floor an epoch is too small a sample for
-	// the guards, above the ceiling adaptation lags the workload.
-	MinEpochEvents = 64
-	MaxEpochEvents = 1 << 16
 )
 
-// minEpochFraction: an epoch batch smaller than EpochEvents/minEpochFraction
-// (e.g. the final flush on Close) still folds into the accumulator but
-// is too little evidence to drive guard decisions.
+// minRing is the event ring's smallest capacity. Past it the ring holds
+// two epochs, so producers can fill one while the learner folds the
+// other.
+const minRing = 4096
+
+// minEpochFraction: an epoch smaller than EpochEvents/minEpochFraction
+// (Close's short final epoch) still folds into the accumulator but is
+// too little evidence to drive guard decisions.
 const minEpochFraction = 4
 
 // Options configures a Learner. The zero value is usable: every field
 // defaults as documented.
 type Options struct {
-	// EpochEvents is how many traced events accumulate before an epoch
-	// is processed. ≤ 0 means DefaultEpochEvents. Smaller epochs adapt
-	// faster and cost more churn.
+	// EpochEvents is how many accepted events make one epoch: epoch i
+	// is ring positions [i·EpochEvents, (i+1)·EpochEvents). ≤ 0 means
+	// DefaultEpochEvents. Smaller epochs adapt faster and cost more
+	// churn. The event ring holds the next power of two ≥
+	// max(4096, 2·EpochEvents) events.
 	EpochEvents int
-	// EpochTarget, when positive, auto-tunes the epoch size to this
-	// wall-clock duration: each processed epoch measures the observed
-	// event rate from the producer sequence stamps (Δseq over elapsed
-	// time — drops included, since they were offered load) and moves
-	// EpochEvents halfway toward rate×EpochTarget, clamped to
-	// [MinEpochEvents, MaxEpochEvents]. EpochEvents then only seeds the
-	// first epoch. This keeps epoch cadence stable across workloads
-	// whose event rates differ by orders of magnitude — fixed counts
-	// mean a hot workload re-audits every few hundred microseconds
-	// while a cold one goes seconds between guard decisions.
-	EpochTarget time.Duration
-	// Now, when non-nil, replaces time.Now for the rate measurement —
-	// the auto-tune convergence tests drive it.
-	Now func() time.Time
 	// StateBudget bounds the accumulator model's state count; the
 	// lowest-weight states are evicted past it (online §VI pruning).
 	// ≤ 0 means DefaultStateBudget.
@@ -130,33 +118,30 @@ type Options struct {
 	// snapshot is re-scored against the live stream each epoch and the
 	// drift guard catches a model that stops predicting.
 	MaxMetric float64
-	// RingSize is the capacity of each event ring (rounded up to a
-	// power of two). ≤ 0 means DefaultRingSize.
-	RingSize int
-	// Rings is how many rings the producers are striped over (by
-	// thread ID) to spread CAS contention. ≤ 0 means DefaultRings.
-	Rings int
 	// Inject, when non-nil, arms the online fault hooks:
 	// fault.StreamDrop / fault.StreamDup on the enqueue path,
 	// fault.SnapshotAbort in the snapshot build, and
 	// fault.EpochSwapStall immediately before a model swap (stalling
 	// the learner, never the commit path).
 	Inject *fault.Injector
-	// Synchronous processes each full epoch inline on the goroutine
-	// that traced the triggering event instead of a background
-	// learner goroutine — deterministic, for tests and simulators.
-	// Start/Close are then no-ops (Close still flushes).
+	// Synchronous folds each complete epoch inline on the goroutine
+	// whose event claimed the epoch's last position, instead of on a
+	// background learner goroutine — for tests and simulators. Start
+	// is then a no-op; Close still folds the rest.
 	Synchronous bool
 }
 
 // Stats is a snapshot of the learner's counters.
 type Stats struct {
-	// Events were accepted into a ring; Dropped found their ring full
-	// (or were claimed by the StreamDrop fault); Dups were enqueued
-	// twice by the StreamDup fault.
+	// Events were accepted into the ring; Dropped found it full (or
+	// were claimed by the StreamDrop fault); Dups were enqueued twice
+	// by the StreamDup fault. Events+Dups is the number of ring
+	// positions claimed.
 	Events, Dropped, Dups uint64
-	// Epochs is how many epoch batches were processed; Swaps how many
-	// produced a snapshot healthy enough to install.
+	// Epochs is how many epochs were processed, whatever they held;
+	// Swaps how many produced a snapshot healthy enough to install.
+	// Before Close, Epochs is (Events+Dups)/EpochEvents once the
+	// learner has caught up.
 	Epochs, Swaps uint64
 	// Quarantines / Rearms count the learner's guard actions on the
 	// gate. SnapshotAborts counts snapshot builds lost to the
@@ -164,17 +149,13 @@ type Stats struct {
 	// rejected by the fitness/coverage guard.
 	Quarantines, Rearms, SnapshotAborts, StaleSkips uint64
 	// Unattributed counts aborts whose killer commit was not in the
-	// same epoch batch (late attribution across an epoch boundary is
+	// same epoch (late attribution across an epoch boundary is
 	// dropped, an accepted approximation).
 	Unattributed uint64
 	// LastDivergence is the drift score of the most recent
 	// guard-eligible epoch; AccStates the accumulator's current size.
 	LastDivergence float64
 	AccStates      int
-	// EpochEvents is the current epoch-close threshold (auto-tuned when
-	// Options.EpochTarget is set); Retunes counts threshold moves.
-	EpochEvents int
-	Retunes     uint64
 	// Quarantined reports whether the learner currently holds the gate
 	// quarantined.
 	Quarantined bool
@@ -185,12 +166,7 @@ type Stats struct {
 type Learner struct {
 	ctrl *guide.Controller
 
-	// epochEvents is the current epoch-close threshold. Atomic because
-	// the tracer hot path reads it while the epoch processor retunes it
-	// (EpochTarget).
-	epochEvents atomic.Int64
-	epochTarget time.Duration
-	now         func() time.Time
+	epochEvents int
 	stateBudget int
 	tf          float64
 	decay       float64
@@ -201,32 +177,28 @@ type Learner struct {
 	sync        bool
 	inject      *fault.Injector
 
-	rings   []*trace.EventRing
-	seq     atomic.Uint64 // global order stamp across all rings
-	pending atomic.Uint64 // events enqueued since the last epoch drain
+	// ring is the event stream; the position a claim gets is the
+	// event's place in it.
+	ring *trace.EventRing
 
-	wake chan struct{} // buffered(1): epoch-ready signal
+	wake chan struct{} // buffered(1): epoch-complete signal
 	done chan struct{}
 	wg   sync.WaitGroup
 	on   atomic.Bool // background goroutine running
 
-	// mu serializes epoch processing and the learner state below. The
-	// tracer hot path never touches it.
+	// mu serializes epoch processing and the learner state below. Only
+	// the claim that completes an epoch, in Synchronous mode, takes it
+	// on a tracer call.
 	mu        sync.Mutex
 	acc       *model.TSA
-	buf       []trace.Event // drain scratch, reused across epochs
+	buf       []trace.Event // epoch scratch, reused across epochs
+	taken     uint64        // ring positions folded so far
 	prev      tts.State     // last final state of the previous epoch
 	havePrev  bool
 	unhealthy int  // consecutive guard-failed epochs
 	quarOwned bool // we quarantined the gate (so a healthy swap re-arms)
 	decided   int  // decide-sized epochs processed (warmup gating)
-	// Auto-tune rate anchors (EpochTarget): the previous epoch close's
-	// clock reading and producer sequence stamp.
-	lastTuneAt  time.Time
-	lastTuneSeq uint64
-	haveTune    bool
 
-	events         atomic.Uint64
 	dropped        atomic.Uint64
 	dups           atomic.Uint64
 	epochs         atomic.Uint64
@@ -236,7 +208,6 @@ type Learner struct {
 	snapshotAborts atomic.Uint64
 	staleSkips     atomic.Uint64
 	unattributed   atomic.Uint64
-	retunes        atomic.Uint64
 	lastDivergence atomic.Uint64 // math.Float64bits
 	accStates      atomic.Uint64
 	quarantined    atomic.Bool
@@ -251,8 +222,7 @@ var _ trace.Tracer = (*Learner)(nil)
 func New(ctrl *guide.Controller, opts Options) *Learner {
 	l := &Learner{
 		ctrl:        ctrl,
-		epochTarget: opts.EpochTarget,
-		now:         opts.Now,
+		epochEvents: opts.EpochEvents,
 		stateBudget: opts.StateBudget,
 		tf:          opts.Tfactor,
 		decay:       opts.Decay,
@@ -265,14 +235,10 @@ func New(ctrl *guide.Controller, opts Options) *Learner {
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
-	ee := opts.EpochEvents
-	if ee <= 0 {
-		ee = DefaultEpochEvents
+	if l.epochEvents <= 0 {
+		l.epochEvents = DefaultEpochEvents
 	}
-	l.epochEvents.Store(int64(ee))
-	if l.now == nil {
-		l.now = time.Now
-	}
+	l.ring = trace.NewEventRing(max(minRing, 2*l.epochEvents))
 	if l.stateBudget <= 0 {
 		l.stateBudget = DefaultStateBudget
 	}
@@ -291,18 +257,6 @@ func New(ctrl *guide.Controller, opts Options) *Learner {
 	if l.minStates <= 0 {
 		l.minStates = DefaultMinStates
 	}
-	rings := opts.Rings
-	if rings <= 0 {
-		rings = DefaultRings
-	}
-	size := opts.RingSize
-	if size <= 0 {
-		size = DefaultRingSize
-	}
-	l.rings = make([]*trace.EventRing, rings)
-	for i := range l.rings {
-		l.rings[i] = trace.NewEventRing(size)
-	}
 	threads := 1
 	if m := ctrl.Model(); m != nil && m.Threads > 0 {
 		threads = m.Threads
@@ -311,8 +265,8 @@ func New(ctrl *guide.Controller, opts Options) *Learner {
 	return l
 }
 
-// OnCommit implements trace.Tracer. Hot path: stamp, enqueue, maybe
-// signal — no locks, no allocations, no blocking.
+// OnCommit implements trace.Tracer. Hot path: one CAS to claim a ring
+// position — no locks, no allocations, no blocking.
 func (l *Learner) OnCommit(instance uint64, p tts.Pair) {
 	l.observe(trace.Event{Inst: instance, Pair: p, Kind: trace.EventCommit})
 }
@@ -331,34 +285,38 @@ func (l *Learner) observe(ev trace.Event) {
 		l.dropped.Add(1)
 		return
 	}
-	ev.Seq = l.seq.Add(1)
-	r := l.rings[int(ev.Pair.Thread)%len(l.rings)]
-	if !r.Enqueue(ev) {
+	pos, ok := l.ring.Enqueue(ev)
+	if !ok {
 		l.dropped.Add(1)
 		return
 	}
-	l.events.Add(1)
+	l.claimed(pos)
 	if l.inject.Fire(fault.StreamDup) {
-		// Duplicate delivery: the same event enqueued twice (with a
-		// fresh stamp, as a real double-fire would be). The epoch fold
-		// must tolerate it — counts skew slightly, guidance must not
-		// wedge.
-		dup := ev
-		dup.Seq = l.seq.Add(1)
-		if r.Enqueue(dup) {
+		// Duplicate delivery: the same event enqueued twice, at a
+		// position of its own, as a real double-fire would be. The
+		// epoch fold must tolerate it — counts skew slightly, guidance
+		// must not wedge.
+		if pos, ok := l.ring.Enqueue(ev); ok {
 			l.dups.Add(1)
-			l.pending.Add(1)
+			l.claimed(pos)
 		}
 	}
-	if l.pending.Add(1) >= uint64(l.epochEvents.Load()) {
-		if l.sync {
-			l.processEpoch()
-			return
-		}
-		select {
-		case l.wake <- struct{}{}:
-		default: // learner already signalled
-		}
+}
+
+// claimed acts on a successful claim of ring position pos: the claim of
+// an epoch's last position folds the complete epochs (Synchronous) or
+// wakes the learner goroutine to fold them.
+func (l *Learner) claimed(pos uint64) {
+	if (pos+1)%uint64(l.epochEvents) != 0 {
+		return
+	}
+	if l.sync {
+		l.fold(false)
+		return
+	}
+	select {
+	case l.wake <- struct{}{}:
+	default: // learner already signalled
 	}
 }
 
@@ -376,30 +334,31 @@ func (l *Learner) Start() {
 			case <-l.done:
 				return
 			case <-l.wake:
-				for l.pending.Load() >= uint64(l.epochEvents.Load()) {
-					l.processEpoch()
-				}
+				l.fold(false)
 			}
 		}
 	}()
 }
 
-// Close stops the background goroutine (if any) and flushes whatever
-// is left in the rings as a final, possibly short, epoch.
+// Close stops the background goroutine (if any), folds every complete
+// epoch, and then folds the rest of the stream as a final, short epoch.
+// Close ends the stream: events traced after it are folded by no one
+// but a later Close.
 func (l *Learner) Close() {
 	if l.on.Swap(false) {
 		close(l.done)
 		l.wg.Wait()
 	}
-	l.processEpoch()
+	l.fold(true)
 }
 
 // Stats returns a snapshot of the learner's counters.
 func (l *Learner) Stats() Stats {
+	dups := l.dups.Load()
 	return Stats{
-		Events:         l.events.Load(),
+		Events:         l.ring.Claimed() - dups,
 		Dropped:        l.dropped.Load(),
-		Dups:           l.dups.Load(),
+		Dups:           dups,
 		Epochs:         l.epochs.Load(),
 		Swaps:          l.swaps.Load(),
 		Quarantines:    l.quarantines.Load(),
@@ -409,58 +368,54 @@ func (l *Learner) Stats() Stats {
 		Unattributed:   l.unattributed.Load(),
 		LastDivergence: loadFloat(&l.lastDivergence),
 		AccStates:      int(l.accStates.Load()),
-		EpochEvents:    int(l.epochEvents.Load()),
-		Retunes:        l.retunes.Load(),
 		Quarantined:    l.quarantined.Load(),
 	}
 }
 
-// processEpoch drains, orders, folds, audits, and (when healthy)
-// installs one epoch. Runs on the learner goroutine (or inline in
-// Synchronous mode); serialized by mu.
-func (l *Learner) processEpoch() {
+// fold processes every complete epoch claimed so far, in position
+// order; with final set it then processes the claimed rest as one short
+// epoch. It runs on the learner goroutine, inline on a producer in
+// Synchronous mode, or in Close; mu serializes it.
+func (l *Learner) fold(final bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.pending.Store(0)
+	e := uint64(l.epochEvents)
+	for l.ring.Claimed()-l.taken >= e {
+		l.processEpoch(l.take(e))
+	}
+	if n := l.ring.Claimed() - l.taken; final && n > 0 {
+		l.processEpoch(l.take(n))
+	}
+}
 
+// take dequeues the next n ring positions, all of them claimed. A
+// position can be claimed but not yet published while its producer is
+// between its claim and its store; take yields until it is. Caller
+// holds mu.
+func (l *Learner) take(n uint64) []trace.Event {
 	l.buf = l.buf[:0]
-	for _, r := range l.rings {
-		l.buf = r.Drain(l.buf)
-	}
-	if len(l.buf) == 0 {
-		return
-	}
-	// Per-ring FIFO order is not global order; the producer-assigned
-	// stamp restores it.
-	sort.Slice(l.buf, func(i, j int) bool { return l.buf[i].Seq < l.buf[j].Seq })
-
-	// Rebuild the epoch's state chain the way trace.Collector does:
-	// commits anchor states in order; aborts attach to their killer's
-	// state by instance. Kills whose commit fell outside this batch
-	// are dropped and counted.
-	states := make([]tts.State, 0, len(l.buf))
-	byInst := make(map[uint64]int, len(l.buf))
-	for _, ev := range l.buf {
-		if ev.Kind == trace.EventCommit {
-			byInst[ev.Inst] = len(states)
-			states = append(states, tts.State{Commit: ev.Pair})
-		}
-	}
-	for _, ev := range l.buf {
-		if ev.Kind != trace.EventAbort {
+	for uint64(len(l.buf)) < n {
+		ev, ok := l.ring.Dequeue()
+		if !ok {
+			runtime.Gosched()
 			continue
 		}
-		if idx, ok := byInst[ev.Inst]; ok {
-			states[idx].Aborts = append(states[idx].Aborts, ev.Pair)
-		} else {
-			l.unattributed.Add(1)
-		}
+		l.buf = append(l.buf, ev)
 	}
+	l.taken += n
+	return l.buf
+}
+
+// processEpoch groups, folds, audits, and (when healthy) installs one
+// epoch. Caller holds mu.
+func (l *Learner) processEpoch(events []trace.Event) {
+	l.epochs.Add(1)
+	// Kills whose commit fell outside this epoch are dropped and
+	// counted.
+	states, unattributed := trace.Build(events)
+	l.unattributed.Add(uint64(unattributed))
 	if len(states) == 0 {
 		return
-	}
-	for i := range states {
-		states[i].Canonicalize()
 	}
 
 	// The transition chain, bridged from the previous epoch's final
@@ -481,10 +436,7 @@ func (l *Learner) processEpoch() {
 	// Guard decisions need a real sample; the final Close flush (or a
 	// drop-starved epoch) still teaches the accumulator but decides
 	// nothing.
-	decide := len(l.buf) >= int(l.epochEvents.Load())/minEpochFraction
-	if decide {
-		l.retune()
-	}
+	decide := len(events) >= l.epochEvents/minEpochFraction
 
 	// Drift guard: score the *installed* model against what actually
 	// happened this epoch, before the new evidence dilutes anything.
@@ -511,7 +463,6 @@ func (l *Learner) processEpoch() {
 	l.acc.AddRun(run)
 	l.acc.EvictToBudget(l.stateBudget)
 	l.accStates.Store(uint64(l.acc.NumStates()))
-	l.epochs.Add(1)
 
 	// Snapshot build (off the commit path; the gate keeps running on
 	// the old tables throughout). Fitness is audited on the full
@@ -587,44 +538,6 @@ func (l *Learner) processEpoch() {
 			}
 			l.ctrl.Quarantine()
 		}
-	}
-}
-
-// retune moves the epoch-close threshold toward the configured wall-
-// clock cadence (EpochTarget). The event rate comes from the producer
-// sequence stamps: Δseq over the elapsed clock time since the last
-// decide-sized epoch, which counts offered load (ring-full drops
-// included) rather than just accepted events. The move is halfway
-// toward the measurement — a step change in rate converges within a
-// few epochs while one anomalous epoch cannot thrash the threshold.
-// Caller holds mu.
-func (l *Learner) retune() {
-	if l.epochTarget <= 0 {
-		return
-	}
-	now, seq := l.now(), l.seq.Load()
-	if !l.haveTune {
-		l.lastTuneAt, l.lastTuneSeq, l.haveTune = now, seq, true
-		return
-	}
-	elapsed := now.Sub(l.lastTuneAt)
-	dseq := seq - l.lastTuneSeq
-	l.lastTuneAt, l.lastTuneSeq = now, seq
-	if elapsed <= 0 || dseq == 0 {
-		return
-	}
-	target := float64(dseq) * float64(l.epochTarget) / float64(elapsed)
-	cur := l.epochEvents.Load()
-	next := cur + (int64(target)-cur)/2
-	if next < MinEpochEvents {
-		next = MinEpochEvents
-	}
-	if next > MaxEpochEvents {
-		next = MaxEpochEvents
-	}
-	if next != cur {
-		l.epochEvents.Store(next)
-		l.retunes.Add(1)
 	}
 }
 

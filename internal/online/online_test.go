@@ -2,13 +2,18 @@ package online
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/guide"
+	"gstm/internal/model"
+	"gstm/internal/trace"
 	"gstm/internal/tts"
 )
 
@@ -328,10 +333,10 @@ func TestHotPathAllocationFree(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	ctrl := newColdGate()
-	// Asynchronous mode with no Start: epochs never run, so the rings
-	// fill and the path degrades to the (also allocation-free) drop
+	// Asynchronous mode with no Start: epochs never run, so the ring
+	// fills and the path degrades to the (also allocation-free) drop
 	// branch — both branches are measured.
-	l := New(ctrl, Options{EpochEvents: 1 << 20})
+	l := New(ctrl, Options{})
 	inst := uint64(0)
 	p := tts.Pair{Tx: 1, Thread: 1}
 	if avg := testing.AllocsPerRun(5000, func() {
@@ -340,5 +345,153 @@ func TestHotPathAllocationFree(t *testing.T) {
 		l.OnAbort(p, inst)
 	}); avg != 0 {
 		t.Fatalf("tracer hot path allocates %v allocs/op, want 0", avg)
+	}
+}
+
+// recordedStream is one fixed stream of 3,200 commit+abort pairs over
+// two threads: a biased rotation over eight pairs, then uniform chaos,
+// then the rotation again, so a replay goes through swaps, a
+// quarantine and a re-arm. Each commit kills the pair four places on,
+// and one in eight also the pair two on. One abort in four is recorded
+// before its killer's commit, so some straddle an epoch boundary and go
+// unattributed.
+func recordedStream() []trace.Event {
+	const nPairs, steps = 8, 3200
+	rng := rand.New(rand.NewSource(43))
+	pair := func(i int) tts.Pair { return tts.Pair{Tx: uint16(i), Thread: uint16(i % 2)} }
+	evs := make([]trace.Event, 0, 2*steps)
+	cur := 0
+	for inst := uint64(1); inst <= steps; inst++ {
+		next := (cur + 1) % nPairs
+		if chaos := inst > 1200 && inst <= 2000; chaos || rng.Intn(100) >= 85 {
+			next = rng.Intn(nPairs)
+		}
+		cur = next
+		c := trace.Event{Inst: inst, Pair: pair(next), Kind: trace.EventCommit}
+		a := trace.Event{Inst: inst, Pair: pair((next + 4) % nPairs), Kind: trace.EventAbort}
+		if rng.Intn(4) == 0 {
+			c, a = a, c
+		}
+		evs = append(evs, c, a)
+		if rng.Intn(8) == 0 {
+			evs = append(evs, trace.Event{Inst: inst, Pair: pair((next + 2) % nPairs), Kind: trace.EventAbort})
+		}
+	}
+	return evs
+}
+
+// feed delivers ev through a tracer's hooks.
+func feed(tr trace.Tracer, ev trace.Event) {
+	if ev.Kind == trace.EventCommit {
+		tr.OnCommit(ev.Inst, ev.Pair)
+	} else {
+		tr.OnAbort(ev.Pair, ev.Inst)
+	}
+}
+
+// replayOutcome is everything a replay decides: the learner's guard
+// counters and the model it left installed (node key → edge counts).
+type replayOutcome struct {
+	Epochs, Swaps, Quarantines, Rearms, StaleSkips, Unattributed uint64
+	LastDivergence                                               float64
+	AccStates                                                    int
+	Installed                                                    map[string]map[string]int
+}
+
+// replay feeds evs to a fresh learner with 256-event epochs and closes
+// it. seed < 0 replays in Synchronous mode; otherwise the learner runs
+// on its own goroutine while one producer, paced by seed, sleeps at
+// random between events. The producer waits while half the ring is
+// unfolded, so no event is dropped and every run sees the same input.
+func replay(t *testing.T, evs []trace.Event, seed int64) replayOutcome {
+	t.Helper()
+	ctrl := newColdGate()
+	l := New(ctrl, Options{EpochEvents: testEpoch, Synchronous: seed < 0})
+	if seed < 0 {
+		for _, ev := range evs {
+			feed(l, ev)
+		}
+	} else {
+		l.Start()
+		rng := rand.New(rand.NewSource(seed))
+		for _, ev := range evs {
+			for {
+				st := l.Stats()
+				if st.Events+st.Dups-st.Epochs*testEpoch < minRing/2 {
+					break
+				}
+				runtime.Gosched()
+			}
+			if rng.Intn(64) == 0 {
+				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+			}
+			feed(l, ev)
+		}
+	}
+	l.Close()
+	st := l.Stats()
+	if st.Dropped != 0 || st.Events != uint64(len(evs)) {
+		t.Fatalf("seed %d: accepted %d of %d events, dropped %d", seed, st.Events, len(evs), st.Dropped)
+	}
+	out := replayOutcome{
+		Epochs: st.Epochs, Swaps: st.Swaps, Quarantines: st.Quarantines, Rearms: st.Rearms,
+		StaleSkips: st.StaleSkips, Unattributed: st.Unattributed,
+		LastDivergence: st.LastDivergence, AccStates: st.AccStates,
+		Installed: map[string]map[string]int{},
+	}
+	if m := ctrl.Model(); m != nil {
+		for key, node := range m.Nodes {
+			out.Installed[key] = node.Out
+		}
+	}
+	return out
+}
+
+// TestDeterministicEpochs is the learner's determinism contract: epochs
+// are cut by ring position, so one accepted stream gives the same
+// epochs, the same guard decisions and the same installed model whether
+// the learner folds inline or on its own goroutine, however that
+// goroutine is scheduled.
+func TestDeterministicEpochs(t *testing.T) {
+	evs := recordedStream()
+	want := replay(t, evs, -1)
+	if n := uint64(len(evs)+testEpoch-1) / testEpoch; want.Epochs != n {
+		t.Errorf("Synchronous: %d epochs, want %d (complete ones plus Close's short one)", want.Epochs, n)
+	}
+	if want.Swaps == 0 || want.Quarantines == 0 || want.Rearms == 0 || want.Unattributed == 0 || len(want.Installed) == 0 {
+		t.Fatalf("the stream does not exercise the guards: %+v", want)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		if got := replay(t, evs, seed); !reflect.DeepEqual(got, want) {
+			t.Errorf("async seed %d differs from Synchronous:\n got %+v\nwant %+v", seed, got, want)
+		}
+	}
+}
+
+// TestFoldEqualsOfflineBuild: the learner's fold of a stream as one
+// epoch, into an empty accumulator with no eviction, is exactly the
+// offline model built from a Collector's sequence of the same events.
+func TestFoldEqualsOfflineBuild(t *testing.T) {
+	evs := recordedStream()
+	col := trace.NewCollector()
+	// No epoch completes before Close, and Close's short epoch is too
+	// small to decide, so nothing decays the accumulator after the fold.
+	l := New(newColdGate(), Options{
+		EpochEvents: 4*len(evs) + minEpochFraction,
+		StateBudget: len(evs),
+		Synchronous: true,
+	})
+	for _, ev := range evs {
+		feed(l, ev)
+		feed(col, ev)
+	}
+	l.Close()
+	seq, unattr := col.Sequence()
+	if st := l.Stats(); st.Epochs != 1 || st.Dropped != 0 || st.Unattributed != uint64(unattr) {
+		t.Fatalf("learner: %+v; collector: %d unattributed", st, unattr)
+	}
+	want := model.Build(l.acc.Threads, seq)
+	if len(want.Nodes) == 0 || !reflect.DeepEqual(l.acc.Nodes, want.Nodes) {
+		t.Errorf("fold differs from model.Build:\nfold  %s\nbuild %s", l.acc.Dump(0), want.Dump(0))
 	}
 }

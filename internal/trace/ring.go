@@ -20,12 +20,11 @@ const (
 	EventAbort
 )
 
-// Event is one commit/abort event flattened into a fixed-size record,
-// suitable for lock-free buffering. Seq is a producer-assigned global
-// sequence number: per-source rings lose the cross-thread event order,
-// and the consumer merge-sorts on Seq to restore it.
+// Event is one commit/abort event flattened into a fixed-size
+// 16-byte record: the Collector's log entry and the online learner's
+// ring slot. It carries no order stamp; its place in a slice or its
+// ring position is its order.
 type Event struct {
-	Seq  uint64
 	Inst uint64
 	Pair tts.Pair
 	Kind EventKind
@@ -46,6 +45,13 @@ type ringSlot struct {
 // Enqueue fails and the event is dropped — the online learner prefers
 // losing a sample to stalling a commit. The drop count is the
 // caller's to keep (it knows whether a drop was injected or real).
+//
+// The head CAS puts every successful claim in one total order, and
+// Enqueue returns the position it claimed: positions are consecutive
+// from 0, a failed Enqueue claims none, and Dequeue hands them out in
+// position order, stopping at the first claimed slot not yet
+// published. The consumer therefore always sees a gap-free prefix of
+// the claim order.
 type EventRing struct {
 	slots []ringSlot
 	mask  uint64
@@ -70,9 +76,14 @@ func NewEventRing(capacity int) *EventRing {
 // Cap returns the ring's capacity.
 func (r *EventRing) Cap() int { return len(r.slots) }
 
-// Enqueue publishes ev, returning false (without blocking or
-// spinning unboundedly) when the ring is full.
-func (r *EventRing) Enqueue(ev Event) bool {
+// Claimed returns how many positions producers have claimed so far:
+// the position the next successful Enqueue will return.
+func (r *EventRing) Claimed() uint64 { return r.head.Load() }
+
+// Enqueue publishes ev at the position it returns, or returns false
+// (without blocking or spinning unboundedly, and claiming no position)
+// when the ring is full.
+func (r *EventRing) Enqueue(ev Event) (uint64, bool) {
 	for {
 		pos := r.head.Load()
 		slot := &r.slots[pos&r.mask]
@@ -83,11 +94,11 @@ func (r *EventRing) Enqueue(ev Event) bool {
 			if r.head.CompareAndSwap(pos, pos+1) {
 				slot.ev = ev
 				slot.seq.Store(pos + 1)
-				return true
+				return pos, true
 			}
 		case seq < pos:
 			// The consumer has not freed this slot yet: full.
-			return false
+			return 0, false
 		}
 		// seq > pos: another producer claimed pos; retry with a fresh
 		// head read.
@@ -107,16 +118,4 @@ func (r *EventRing) Dequeue() (Event, bool) {
 	slot.seq.Store(pos + uint64(len(r.slots)))
 	r.tail.Store(pos + 1)
 	return ev, true
-}
-
-// Drain appends every currently-readable event to dst and returns the
-// extended slice. Single-consumer, like Dequeue.
-func (r *EventRing) Drain(dst []Event) []Event {
-	for {
-		ev, ok := r.Dequeue()
-		if !ok {
-			return dst
-		}
-		dst = append(dst, ev)
-	}
 }

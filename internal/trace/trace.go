@@ -39,22 +39,17 @@ func (Nop) OnCommit(uint64, tts.Pair) {}
 // OnAbort implements Tracer.
 func (Nop) OnAbort(tts.Pair, uint64) {}
 
-type commitRec struct {
-	instance uint64
-	pair     tts.Pair
-}
-
-type abortRec struct {
-	pair   tts.Pair
-	killer uint64
-}
-
-// Collector accumulates events and groups them into the transaction
+// Collector records events and groups them into the transaction
 // sequence. It is safe for concurrent use by many STM threads.
+//
+// Commits and aborts go to two logs, each in arrival order: grouping
+// needs only the order within each kind (see Sequence). One interleaved
+// log, or a merged copy of the two for Build, set gstmbench's bank-hot
+// up slower (EXPERIMENTS.md, "One event order for the online learner").
 type Collector struct {
 	mu      sync.Mutex
-	commits []commitRec
-	aborts  []abortRec
+	commits []Event
+	aborts  []Event
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -67,14 +62,14 @@ func NewCollector() *Collector {
 // OnCommit implements Tracer.
 func (c *Collector) OnCommit(instance uint64, p tts.Pair) {
 	c.mu.Lock()
-	c.commits = append(c.commits, commitRec{instance, p})
+	c.commits = append(c.commits, Event{Inst: instance, Pair: p, Kind: EventCommit})
 	c.mu.Unlock()
 }
 
 // OnAbort implements Tracer.
 func (c *Collector) OnAbort(p tts.Pair, killer uint64) {
 	c.mu.Lock()
-	c.aborts = append(c.aborts, abortRec{p, killer})
+	c.aborts = append(c.aborts, Event{Inst: killer, Pair: p, Kind: EventAbort})
 	c.mu.Unlock()
 }
 
@@ -101,32 +96,61 @@ func (c *Collector) AbortCountByThread() map[uint16]int {
 	defer c.mu.Unlock()
 	out := make(map[uint16]int)
 	for _, a := range c.aborts {
-		out[a.pair.Thread]++
+		out[a.Pair.Thread]++
 	}
 	return out
 }
 
 // Sequence groups the recorded events into the ordered transaction
-// sequence. Aborts are attached to the commit of their killer instance;
-// aborts whose killer never committed (the killer itself aborted, or
-// the killer is unknown) are dropped from the sequence and reported in
-// the second return value, matching the paper's definition where a
-// state is always anchored by a commit.
+// sequence (see Build). Build's grouping depends only on the order
+// within each kind, so the commit log followed by the abort log groups
+// exactly as the arrival order would.
 func (c *Collector) Sequence() (seq []tts.State, unattributed int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return Build(c.commits, c.aborts)
+}
 
-	byInstance := make(map[uint64]int, len(c.commits))
-	seq = make([]tts.State, len(c.commits))
-	for i, cr := range c.commits {
-		byInstance[cr.instance] = i
-		seq[i] = tts.State{Commit: cr.pair}
+// Build groups events into the ordered transaction sequence. The events
+// are logs read one after the other as a single slice; a caller with one
+// slice passes just that. Commits anchor states in order, and each abort
+// attaches to the commit of its killer instance wherever that commit
+// sits. Aborts whose killer has no commit in the events (the killer
+// itself aborted, its commit lies outside them, or the killer is
+// unknown, 0) are left out of the sequence and counted in the second
+// return value, matching the paper's definition where a state is always
+// anchored by a commit. Every state is canonicalized. Build is the one
+// place a transaction sequence is grouped: the Collector's profile and
+// the online learner's epochs both go through it.
+func Build(logs ...[]Event) (seq []tts.State, unattributed int) {
+	commits := 0
+	for _, events := range logs {
+		for _, ev := range events {
+			if ev.Kind == EventCommit {
+				commits++
+			}
+		}
 	}
-	for _, a := range c.aborts {
-		if i, ok := byInstance[a.killer]; ok && a.killer != 0 {
-			seq[i].Aborts = append(seq[i].Aborts, a.pair)
-		} else {
-			unattributed++
+	byInstance := make(map[uint64]int, commits)
+	seq = make([]tts.State, 0, commits)
+	for _, events := range logs {
+		for _, ev := range events {
+			if ev.Kind == EventCommit {
+				byInstance[ev.Inst] = len(seq)
+				seq = append(seq, tts.State{Commit: ev.Pair})
+			}
+		}
+	}
+	for _, events := range logs {
+		for _, ev := range events {
+			if ev.Kind != EventAbort {
+				continue
+			}
+			if i, ok := byInstance[ev.Inst]; ok && ev.Inst != 0 {
+				seq[i].Aborts = append(seq[i].Aborts, ev.Pair)
+			} else {
+				unattributed++
+			}
 		}
 	}
 	for i := range seq {

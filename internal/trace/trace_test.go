@@ -13,75 +13,141 @@ func TestNopTracerIsHarmless(t *testing.T) {
 	n.OnAbort(tts.Pair{}, 0)
 }
 
-func TestSequenceGroupsAbortsUnderKiller(t *testing.T) {
-	c := NewCollector()
-	// Instance 10: thread 7 commits tx b, killing (a,6).
-	c.OnAbort(tts.Pair{Tx: 0, Thread: 6}, 10)
-	c.OnCommit(10, tts.Pair{Tx: 1, Thread: 7})
-	// Instance 11: thread 0 commits tx b with no victims.
-	c.OnCommit(11, tts.Pair{Tx: 1, Thread: 0})
+// sequencers are the two entry points that group events into the
+// transaction sequence: a Collector fed through the Tracer hooks, and
+// Build over a recorded slice. Every TestSequence* case runs on both.
+var sequencers = []struct {
+	name string
+	seq  func([]Event) ([]tts.State, int)
+}{
+	{"Collector", func(evs []Event) ([]tts.State, int) {
+		c := NewCollector()
+		for _, ev := range evs {
+			if ev.Kind == EventCommit {
+				c.OnCommit(ev.Inst, ev.Pair)
+			} else {
+				c.OnAbort(ev.Pair, ev.Inst)
+			}
+		}
+		return c.Sequence()
+	}},
+	{"Build", func(evs []Event) ([]tts.State, int) { return Build(evs) }},
+}
 
-	seq, unattr := c.Sequence()
-	if unattr != 0 {
-		t.Fatalf("unattributed = %d", unattr)
+func commit(inst uint64, p tts.Pair) Event  { return Event{Inst: inst, Pair: p, Kind: EventCommit} }
+func abort(p tts.Pair, killer uint64) Event { return Event{Inst: killer, Pair: p, Kind: EventAbort} }
+
+func TestSequenceGroupsAbortsUnderKiller(t *testing.T) {
+	evs := []Event{
+		// Instance 10: thread 7 commits tx b, killing (a,6).
+		abort(tts.Pair{Tx: 0, Thread: 6}, 10),
+		commit(10, tts.Pair{Tx: 1, Thread: 7}),
+		// Instance 11: thread 0 commits tx b with no victims.
+		commit(11, tts.Pair{Tx: 1, Thread: 0}),
 	}
-	if len(seq) != 2 {
-		t.Fatalf("len(seq) = %d", len(seq))
+	for _, sq := range sequencers {
+		t.Run(sq.name, func(t *testing.T) {
+			seq, unattr := sq.seq(evs)
+			if unattr != 0 {
+				t.Fatalf("unattributed = %d", unattr)
+			}
+			if len(seq) != 2 {
+				t.Fatalf("len(seq) = %d", len(seq))
+			}
+			want0 := tts.State{Commit: tts.Pair{Tx: 1, Thread: 7}, Aborts: []tts.Pair{{Tx: 0, Thread: 6}}}
+			if !seq[0].Equal(want0) {
+				t.Errorf("seq[0] = %v, want %v", seq[0], want0)
+			}
+			if len(seq[1].Aborts) != 0 {
+				t.Errorf("seq[1] should be a singleton commit, got %v", seq[1])
+			}
+		})
 	}
-	want0 := tts.State{Commit: tts.Pair{Tx: 1, Thread: 7}, Aborts: []tts.Pair{{Tx: 0, Thread: 6}}}
-	if !seq[0].Equal(want0) {
-		t.Errorf("seq[0] = %v, want %v", seq[0], want0)
+}
+
+// TestSequenceAbortBeforeKillerCommit: an abort recorded before its
+// killer's commit, with another commit in between, attaches to its
+// killer's state, not to the commit nearest it.
+func TestSequenceAbortBeforeKillerCommit(t *testing.T) {
+	evs := []Event{
+		abort(tts.Pair{Tx: 2, Thread: 2}, 21),
+		commit(20, tts.Pair{Tx: 0, Thread: 0}),
+		commit(21, tts.Pair{Tx: 1, Thread: 1}),
 	}
-	if len(seq[1].Aborts) != 0 {
-		t.Errorf("seq[1] should be a singleton commit, got %v", seq[1])
+	for _, sq := range sequencers {
+		t.Run(sq.name, func(t *testing.T) {
+			seq, unattr := sq.seq(evs)
+			if unattr != 0 || len(seq) != 2 {
+				t.Fatalf("seq = %v, unattributed = %d", seq, unattr)
+			}
+			if len(seq[0].Aborts) != 0 {
+				t.Errorf("abort attached to the commit before its killer's: %v", seq[0])
+			}
+			want1 := tts.State{Commit: tts.Pair{Tx: 1, Thread: 1}, Aborts: []tts.Pair{{Tx: 2, Thread: 2}}}
+			if !seq[1].Equal(want1) {
+				t.Errorf("seq[1] = %v, want %v", seq[1], want1)
+			}
+		})
 	}
 }
 
 func TestSequenceAbortOrderIndependent(t *testing.T) {
-	build := func(abortFirst bool) string {
-		c := NewCollector()
-		if abortFirst {
-			c.OnAbort(tts.Pair{Tx: 0, Thread: 1}, 5)
-			c.OnAbort(tts.Pair{Tx: 2, Thread: 3}, 5)
-		} else {
-			c.OnAbort(tts.Pair{Tx: 2, Thread: 3}, 5)
-			c.OnAbort(tts.Pair{Tx: 0, Thread: 1}, 5)
+	events := func(abortFirst bool) []Event {
+		a, b := abort(tts.Pair{Tx: 0, Thread: 1}, 5), abort(tts.Pair{Tx: 2, Thread: 3}, 5)
+		if !abortFirst {
+			a, b = b, a
 		}
-		c.OnCommit(5, tts.Pair{Tx: 1, Thread: 0})
-		seq, _ := c.Sequence()
-		return seq[0].Key()
+		return []Event{a, b, commit(5, tts.Pair{Tx: 1, Thread: 0})}
 	}
-	if build(true) != build(false) {
-		t.Error("abort arrival order changed the state key")
+	for _, sq := range sequencers {
+		t.Run(sq.name, func(t *testing.T) {
+			key := func(abortFirst bool) string {
+				seq, _ := sq.seq(events(abortFirst))
+				return seq[0].Key()
+			}
+			if key(true) != key(false) {
+				t.Error("abort arrival order changed the state key")
+			}
+		})
 	}
 }
 
 func TestSequenceUnattributedAborts(t *testing.T) {
-	c := NewCollector()
-	c.OnCommit(1, tts.Pair{Tx: 0, Thread: 0})
-	c.OnAbort(tts.Pair{Tx: 1, Thread: 1}, 99) // killer never commits
-	c.OnAbort(tts.Pair{Tx: 1, Thread: 2}, 0)  // unknown killer
-	seq, unattr := c.Sequence()
-	if unattr != 2 {
-		t.Errorf("unattributed = %d, want 2", unattr)
+	evs := []Event{
+		commit(1, tts.Pair{Tx: 0, Thread: 0}),
+		abort(tts.Pair{Tx: 1, Thread: 1}, 99), // killer never commits
+		abort(tts.Pair{Tx: 1, Thread: 2}, 0),  // unknown killer
 	}
-	if len(seq) != 1 || len(seq[0].Aborts) != 0 {
-		t.Errorf("seq = %v", seq)
+	for _, sq := range sequencers {
+		t.Run(sq.name, func(t *testing.T) {
+			seq, unattr := sq.seq(evs)
+			if unattr != 2 {
+				t.Errorf("unattributed = %d, want 2", unattr)
+			}
+			if len(seq) != 1 || len(seq[0].Aborts) != 0 {
+				t.Errorf("seq = %v", seq)
+			}
+		})
 	}
 }
 
 func TestSequenceKillerInstanceZeroNeverMatches(t *testing.T) {
 	// Even if a commit somehow used instance 0, aborts with killer 0
 	// must stay unattributed ("unknown"), never grouped.
-	c := NewCollector()
-	c.OnCommit(0, tts.Pair{Tx: 0, Thread: 0})
-	c.OnAbort(tts.Pair{Tx: 1, Thread: 1}, 0)
-	seq, unattr := c.Sequence()
-	if unattr != 1 {
-		t.Errorf("unattributed = %d, want 1", unattr)
+	evs := []Event{
+		commit(0, tts.Pair{Tx: 0, Thread: 0}),
+		abort(tts.Pair{Tx: 1, Thread: 1}, 0),
 	}
-	if len(seq[0].Aborts) != 0 {
-		t.Errorf("abort wrongly attributed: %v", seq[0])
+	for _, sq := range sequencers {
+		t.Run(sq.name, func(t *testing.T) {
+			seq, unattr := sq.seq(evs)
+			if unattr != 1 {
+				t.Errorf("unattributed = %d, want 1", unattr)
+			}
+			if len(seq[0].Aborts) != 0 {
+				t.Errorf("abort wrongly attributed: %v", seq[0])
+			}
+		})
 	}
 }
 

@@ -12,7 +12,9 @@
 # (-short trims the schedule budgets), a bounded online-controller
 # soak under the race detector (the streaming learner building epoch
 # snapshots and swapping them into a live gate while the commit path
-# runs), an overload-control soak under the race detector (the AIMD
+# runs, and TestDeterministicEpochs twenty times over: one recorded
+# stream must give the same epochs, guard decisions and installed model
+# inline and on the learner goroutine), an overload-control soak under the race detector (the AIMD
 # admission limiter, priority shedding and both runtimes' token
 # ledgers hammered by oversubscribed workers, plus the deterministic
 # collapse-curve acceptance test), a gate stress under the race
@@ -84,6 +86,7 @@ echo "== online controller soak (epoch swaps under race) =="
 # live gate: the commit path, the epoch pipeline and the drift guards
 # all racing for real. The learner's own package races alongside.
 go test -race ./internal/online
+go test -race -count=20 -run TestDeterministicEpochs ./internal/online
 go test -race -run TestOnlineSoak ./internal/harness
 
 echo "== overload soak (admission control under race) =="
