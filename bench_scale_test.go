@@ -18,10 +18,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"gstm/internal/effect"
 	"gstm/internal/guide"
 	"gstm/internal/libtm"
 	"gstm/internal/model"
+	"gstm/internal/race"
 	"gstm/internal/tl2"
 	"gstm/internal/tts"
 )
@@ -375,7 +375,7 @@ func allocsPerTx(fn func()) float64 {
 // instrumentation allocates on its own.
 func skipIfRace(t *testing.T) {
 	t.Helper()
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 }

@@ -60,7 +60,6 @@ import (
 	"text/tabwriter"
 
 	"gstm/internal/analyze"
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/guide"
 	"gstm/internal/harness"
@@ -101,7 +100,6 @@ func main() {
 		healthWindow = flag.Int("health-window", 0, "health monitor window in admits (0 = default, <0 = disable)")
 		relaxFactor  = flag.Float64("relax-factor", 0, "Tfactor multiplier at the relaxed ladder level (0 = default)")
 		rearmWindows = flag.Int("rearm-windows", 0, "healthy windows before re-arming a tripped ladder (0 = default)")
-		manifestPath = flag.String("manifest", "", "sealed static-effect manifest (gstmlint -manifest); certified-readonly transactions take the fast-path commit and bypass the gate")
 		epochEvents  = flag.Int("epoch-events", 0, "online learner epoch length in events (0 = default)")
 		stateBudget  = flag.Int("state-budget", 0, "online learner accumulator state budget (0 = default)")
 		driftTrip    = flag.Float64("drift-trip", 0, "online learner divergence quarantine threshold in [0,1] (0 = default)")
@@ -156,13 +154,6 @@ func main() {
 			fatalf(exitUsage, "%v", err)
 		}
 		e.ProfileSize, e.MeasureSize = sz, sz
-	}
-	if *manifestPath != "" {
-		m, err := effect.ReadFile(*manifestPath)
-		if err != nil {
-			fatalf(exitIO, "loading manifest: %v", err)
-		}
-		e.Manifest = m
 	}
 	if *maxInflight > 0 {
 		e.Overload = overload.New(overload.Options{
@@ -410,9 +401,6 @@ func reportLimiter(st overload.Stats, budget float64) {
 func printSummary(mode, bench string, res harness.ModeResult, nd bool) {
 	fmt.Printf("%s %s: %d commits, %d aborts, mean wall %.6fs\n",
 		bench, mode, res.Commits, res.Aborts, res.MeanWall)
-	if res.ROCommits > 0 {
-		fmt.Printf("readonly fast path: %d certified commits\n", res.ROCommits)
-	}
 	harness.RenderProgress(os.Stdout, res, 8)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "thread\tmean(s)\tstddev(s)")

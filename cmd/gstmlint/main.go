@@ -8,7 +8,6 @@
 //	gstmlint [-checks gstm001,gstm003] [-skip gstm010] [-list] [-json] [-v] [packages...]
 //	gstmlint -fix [-diff] [packages...]
 //	gstmlint -footprint [-json] [packages...]
-//	gstmlint -manifest out.gsm [packages...]
 //
 // Packages are directories or "dir/..." wildcards (default "./...").
 // The exit code is the CI contract: 0 clean, 1 diagnostics found,
@@ -36,16 +35,8 @@
 // the static conflict graph those sets induce — the compile-time
 // analogue of the TSA model's abort edges. Module-local imports of the
 // named packages are loaded too, so footprints of an entry point
-// include the workload packages it calls into.
-//
-// -manifest runs the interprocedural effect inference (readonly /
-// write-bounded / unknown per Atomic site, see internal/lint.InferEffects)
-// and writes the sealed site manifest to the named file. The manifest
-// is what gstm.Options.Manifest loads to unlock the certified
-// read-only fast paths; `gstm -manifest` and the check.sh freshness
-// gate consume the same file. -footprint and -manifest share a single
-// load pass; add -lint to run the checks over the same loaded packages
-// too.
+// include the workload packages it calls into. Add -lint to run the
+// checks over the same loaded packages too.
 package main
 
 import (
@@ -72,8 +63,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list registered checks and exit")
 	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic (or the footprint graph as JSON with -footprint)")
 	footprint := fs.Bool("footprint", false, "print static transaction footprints and the conflict graph instead of linting")
-	manifestOut := fs.String("manifest", "", "infer per-site effect classes and write the sealed site manifest to this file")
-	lintToo := fs.Bool("lint", false, "also run the lint checks when -footprint or -manifest is given")
+	lintToo := fs.Bool("lint", false, "also run the lint checks when -footprint is given")
 	fix := fs.Bool("fix", false, "apply machine-applicable suggested fixes (rewrites files gofmt-clean)")
 	diff := fs.Bool("diff", false, "with -fix: print the rewrites as diffs instead of writing files")
 	verbose := fs.Bool("v", false, "also print type-check warnings for packages that do not fully type-check")
@@ -155,14 +145,12 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 		return 2
 	}
-	// Footprints and effects follow calls into workload packages, so
-	// those modes pull in module-local dependencies of the named entry
-	// points. Everything downstream — footprint report, manifest, and
-	// -lint — shares this one load pass; lint.Run skips the
-	// dependency-only packages itself.
-	needGraph := *footprint || *manifestOut != ""
+	// Footprints follow calls into workload packages, so that mode pulls
+	// in module-local dependencies of the named entry points. The
+	// footprint report and -lint share this one load pass; lint.Run
+	// skips the dependency-only packages itself.
 	load := loader.Load
-	if needGraph {
+	if *footprint {
 		load = loader.LoadWithDeps
 	}
 	pkgs, err := load(patterns...)
@@ -179,27 +167,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if needGraph {
-		if *footprint {
-			g := lint.Footprint(pkgs, loader.ModuleRoot)
-			if *jsonOut {
-				if err := g.RenderJSON(stdout); err != nil {
-					fmt.Fprintf(stderr, "gstmlint: %v\n", err)
-					return 2
-				}
-			} else {
-				g.RenderText(stdout)
-			}
-		}
-		if *manifestOut != "" {
-			m := lint.BuildManifest(lint.InferEffects(pkgs, loader.ModuleRoot))
-			if err := m.WriteFile(*manifestOut); err != nil {
-				fmt.Fprintf(stderr, "gstmlint: writing manifest: %v\n", err)
+	if *footprint {
+		g := lint.Footprint(pkgs, loader.ModuleRoot)
+		if *jsonOut {
+			if err := g.RenderJSON(stdout); err != nil {
+				fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 				return 2
 			}
-			ro, wb, unk := m.Counts()
-			fmt.Fprintf(stdout, "gstmlint: manifest: %d sites (%d readonly, %d write-bounded, %d unknown), %d certified tx -> %s\n",
-				len(m.Sites), ro, wb, unk, len(m.CertifiedReadOnly()), *manifestOut)
+		} else {
+			g.RenderText(stdout)
 		}
 		if !*lintToo {
 			return 0

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gstm/internal/effect"
 )
 
 // runCapture invokes run() with stdout/stderr redirected to temp files
@@ -110,32 +108,6 @@ func TestSkipFlag(t *testing.T) {
 	// Unknown IDs are a usage error, same as -checks.
 	if code, _, stderr := runCapture(t, "-skip", "nosuch", fixture); code != 2 || !strings.Contains(stderr, "unknown check") {
 		t.Errorf("unknown -skip id: code = %d, stderr = %q; want usage error 2", code, stderr)
-	}
-}
-
-// TestManifestFlag generates the sealed effect manifest from the
-// quickstart example and checks it decodes with classified sites.
-func TestManifestFlag(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "sites.gsm")
-	example := filepath.Join("..", "..", "examples", "quickstart")
-	code, stdout, stderr := runCapture(t, "-manifest", out, example)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stdout, "manifest:") {
-		t.Errorf("no manifest summary in output:\n%s", stdout)
-	}
-	m, err := effect.ReadFile(out)
-	if err != nil {
-		t.Fatalf("written manifest does not decode: %v", err)
-	}
-	if len(m.Sites) == 0 {
-		t.Error("manifest has no sites")
-	}
-	for _, s := range m.Sites {
-		if s.Key == "" {
-			t.Errorf("site with empty key: %+v", s)
-		}
 	}
 }
 

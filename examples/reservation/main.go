@@ -102,11 +102,11 @@ func main() {
 	}
 
 	// Auditor: read-only transactions that must always see a balanced
-	// book (free + sold == total), concurrent with the clients. Its
-	// transaction ID (10) is unique module-wide so the effect manifest
-	// (gstmlint -manifest) can certify it readonly — certification is
-	// granted per ID, and an ID shared with any writing site anywhere
-	// in the analyzed packages is poisoned.
+	// book (free + sold == total), concurrent with the clients. They
+	// run under a transaction ID of their own (10), so a profiled
+	// model tells the auditor's scans apart from the clients' bookings
+	// (ID 0) and cancellations (ID 1), and the footprint report lists
+	// this site alone, with an empty write set.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -39,7 +39,6 @@ package gstm
 
 import (
 	"gstm/internal/analyze"
-	"gstm/internal/effect"
 	"gstm/internal/guide"
 	"gstm/internal/model"
 	"gstm/internal/online"
@@ -118,22 +117,6 @@ type (
 	PairLatency = progress.PairLatency
 )
 
-// Static effect certification (see internal/effect): `gstmlint
-// -manifest` proves Atomic sites read-only and seals the result into a
-// manifest; Options.Manifest cashes the proof in as fast-path commits,
-// with GuardMode choosing the dynamic soundness guard's response to a
-// write under a certified transaction.
-type (
-	// Manifest is the sealed static-effect manifest produced by
-	// `gstmlint -manifest out.gsm`; attach via Options.Manifest.
-	Manifest = effect.Manifest
-	// EffectSite is one Atomic call site's entry in a Manifest.
-	EffectSite = effect.Site
-	// GuardMode selects the certified-readonly soundness guard's
-	// response to a trapped write (Options.ROGuard).
-	GuardMode = effect.GuardMode
-)
-
 // Online continuously-learning guidance (see internal/online): a
 // background learner cuts the live commit/abort stream into epochs of
 // exactly EpochEvents events by ring position, folds each into an epoch
@@ -194,26 +177,6 @@ func NewLimiter(opts LimiterOptions) *Limiter { return overload.New(opts) }
 // was exhausted, or an injected shed storm fired. Distinguishable from
 // ErrDeadline, which means the runtime ran and lost to the clock.
 var ErrShed = overload.ErrShed
-
-// Guard modes for Options.ROGuard.
-const (
-	// GuardAuto traps under the race detector and recovers otherwise.
-	GuardAuto = effect.GuardAuto
-	// GuardTrap fails the Atomic call with ErrReadOnlyViolation.
-	GuardTrap = effect.GuardTrap
-	// GuardRecover decertifies the transaction ID and retries the
-	// attempt uncertified.
-	GuardRecover = effect.GuardRecover
-)
-
-// LoadManifest reads and verifies a sealed effect manifest written by
-// `gstmlint -manifest`.
-func LoadManifest(path string) (*Manifest, error) { return effect.ReadFile(path) }
-
-// ErrReadOnlyViolation is returned (wrapped, naming the offending site
-// key) when a certified-readonly transaction issues a write and
-// Options.ROGuard is in trap mode.
-var ErrReadOnlyViolation = tl2.ErrReadOnlyViolation
 
 // NewLatencyRecorder returns an empty Atomic latency recorder.
 func NewLatencyRecorder() *LatencyRecorder { return progress.NewLatencyRecorder() }

@@ -25,7 +25,6 @@ package explorer
 import (
 	"fmt"
 
-	"gstm/internal/effect"
 	"gstm/internal/guide"
 	"gstm/internal/libtm"
 	"gstm/internal/model"
@@ -78,14 +77,6 @@ const (
 	// single location: the canonical lost-update detector (the final
 	// value must equal the number of committed increments). Two workers.
 	WorkloadIncrement
-	// WorkloadReadOnlyMix is WorkloadPair with the scanner's transaction
-	// ID certified readonly by an in-code effect manifest (guard in trap
-	// mode): the scanner runs the certified fast-path commit while the
-	// writer races it, so the explorer checks the leaner protocol — not
-	// just the full one — against the opacity oracle. The program's
-	// Check additionally requires at least one certified commit per
-	// schedule, so a silently disengaged manifest cannot pass.
-	WorkloadReadOnlyMix
 )
 
 // defaultRounds is the per-worker transaction count when Config.Rounds
@@ -135,7 +126,7 @@ func LevelFor(m libtm.Mode) oracle.Level {
 // recorder registration order (so Final maps use index i for name i).
 func workloadLocNames(w Workload) []string {
 	switch w {
-	case WorkloadPair, WorkloadReadOnlyMix:
+	case WorkloadPair:
 		return []string{"x", "y"}
 	case WorkloadIncrement:
 		return []string{"x"}
@@ -179,33 +170,6 @@ func workloadModel(w Workload) *model.TSA {
 	return model.Build(len(ps), run).Prune(4).AssumeAllConflict()
 }
 
-// readonlyMixManifest certifies the scanner's transaction ID (101) for
-// WorkloadReadOnlyMix. The key is synthetic — the workload is built in
-// code, not analyzed from source — but flows through the same ROSet
-// plumbing, so a guard hit names it in the diagnostic.
-func readonlyMixManifest() *effect.Manifest {
-	return &effect.Manifest{Sites: []effect.Site{{
-		Key:   "gstm/internal/explorer.readonly-scan",
-		Tx:    "scan",
-		TxID:  101,
-		Class: effect.ReadOnly,
-	}}}
-}
-
-// requireROCommits wraps a Program.Check so a schedule only passes if
-// the certified fast path actually ran (WorkloadReadOnlyMix).
-func requireROCommits(inner func(sched.RunResult) error, roCommits func() uint64) func(sched.RunResult) error {
-	return func(r sched.RunResult) error {
-		if err := inner(r); err != nil {
-			return err
-		}
-		if roCommits() == 0 {
-			return fmt.Errorf("readonly-mix: no certified fast-path commits — the manifest did not engage")
-		}
-		return nil
-	}
-}
-
 // limitedLimiter builds the admission controller for PathLimited: a
 // fixed cap of workers-1 (floor 1) so full contention always queues
 // exactly one worker, ModeFixed so no wall-clock AIMD window can make
@@ -226,21 +190,15 @@ func limitedLimiter(w Workload, yield func()) *overload.Limiter {
 }
 
 // limitedCalls is the exact number of Acquire calls a clean PathLimited
-// schedule must make: one per Atomic call, minus the certified
-// read-only scanner's calls (WorkloadReadOnlyMix), which ride the
-// limiter's non-counted lane.
+// schedule must make: one per Atomic call.
 func limitedCalls(w Workload, rounds int) uint64 {
-	n := len(workloadPairs(w))
-	if w == WorkloadReadOnlyMix {
-		n-- // the certified scanner is never charged a token
-	}
-	return uint64(n * rounds)
+	return uint64(len(workloadPairs(w)) * rounds)
 }
 
 // requireAdmission wraps a Program.Check so a PathLimited schedule only
 // passes if the limiter actually ran every call and its token ledger
-// drained: a stock program must never shed, every non-certified Atomic
-// call acquires exactly once (retries re-use the token), and nothing
+// drained: a stock program must never shed, every Atomic call acquires
+// exactly once (retries re-use the token), and nothing
 // may remain in flight or queued after the workers join.
 func requireAdmission(inner func(sched.RunResult) error, lim *overload.Limiter, calls uint64) func(sched.RunResult) error {
 	return func(r sched.RunResult) error {
@@ -252,7 +210,7 @@ func requireAdmission(inner func(sched.RunResult) error, lim *overload.Limiter, 
 			return fmt.Errorf("limited: stock program shed %d calls (%s)", st.Sheds, st)
 		}
 		if st.Acquires != calls {
-			return fmt.Errorf("limited: %d acquires, want exactly %d — one per uncertified Atomic call (%s)", st.Acquires, calls, st)
+			return fmt.Errorf("limited: %d acquires, want exactly %d — one per Atomic call (%s)", st.Acquires, calls, st)
 		}
 		if st.Inflight != 0 || st.Waiting != 0 {
 			return fmt.Errorf("limited: token ledger not drained: %d in flight, %d waiting (%s)", st.Inflight, st.Waiting, st)
@@ -313,10 +271,6 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 		if cfg.Path == PathEscalation {
 			opts.EscalateAfter = 1
 		}
-		if cfg.Workload == WorkloadReadOnlyMix {
-			opts.Manifest = readonlyMixManifest()
-			opts.ROGuard = effect.GuardTrap
-		}
 		var lim *overload.Limiter
 		if cfg.Path == PathLimited {
 			lim = limitedLimiter(cfg.Workload, yield)
@@ -342,9 +296,6 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 		}
 		bodies, errs := tl2Bodies(s, cfg, rounds, locs)
 		check := checkFn(rec, oracle.Opacity, errs, final)
-		if cfg.Workload == WorkloadReadOnlyMix {
-			check = requireROCommits(check, s.ROCommits)
-		}
 		if lim != nil {
 			check = requireAdmission(check, lim, limitedCalls(cfg.Workload, rounds))
 		}
@@ -362,7 +313,7 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 //gstm:ignore gstm010 -- every workload shares locs on purpose: conflicting schedules are the subject under test
 func tl2Bodies(s *tl2.STM, cfg TL2Config, rounds int, locs []*tl2.Var) ([]func(), []error) {
 	switch cfg.Workload {
-	case WorkloadPair, WorkloadReadOnlyMix:
+	case WorkloadPair:
 		x, y := locs[0], locs[1]
 		errs := make([]error, 2)
 		writer := func() {
@@ -496,10 +447,6 @@ func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
 		if cfg.Path == PathEscalation {
 			opts.EscalateAfter = 1
 		}
-		if cfg.Workload == WorkloadReadOnlyMix {
-			opts.Manifest = readonlyMixManifest()
-			opts.ROGuard = effect.GuardTrap
-		}
 		var lim *overload.Limiter
 		if cfg.Path == PathLimited {
 			lim = limitedLimiter(cfg.Workload, yield)
@@ -525,9 +472,6 @@ func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
 		}
 		bodies, errs := libtmBodies(s, cfg, rounds, locs)
 		check := checkFn(rec, LevelFor(cfg.Mode), errs, final)
-		if cfg.Workload == WorkloadReadOnlyMix {
-			check = requireROCommits(check, s.ROCommits)
-		}
 		if lim != nil {
 			check = requireAdmission(check, lim, limitedCalls(cfg.Workload, rounds))
 		}
@@ -545,7 +489,7 @@ func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
 //gstm:ignore gstm010 -- every workload shares locs on purpose: conflicting schedules are the subject under test
 func libtmBodies(s *libtm.STM, cfg LibTMConfig, rounds int, locs []*libtm.Obj) ([]func(), []error) {
 	switch cfg.Workload {
-	case WorkloadPair, WorkloadReadOnlyMix:
+	case WorkloadPair:
 		x, y := locs[0], locs[1]
 		errs := make([]error, 2)
 		writer := func() {

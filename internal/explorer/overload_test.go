@@ -27,8 +27,6 @@ func TestTL2LimitedExploration(t *testing.T) {
 			TL2Config{Path: PathLimited, Workload: WorkloadMix}},
 		{stockCase{"increment/random", &sched.RandomWalk{Seed: 33}, budget(t, 250)},
 			TL2Config{Path: PathLimited, Workload: WorkloadIncrement}},
-		{stockCase{"readonly/random", &sched.RandomWalk{Seed: 34}, budget(t, 250)},
-			TL2Config{Path: PathLimited, Workload: WorkloadReadOnlyMix}},
 	}
 	total := 0
 	for _, c := range cases {
@@ -46,8 +44,7 @@ func TestTL2LimitedExploration(t *testing.T) {
 // front of both read protocols (the pessimistic mode's writer-waits-
 // for-readers cannot deadlock against admission, because a waited-for
 // reader always holds a token and admission waiters hold nothing),
-// >= 1000 schedules. The readonly case pins the non-counted certified
-// lane: the scanner must never be charged a token.
+// >= 1000 schedules.
 func TestLibTMLimitedExploration(t *testing.T) {
 	cases := []struct {
 		stockCase
@@ -59,8 +56,6 @@ func TestLibTMLimitedExploration(t *testing.T) {
 			LibTMConfig{Mode: libtm.FullyPessimistic, Path: PathLimited, Workload: WorkloadMix}},
 		{stockCase{"optimistic/increment/pct", &sched.PCT{Seed: 43, Depth: 3}, budget(t, 250)},
 			LibTMConfig{Mode: libtm.FullyOptimistic, Path: PathLimited, Workload: WorkloadIncrement}},
-		{stockCase{"optimistic/readonly/random", &sched.RandomWalk{Seed: 44}, budget(t, 250)},
-			LibTMConfig{Mode: libtm.FullyOptimistic, Path: PathLimited, Workload: WorkloadReadOnlyMix}},
 	}
 	total := 0
 	for _, c := range cases {

@@ -22,9 +22,8 @@ func TestGateStress(t *testing.T) {
 	const (
 		threads = 4
 		perG    = 3000
-		roTx    = 3 // thread 3's transaction is certified readonly
 	)
-	c := New(twoStateModel(), Options{K: 2, Manifest: certManifest(roTx)})
+	c := New(twoStateModel(), Options{K: 2})
 
 	// A deterministic prefix proves the model holds: (2,2) is outside
 	// {<a0>}'s high-probability destinations.
@@ -83,8 +82,8 @@ func TestGateStress(t *testing.T) {
 	if st.Admits != st.ImmediateAdmits+st.Holds+st.ReadOnlyAdmits {
 		t.Errorf("partition broken at quiescence: %+v", st)
 	}
-	if st.ReadOnlyAdmits != perG {
-		t.Errorf("ReadOnlyAdmits = %d, want %d", st.ReadOnlyAdmits, perG)
+	if st.ReadOnlyAdmits != 0 {
+		t.Errorf("ReadOnlyAdmits = %d, want 0: no admit bypasses the gate", st.ReadOnlyAdmits)
 	}
 	if st.ModelSwaps == 0 {
 		t.Error("the supervisor never swapped a model in")
@@ -108,7 +107,7 @@ func TestHotPathLayout(t *testing.T) {
 	}
 	var c Controller
 	cur := unsafe.Offsetof(c.cur)
-	if before := unsafe.Offsetof(c.ro) + unsafe.Sizeof(c.ro); cur < before+line {
+	if before := unsafe.Offsetof(c.perThread) + unsafe.Sizeof(c.perThread); cur < before+line {
 		t.Errorf("cur at %d is within %d bytes of the read-mostly block ending at %d", cur, line, before)
 	}
 	if after := unsafe.Offsetof(c.mu); after < cur+line {

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/model"
 	"gstm/internal/trace"
@@ -53,27 +52,12 @@ type Options struct {
 	// evaluation window. 0 means DefaultHealthWindow; negative
 	// disables the monitor entirely (the level stays LevelGuided).
 	HealthWindow int
-	// UnknownTrip is the unknown-state rate (0..1] within one window
-	// that trips the degradation ladder. ≤ 0 means DefaultUnknownTrip.
-	UnknownTrip float64
-	// EscapeTrip is the progress-escape rate (0..1] within one window
-	// that trips the degradation ladder. ≤ 0 means DefaultEscapeTrip.
-	EscapeTrip float64
 	// RelaxFactor multiplies the effective Tfactor at LevelRelaxed,
 	// widening the admissible sets. ≤ 0 means DefaultRelaxFactor.
 	RelaxFactor float64
 	// RearmWindows is how many consecutive healthy windows step the
 	// ladder back up one level. ≤ 0 means DefaultRearmWindows.
 	RearmWindows int
-	// Manifest, when non-nil, is the sealed static-effect manifest
-	// (internal/effect). Pairs whose transaction ID is certified
-	// readonly are admitted immediately and never held: a read-only
-	// transaction writes nothing, so it cannot cause the aborts the
-	// model predicts, and gating it buys nothing. Certified commits
-	// also skip the state-automaton update in OnCommit — they do not
-	// move the contention state — which removes the gate's per-commit
-	// allocations for those pairs entirely.
-	Manifest *effect.Manifest
 	// Inject, when non-nil, arms the fault.HoldStall injection hook
 	// inside the hold loop (deterministic thread-stall testing).
 	Inject *fault.Injector
@@ -86,16 +70,16 @@ type Options struct {
 
 // Stats counts controller decisions, for reporting and tests. Every
 // Admit call lands in exactly one disposition bucket and Admits is their
-// sum: Admits == ImmediateAdmits + Holds + ReadOnlyAdmits in every
-// snapshot, across SwapModel calls too, which touch no counters. The
-// counters live in per-thread stripes that Stats sums without stopping the
-// gate; a call in flight is counted when it ends. FutileAdmits is a subset
-// of ImmediateAdmits and so outside the partition.
+// sum: Admits == ImmediateAdmits + Holds in every snapshot, across
+// SwapModel calls too, which touch no counters. The counters live in
+// per-thread stripes that Stats sums without stopping the gate; a call in
+// flight is counted when it ends. FutileAdmits is a subset of
+// ImmediateAdmits and so outside the partition.
 type Stats struct {
 	// Admits is the total number of finished Admit calls.
 	Admits uint64
 	// ImmediateAdmits passed on the first check (including passthrough
-	// admits) without a readonly certificate.
+	// admits).
 	ImmediateAdmits uint64
 	// FutileAdmits are the ImmediateAdmits the paper's rule alone would have
 	// held but no state its thread's wait can bring about admits (holdGraph);
@@ -111,9 +95,10 @@ type Stats struct {
 	// IrrevocableAdmits passed through AdmitIrrevocable — escalated
 	// transactions the gate must never hold.
 	IrrevocableAdmits uint64
-	// ReadOnlyAdmits carried a readonly certificate from
-	// Options.Manifest and bypassed gating. Disjoint from
-	// ImmediateAdmits and Holds — the three partition Admits.
+	// ReadOnlyAdmits is always 0: no admit bypasses the gate. It is
+	// kept only because the benchmark harness (bench/) still adds it
+	// into its check of the Admits partition, until a change to the
+	// benchmark drops that reference.
 	ReadOnlyAdmits uint64
 	// Sheds counts transactions the overload limiter rejected before
 	// they reached the gate (NoteShed). A shed call never called Admit,
@@ -226,10 +211,6 @@ type Controller struct {
 	// perThread holds every per-transaction counter, one stripe per
 	// thread (see stripe).
 	perThread []stripe
-	// ro is the manifest's certified-readonly ID set; nil when no
-	// manifest (or nothing certified), which is the whole fast-path
-	// cost for ungated deployments.
-	ro *effect.ROSet
 
 	// cur is the current state, alone on its cache line: every Admit
 	// loads it and every commit that changes the verdict class stores it.
@@ -280,21 +261,12 @@ func New(m *model.TSA, opts Options) *Controller {
 		perThread: make([]stripe, threads),
 		tf:        tf,
 		rf:        rf,
-		ro:        effect.NewROSet(opts.Manifest),
 	}
 	c.tables.Store(c.compile(m))
 	if opts.HealthWindow >= 0 {
 		w := opts.HealthWindow
 		if w == 0 {
 			w = DefaultHealthWindow
-		}
-		ut := opts.UnknownTrip
-		if ut <= 0 {
-			ut = DefaultUnknownTrip
-		}
-		et := opts.EscapeTrip
-		if et <= 0 {
-			et = DefaultEscapeTrip
 		}
 		rw := opts.RearmWindows
 		if rw <= 0 {
@@ -303,8 +275,6 @@ func New(m *model.TSA, opts Options) *Controller {
 		c.health = &healthMonitor{
 			window:       uint64(w),
 			batch:        healthBatch(uint64(w)),
-			unknownTrip:  ut,
-			escapeTrip:   et,
 			rearmWindows: rw,
 		}
 	}
@@ -358,7 +328,6 @@ func (c *Controller) Stats() Stats {
 		st.Holds += t.holds.Load()
 		st.UnknownPasses += t.unknown.Load()
 		st.IrrevocableAdmits += t.irrevocable.Load()
-		st.ReadOnlyAdmits += t.readOnly.Load()
 		st.Sheds += t.sheds.Load()
 		st.RelaxedAdmits += t.relaxed.Load()
 		st.PassthroughAdmits += t.passthrough.Load()
@@ -366,7 +335,7 @@ func (c *Controller) Stats() Stats {
 		st.Escapes += st.ThreadEscapes[i]
 		st.ThreadHoldTime[i] = time.Duration(t.holdNanos.Load())
 	}
-	st.Admits = st.ImmediateAdmits + st.Holds + st.ReadOnlyAdmits
+	st.Admits = st.ImmediateAdmits + st.Holds
 	return st
 }
 
@@ -493,13 +462,6 @@ func (c *Controller) snapshotForCommitLocked(tb *modelTables, p tts.Pair) *snaps
 // fresh state anchored by this commit (aborts it causes will accrete
 // via OnAbort).
 func (c *Controller) OnCommit(instance uint64, p tts.Pair) {
-	// A certified-readonly commit changes no transactional storage, so
-	// it cannot anchor a contention state: the state the model should
-	// track is still the last writer's. Returning before anything
-	// materializes also keeps these commits off the snapshot cache.
-	if c.ro != nil && c.ro.Certified(p.Tx) {
-		return
-	}
 	tb := c.tables.Load()
 	if tb.idle {
 		return
@@ -600,15 +562,6 @@ func (c *Controller) OnAbort(p tts.Pair, killer uint64) {
 // through up to k re-checks. Every outcome feeds the health monitor.
 func (c *Controller) Admit(p tts.Pair) {
 	tc := c.stripe(p.Thread)
-	// Certified-readonly transactions bypass the gate before any model
-	// consultation: they cannot cause aborts, so no destination set can
-	// justify holding them, and the bypass must not touch the hold
-	// machinery at all (no snapshot load).
-	if c.ro != nil && c.ro.Certified(p.Tx) {
-		c.note(tc.readOnly.Add(1), false, false)
-		return
-	}
-
 	pk, lvl := p.Key(), c.Level()
 	if lvl == LevelPassthrough {
 		tc.passthrough.Add(1)
@@ -696,7 +649,7 @@ func (c *Controller) Admit(p tts.Pair) {
 // loop's fault.HoldStall injection site must not be reachable either,
 // so this path deliberately shares no code with Admit. The outcome
 // still feeds the counters (as an immediate admit, preserving
-// Admits == ImmediateAdmits + Holds + ReadOnlyAdmits) and the health
+// Admits == ImmediateAdmits + Holds) and the health
 // window: a burst of escalations is exactly the distress the ladder
 // should see.
 func (c *Controller) AdmitIrrevocable(p tts.Pair) {
@@ -707,7 +660,7 @@ func (c *Controller) AdmitIrrevocable(p tts.Pair) {
 
 // NoteShed records that the overload limiter rejected pair p before it
 // reached the gate. The shed never called Admit, so the
-// Admits == ImmediateAdmits + Holds + ReadOnlyAdmits partition is
+// Admits == ImmediateAdmits + Holds partition is
 // untouched — Sheds is its own ledger. Nothing feeds the health
 // monitor either: shedding is upstream load policy, not evidence about
 // the model's fit.
@@ -720,9 +673,6 @@ func (c *Controller) NoteShed(p tts.Pair) {
 // non-blocking probe for simulators and diagnostics. unknown is true
 // when the answer comes from the current state having no guidance.
 func (c *Controller) WouldAdmit(p tts.Pair) (ok, unknown bool) {
-	if c.ro != nil && c.ro.Certified(p.Tx) {
-		return true, false
-	}
 	lvl := c.Level()
 	if lvl == LevelPassthrough {
 		return true, false

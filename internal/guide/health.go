@@ -59,13 +59,15 @@ func (l Level) String() string {
 	return "unknown"
 }
 
-// Health-monitor defaults (see Options).
+// Health-monitor settings (see Options for the settable ones).
 const (
 	// DefaultHealthWindow is the number of admits per evaluation window.
 	DefaultHealthWindow = 256
-	// DefaultUnknownTrip is the unknown-state rate that trips the ladder.
+	// DefaultUnknownTrip is the unknown-state rate within one window
+	// that trips the ladder.
 	DefaultUnknownTrip = 0.5
-	// DefaultEscapeTrip is the escape rate that trips the ladder.
+	// DefaultEscapeTrip is the progress-escape rate within one window
+	// that trips the ladder.
 	DefaultEscapeTrip = 0.25
 	// DefaultRelaxFactor is the Tfactor multiplier at LevelRelaxed.
 	DefaultRelaxFactor = 4.0
@@ -89,8 +91,6 @@ type healthMonitor struct {
 	// Read on every admit, never written after New.
 	window       uint64
 	batch        uint64 // admits a stripe counter gathers per flush: a power of two, 1 for none
-	unknownTrip  float64
-	escapeTrip   float64
 	rearmWindows int
 
 	// Written by flushes and bad outcomes, kept off the line above.
@@ -107,14 +107,14 @@ type healthMonitor struct {
 // so no two threads' stripes share a cache line (or an adjacent-line
 // prefetch pair). Thread IDs past the table alias modulo its length, so
 // the operations stay atomic; Stats sums the stripes. A finished Admit
-// adds one to exactly one of immediate, holds and readOnly (see note).
+// adds one to exactly one of immediate and holds (see note).
 // commit is the latest tracked commit: pair key<<32 | low 32 instance bits.
 type stripe struct {
-	immediate, holds, readOnly, futile     atomic.Uint64
+	immediate, holds, futile               atomic.Uint64
 	escapes, unknown, relaxed, passthrough atomic.Uint64
 	irrevocable, sheds, holdNanos          atomic.Uint64
 	commit                                 atomic.Uint64
-	_                                      [128 - 12*8]byte
+	_                                      [128 - 11*8]byte
 }
 
 // Level returns the controller's current degradation level.
@@ -183,7 +183,7 @@ func (c *Controller) evaluateWindow() {
 	u := float64(h.unknowns.Swap(0)) / float64(h.window)
 	e := float64(h.escapes.Swap(0)) / float64(h.window)
 	lvl := c.Level()
-	if u >= h.unknownTrip || e >= h.escapeTrip {
+	if u >= DefaultUnknownTrip || e >= DefaultEscapeTrip {
 		h.healthy = 0
 		if lvl < LevelPassthrough {
 			c.level.Store(int32(lvl + 1))

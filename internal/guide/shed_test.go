@@ -24,7 +24,7 @@ func TestNoteShedOutsidePartition(t *testing.T) {
 			{Commit: tts.Pair{Tx: 2, Thread: 1}},
 			{Commit: tts.Pair{Tx: 1, Thread: 2}},
 		})
-		c := New(m, Options{K: 2, HealthWindow: -1, Manifest: certManifest(9)})
+		c := New(m, Options{K: 2, HealthWindow: -1})
 		wantSheds := uint64(0)
 		n := 200 + rng.Intn(400)
 		for i := 0; i < n; i++ {

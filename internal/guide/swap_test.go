@@ -137,13 +137,14 @@ func TestQuarantineLatchesPassthrough(t *testing.T) {
 }
 
 // TestSwapAccountingProperty is the satellite invariant pin: under an
-// arbitrary interleaving of admits (gated, readonly, irrevocable),
+// arbitrary interleaving of admits (gated, irrevocable),
 // commits, aborts, model swaps, quarantines, and resets, the
 // disposition buckets always partition the admits —
 //
 //	Admits == ImmediateAdmits + Holds + ReadOnlyAdmits
 //
-// — and ModelSwaps counts every installation.
+// — with ReadOnlyAdmits always 0 — and ModelSwaps counts every
+// installation.
 func TestSwapAccountingProperty(t *testing.T) {
 	models := []*model.TSA{
 		skewedModel(pairB1, pairC2),
@@ -151,7 +152,7 @@ func TestSwapAccountingProperty(t *testing.T) {
 		twoStateModel(),
 	}
 	prop := func(ops []uint8) bool {
-		c := New(models[2], Options{K: 2, HealthWindow: 4, Manifest: certManifest(7)})
+		c := New(models[2], Options{K: 2, HealthWindow: 4})
 		instance := uint64(0)
 		swaps := uint64(0)
 		for _, op := range ops {
@@ -161,7 +162,7 @@ func TestSwapAccountingProperty(t *testing.T) {
 			case 1:
 				c.Admit(pairC2)
 			case 2:
-				c.Admit(tts.Pair{Tx: 7, Thread: 3}) // certified readonly
+				c.Admit(tts.Pair{Tx: 7, Thread: 3})
 			case 3:
 				c.AdmitIrrevocable(pairA0)
 			case 4:
@@ -185,6 +186,10 @@ func TestSwapAccountingProperty(t *testing.T) {
 		st := c.Stats()
 		if st.Admits != st.ImmediateAdmits+st.Holds+st.ReadOnlyAdmits {
 			t.Logf("partition broken: %+v", st)
+			return false
+		}
+		if st.ReadOnlyAdmits != 0 {
+			t.Logf("ReadOnlyAdmits = %d, want 0: no admit bypasses the gate", st.ReadOnlyAdmits)
 			return false
 		}
 		if st.ModelSwaps != swaps {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gstm/internal/analyze"
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/guide"
 	"gstm/internal/model"
@@ -106,11 +105,6 @@ type Experiment struct {
 	// WatchdogWindow is the livelock watchdog's sampling window
 	// (0 = runtime default, negative disables).
 	WatchdogWindow time.Duration
-	// Manifest, when non-nil, is a sealed static-effect manifest
-	// (gstmlint -manifest) attached to every STM the experiment creates
-	// and to the guide gate, so certified-readonly transactions take
-	// the fast-path commit and bypass gating in all measured modes.
-	Manifest *effect.Manifest
 	// Online, when true, adds a fourth measured mode to Run: a gate
 	// built with no offline model at all, fed by an online learner
 	// (internal/online) that streams the TSA from the live trace and
@@ -144,7 +138,6 @@ func (e *Experiment) stmOptions() tl2.Options {
 		DefaultDeadline: e.TxDeadline,
 		EscalateAfter:   e.EscalateAfter,
 		WatchdogWindow:  e.WatchdogWindow,
-		Manifest:        e.Manifest,
 		Overload:        e.Overload,
 	}
 }
@@ -184,9 +177,6 @@ type ModeResult struct {
 	DistinctStates int
 	// Commits and Aborts are event totals over all runs.
 	Commits, Aborts uint64
-	// ROCommits counts commits that took the certified-readonly fast
-	// path (zero unless Experiment.Manifest certifies something).
-	ROCommits uint64
 	// MeanWall is the mean parallel-section wall time in seconds.
 	MeanWall float64
 	// Guide holds controller decision counters (guided mode only).
@@ -284,7 +274,6 @@ func (e Experiment) MeasureOnline() (ModeResult, online.Stats, error) {
 func (e Experiment) onlineGate() (*guide.Controller, *online.Learner) {
 	gopts := e.Guide
 	gopts.Tfactor, gopts.K, gopts.Inject = e.Tfactor, e.K, e.Inject
-	gopts.Manifest = e.Manifest
 	ctrl := guide.New(nil, gopts)
 	return ctrl, online.New(ctrl, online.Options{
 		EpochEvents: e.EpochEvents,
@@ -354,7 +343,6 @@ func (e Experiment) measureWith(ctrl *guide.Controller, learner *online.Learner)
 		allKeys = append(allKeys, trace.Keys(seq)...)
 		res.Commits += s.Commits()
 		res.Aborts += s.Aborts()
-		res.ROCommits += s.ROCommits()
 		ps := s.ProgressStats()
 		res.Progress.Escalations += ps.Escalations
 		res.Progress.DeadlineExceeded += ps.DeadlineExceeded
@@ -476,7 +464,6 @@ func (e Experiment) Run() (Outcome, error) {
 		pruned := m.Prune(e.Tfactor)
 		gopts := e.Guide
 		gopts.Tfactor, gopts.K, gopts.Inject = e.Tfactor, e.K, e.Inject
-		gopts.Manifest = e.Manifest
 		ctrl := guide.New(pruned, gopts)
 		out.Guided, err = e.Measure(ctrl)
 		if err != nil {

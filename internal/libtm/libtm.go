@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
 	"gstm/internal/tts"
@@ -131,7 +130,7 @@ type Options struct {
 	// Driver options, documented on the txn.Config field of the same
 	// name: retry bound, access-yield interval, escalation threshold and
 	// age, plain-Atomic deadline, livelock-watchdog window, scheduler
-	// hook, read-only manifest and its guard, admission limiter.
+	// hook, admission limiter.
 	MaxRetries      int
 	YieldEvery      int
 	EscalateAfter   int
@@ -139,8 +138,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	WatchdogWindow  time.Duration
 	Yield           func()
-	Manifest        *effect.Manifest
-	ROGuard         effect.GuardMode
 	Overload        *overload.Limiter
 }
 
@@ -157,12 +154,6 @@ type Mutations struct {
 	// SkipReadValidation disables commit-time validation of invisible
 	// reads, letting a transaction commit on top of a torn snapshot.
 	SkipReadValidation bool
-	// SkipROValidation disables commit-time invisible-read validation
-	// on certified-readonly attempts only, so the explorer can prove
-	// the certified path's validation is load-bearing: with it knocked
-	// out, a certified scanner commits torn snapshots — an opacity
-	// violation the oracle must catch.
-	SkipROValidation bool
 	// SkipVersionBump publishes commit-time writes without advancing
 	// the object's version — LibTM's per-object analogue of a broken
 	// clock merge. Invisible readers validating against the stale
@@ -191,19 +182,16 @@ func New(opts Options) *STM {
 	}
 	s := &STM{}
 	opts.YieldEvery = s.Init(txn.Config{
-		ErrRetryLimit:        ErrRetryLimit,
-		ErrDeadline:          ErrDeadline,
-		ErrReadOnlyViolation: ErrReadOnlyViolation,
-		MaxRetries:           opts.MaxRetries,
-		YieldEvery:           opts.YieldEvery,
-		EscalateAfter:        opts.EscalateAfter,
-		EscalateTime:         opts.EscalateTime,
-		DefaultDeadline:      opts.DefaultDeadline,
-		WatchdogWindow:       opts.WatchdogWindow,
-		Yield:                opts.Yield,
-		Manifest:             opts.Manifest,
-		ROGuard:              opts.ROGuard,
-		Overload:             opts.Overload,
+		ErrRetryLimit:   ErrRetryLimit,
+		ErrDeadline:     ErrDeadline,
+		MaxRetries:      opts.MaxRetries,
+		YieldEvery:      opts.YieldEvery,
+		EscalateAfter:   opts.EscalateAfter,
+		EscalateTime:    opts.EscalateTime,
+		DefaultDeadline: opts.DefaultDeadline,
+		WatchdogWindow:  opts.WatchdogWindow,
+		Yield:           opts.Yield,
+		Overload:        opts.Overload,
 	}).YieldEvery
 	s.opts = opts
 	return s
@@ -314,11 +302,6 @@ var ErrRetryLimit = errors.New("libtm: transaction exceeded retry limit")
 // and the context's own error.
 var ErrDeadline = errors.New("libtm: transaction deadline exceeded")
 
-// ErrReadOnlyViolation is returned (wrapped, naming the site key) when
-// a transaction certified readonly by Options.Manifest issues a write
-// and the soundness guard is in trap mode.
-var ErrReadOnlyViolation = errors.New("libtm: write under a certified-readonly transaction")
-
 type readEntry struct {
 	o   *Obj
 	ver uint64
@@ -349,9 +332,6 @@ type Tx struct {
 	ops int
 	// done is the AtomicCtx context's Done channel (nil = no deadline).
 	done <-chan struct{}
-	// roCert marks a txn.Certified attempt: Write trips the soundness
-	// guard.
-	roCert bool
 	// irrev marks a txn.Irrevocable (escalated serial) attempt: reads and
 	// writes take write locks at encounter time and cannot abort.
 	irrev bool
@@ -491,13 +471,6 @@ func (tx *Tx) readVisible(o *Obj) int64 {
 // Write transactionally stores x into o. In encounter mode the write
 // lock is taken now; in commit mode the write is buffered.
 func (tx *Tx) Write(o *Obj, x int64) {
-	if tx.roCert {
-		// Soundness guard: the manifest certified this transaction ID
-		// readonly, so no write may ever reach here. Trap before
-		// anything is buffered or locked; the driver decides the
-		// consequence per Options.ROGuard.
-		panic(txn.ROViolation{})
-	}
 	tx.maybeYield()
 	tx.checkDoomed()
 	if tx.irrev {
@@ -644,8 +617,7 @@ func (policy) Commit(tx *Tx) {
 	// ourselves. The mutation knockout (oracle sensitivity harness) skips
 	// this loop wholesale, committing on top of whatever snapshot the
 	// reads saw.
-	if !tx.stm.opts.Mutate.SkipReadValidation &&
-		!(tx.roCert && tx.stm.opts.Mutate.SkipROValidation) {
+	if !tx.stm.opts.Mutate.SkipReadValidation {
 		for _, r := range tx.invReads {
 			if w := r.o.owner.Load(); w != 0 && w != tx.instance {
 				tx.abort(w) // a foreign writer holds the lock
@@ -742,7 +714,6 @@ func (policy) Begin(tx *Tx, instance uint64, mon txn.Monitor, mode txn.Mode) {
 	tx.doomed.Store(false)
 	tx.killer.Store(0)
 	tx.mon = mon
-	tx.roCert = mode == txn.Certified
 	tx.irrev = mode == txn.Irrevocable
 }
 

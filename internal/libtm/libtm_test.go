@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/effect"
+	"gstm/internal/race"
 	"gstm/internal/trace"
 	"gstm/internal/tts"
 )
@@ -99,7 +99,7 @@ var objSink *Obj
 // itself. The visible-reader registry is allocated on the first
 // registration, so invisible-read workloads never build one.
 func TestNewObjAllocatesOnce(t *testing.T) {
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	if avg := testing.AllocsPerRun(200, func() { objSink = NewObj(1) }); avg != 1 {

@@ -96,26 +96,6 @@ func TestOverloadNormalFlowCountsInflight(t *testing.T) {
 	}
 }
 
-func TestOverloadReadOnlyLaneNotCounted(t *testing.T) {
-	lim := stormLimiter(t)
-	s := New(Options{Mode: FullyOptimistic, Overload: lim, Manifest: roManifest(5), YieldEvery: -1})
-	o := NewObj(42)
-	for i := 0; i < 5; i++ {
-		if err := s.Atomic(0, 5, func(tx *Tx) error {
-			if tx.Read(o) != 42 {
-				t.Error("bad read")
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("certified read-only call %d: %v", i, err)
-		}
-	}
-	st := lim.Stats()
-	if st.ReadOnlyBypass != 5 || st.Acquires != 0 || st.Sheds != 0 {
-		t.Fatalf("read-only lane ledger: %+v", st)
-	}
-}
-
 func TestAtomicPriPriorityReachesLimiter(t *testing.T) {
 	lim := overload.New(overload.Options{MaxInflight: 1, MinInflight: 1})
 	s := New(Options{Mode: FullyOptimistic, Overload: lim, YieldEvery: -1})

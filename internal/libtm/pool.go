@@ -6,20 +6,18 @@ import (
 	"gstm/internal/tts"
 )
 
-// txPool recycles transaction descriptors across Atomic calls — the
-// general-path successor of the certified-readonly-only pool this file
-// replaces. A LibTM RMW used to cost four allocations (the descriptor
-// plus its read/write/locked slices); with pooling and capacity-
-// retaining truncation the steady state is zero, pinned by the
-// alloc-free tests in bench_scale_test.go.
+// txPool recycles transaction descriptors across Atomic calls. A LibTM
+// RMW used to cost four allocations (the descriptor plus its
+// read/write/locked slices); with pooling and capacity-retaining
+// truncation the steady state is zero, pinned by the alloc-free tests in
+// bench_scale_test.go.
 //
-// Pooling is safe for writing transactions too, not just certified
-// read-only ones, because no object keeps the descriptor past the
-// Atomic call. A write lock names its holder by instance number (Obj's
-// owner word), never by pointer, and commit, commitIrrev and
-// cleanupAfterAbort clear it on every exit (the driver's release rule,
-// package txn, runs cleanupAfterAbort on every exit that does not
-// commit). The one place an object holds the pointer is a visible-reader
+// Pooling is safe for writing transactions too, because no object keeps
+// the descriptor past the Atomic call. A write lock names its holder by
+// instance number (Obj's owner word), never by pointer, and commit,
+// commitIrrev and cleanupAfterAbort clear it on every exit (the driver's
+// release rule, package txn, runs cleanupAfterAbort on every exit that
+// does not commit). The one place an object holds the pointer is a visible-reader
 // registration in o.readers, and that is also the only path to a doom: a
 // writer dooms exactly the descriptors it finds registered, under o.mu,
 // and every registration is deleted under the same mutex before the call
@@ -37,7 +35,6 @@ func putTx(tx *Tx) {
 	tx.stm = nil
 	tx.done = nil
 	tx.mon = nil
-	tx.roCert = false
 	tx.irrev = false
 	tx.instance = 0
 	tx.pair = tts.Pair{}

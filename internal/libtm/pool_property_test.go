@@ -77,7 +77,7 @@ func TestPutTxScrubs(t *testing.T) {
 	tx := txPool.Get().(*Tx)
 	tx.stm = s
 	tx.pair = tts.Pair{Tx: 9, Thread: 3}
-	tx.roCert = true
+	tx.irrev = true
 	tx.invReads = append(tx.invReads, readEntry{o, 1})
 	tx.visReads = append(tx.visReads, o)
 	tx.writes = append(tx.writes, writeEntry{o: o, val: 2})
@@ -90,9 +90,9 @@ func TestPutTxScrubs(t *testing.T) {
 	// sync.Pool's per-P private slot hands the same descriptor straight
 	// back on an uncontended goroutine; if a GC intervened and dropped
 	// it, a fresh zero-valued descriptor passes the same assertions.
-	if got.stm != nil || got.pair != (tts.Pair{}) || got.roCert {
-		t.Errorf("recycled descriptor keeps identity state: stm=%v pair=%+v roCert=%v",
-			got.stm, got.pair, got.roCert)
+	if got.stm != nil || got.pair != (tts.Pair{}) || got.irrev {
+		t.Errorf("recycled descriptor keeps identity state: stm=%v pair=%+v irrev=%v",
+			got.stm, got.pair, got.irrev)
 	}
 	if len(got.invReads) != 0 || len(got.visReads) != 0 || len(got.writes) != 0 || len(got.locked) != 0 {
 		t.Errorf("recycled descriptor keeps set entries: %d invReads, %d visReads, %d writes, %d locked",

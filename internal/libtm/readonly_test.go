@@ -1,69 +1,18 @@
 package libtm
 
 import (
-	"errors"
-	"strings"
 	"testing"
 
-	"gstm/internal/effect"
+	"gstm/internal/race"
 )
 
-// roManifest builds an in-code manifest certifying the given
-// transaction IDs readonly under synthetic site keys.
-func roManifest(ids ...uint16) *effect.Manifest {
-	m := &effect.Manifest{}
-	for _, id := range ids {
-		m.Sites = append(m.Sites, effect.Site{
-			Key:   "test.site@readonly_test.go:1",
-			Tx:    "ro",
-			TxID:  int(id),
-			Class: effect.ReadOnly,
-		})
-	}
-	return m
-}
-
-// TestCertifiedReadOnlyCommit checks the pooled descriptor path
-// commits consistently and counts, across both read protocols.
-func TestCertifiedReadOnlyCommit(t *testing.T) {
-	for name, mode := range map[string]Mode{
-		"optimistic":  FullyOptimistic,
-		"pessimistic": FullyPessimistic,
-	} {
-		t.Run(name, func(t *testing.T) {
-			s := New(Options{Mode: mode, Manifest: roManifest(7), YieldEvery: -1})
-			a, b := NewObj(1), NewObj(2)
-			for i := 0; i < 100; i++ {
-				if err := s.Atomic(0, 7, func(tx *Tx) error {
-					if tx.Read(a)+tx.Read(b) != 3 {
-						t.Error("inconsistent snapshot")
-					}
-					return nil
-				}); err != nil {
-					t.Fatalf("certified scan: %v", err)
-				}
-			}
-			if got := s.ROCommits(); got != 100 {
-				t.Errorf("ROCommits = %d, want 100", got)
-			}
-			if err := s.Atomic(0, 9, func(tx *Tx) error { _ = tx.Read(a); return nil }); err != nil {
-				t.Fatalf("uncertified scan: %v", err)
-			}
-			if got := s.ROCommits(); got != 100 {
-				t.Errorf("ROCommits after uncertified scan = %d, want still 100", got)
-			}
-		})
-	}
-}
-
-// TestCertifiedReadOnlyAllocFree pins the point of the pooled
-// descriptor: a certified read-only transaction allocates nothing at
-// steady state.
-func TestCertifiedReadOnlyAllocFree(t *testing.T) {
-	if effect.RaceEnabled {
+// TestReadOnlyAllocFree pins the point of the pooled descriptor on a
+// read-only scan: it allocates nothing at steady state.
+func TestReadOnlyAllocFree(t *testing.T) {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	s := New(Options{Mode: FullyOptimistic, Manifest: roManifest(7), YieldEvery: -1})
+	s := New(Options{Mode: FullyOptimistic, YieldEvery: -1})
 	objs := []*Obj{NewObj(1), NewObj(2), NewObj(3), NewObj(4)}
 	scan := func() {
 		_ = s.Atomic(0, 7, func(tx *Tx) error {
@@ -78,64 +27,6 @@ func TestCertifiedReadOnlyAllocFree(t *testing.T) {
 		scan()
 	}
 	if avg := testing.AllocsPerRun(200, scan); avg != 0 {
-		t.Errorf("certified read-only Atomic allocates %.1f/op, want 0", avg)
-	}
-}
-
-// TestROGuardTrap seeds a misclassified site — a certified-readonly
-// transaction that writes — and requires the guard to fail the call
-// with ErrReadOnlyViolation naming the site key.
-func TestROGuardTrap(t *testing.T) {
-	m := roManifest(3)
-	s := New(Options{Mode: FullyOptimistic, Manifest: m, ROGuard: effect.GuardTrap, YieldEvery: -1})
-	o := NewObj(0)
-
-	err := s.Atomic(0, 3, func(tx *Tx) error {
-		tx.Write(o, 42)
-		return nil
-	})
-	if !errors.Is(err, ErrReadOnlyViolation) {
-		t.Fatalf("err = %v, want ErrReadOnlyViolation", err)
-	}
-	if key := m.Sites[0].Key; !strings.Contains(err.Error(), key) {
-		t.Errorf("diagnostic %q does not name the site key %q", err, key)
-	}
-	if o.Value() != 0 {
-		t.Errorf("trapped write reached memory: %d", o.Value())
-	}
-	if got := s.ROViolations(); got != 1 {
-		t.Errorf("ROViolations = %d, want 1", got)
-	}
-}
-
-// TestROGuardRecover checks the production response: count,
-// decertify, retry uncertified — the write lands, correctness kept.
-func TestROGuardRecover(t *testing.T) {
-	s := New(Options{Mode: FullyOptimistic, Manifest: roManifest(3), ROGuard: effect.GuardRecover, YieldEvery: -1})
-	o := NewObj(0)
-
-	write := func() error {
-		return s.Atomic(0, 3, func(tx *Tx) error {
-			tx.Write(o, tx.Read(o)+1)
-			return nil
-		})
-	}
-	if err := write(); err != nil {
-		t.Fatalf("recover-mode write: %v", err)
-	}
-	if o.Value() != 1 {
-		t.Errorf("value = %d, want 1 (retry must land the write)", o.Value())
-	}
-	if got := s.ROViolations(); got != 1 {
-		t.Errorf("ROViolations = %d, want 1", got)
-	}
-	if err := write(); err != nil {
-		t.Fatalf("post-decertify write: %v", err)
-	}
-	if got := s.ROViolations(); got != 1 {
-		t.Errorf("ROViolations after decertify = %d, want still 1", got)
-	}
-	if got := s.ROCommits(); got != 0 {
-		t.Errorf("ROCommits = %d, want 0", got)
+		t.Errorf("read-only Atomic allocates %.1f/op, want 0", avg)
 	}
 }

@@ -22,7 +22,6 @@ var fixtureDirs = []string{
 	"unboundedloop",
 	"hotspot",
 	"hygiene",
-	"readonlydecl",
 	"clean",
 }
 

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/guide"
 	"gstm/internal/model"
+	"gstm/internal/race"
 	"gstm/internal/trace"
 	"gstm/internal/tts"
 )
@@ -329,7 +329,7 @@ func TestBackgroundLearnerConcurrent(t *testing.T) {
 // per event — the whole point of the ring design. Skipped under the
 // race detector, which instruments allocations.
 func TestHotPathAllocationFree(t *testing.T) {
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	ctrl := newColdGate()

@@ -32,9 +32,7 @@
 // remaining deadline is under the predicted queue wait plus one
 // execution estimate fails fast rather than timing out inside the
 // queue) and priority-weighted (low-priority work sheds first as the
-// wait backlog grows). Certified read-only transactions ride a
-// non-counted lane: they cannot cause the aborts that collapse the
-// system, so the limiter never charges or sheds them.
+// wait backlog grows).
 package overload
 
 import (
@@ -258,7 +256,6 @@ type Limiter struct {
 	shedDeadline atomic.Uint64
 	shedBacklog  atomic.Uint64
 	shedStorm    atomic.Uint64
-	roBypass     atomic.Uint64
 	growths      atomic.Uint64
 	backoffs     atomic.Uint64
 	collapses    atomic.Uint64
@@ -487,15 +484,6 @@ func (l *Limiter) NotePressure() {
 	l.pressure.Store(true)
 }
 
-// NoteReadOnly records one certified read-only call riding the
-// non-counted lane. Nil-safe.
-func (l *Limiter) NoteReadOnly() {
-	if l == nil {
-		return
-	}
-	l.roBypass.Add(1)
-}
-
 // maybeSample closes the sampling window if it has elapsed. Lazy and
 // contention-free: one atomic time check on the hot path, TryLock so
 // at most one releaser pays for evaluation and nobody ever queues.
@@ -591,9 +579,6 @@ type Stats struct {
 	Sheds uint64
 	// ShedDeadline, ShedBacklog, ShedStorm partition Sheds.
 	ShedDeadline, ShedBacklog, ShedStorm uint64
-	// ReadOnlyBypass counts certified read-only calls on the
-	// non-counted lane.
-	ReadOnlyBypass uint64
 	// Growths and Backoffs count AIMD limit moves; Collapses the
 	// gradient-detector trips (a subset of windows behind Backoffs).
 	Growths, Backoffs, Collapses uint64
@@ -614,20 +599,19 @@ func (l *Limiter) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Limit:          l.limit.Load(),
-		Inflight:       l.inflight.Load(),
-		Waiting:        l.waiting.Load(),
-		Acquires:       l.acquires.Load(),
-		Waits:          l.waits.Load(),
-		Sheds:          l.sheds.Load(),
-		ShedDeadline:   l.shedDeadline.Load(),
-		ShedBacklog:    l.shedBacklog.Load(),
-		ShedStorm:      l.shedStorm.Load(),
-		ReadOnlyBypass: l.roBypass.Load(),
-		Growths:        l.growths.Load(),
-		Backoffs:       l.backoffs.Load(),
-		Collapses:      l.collapses.Load(),
-		ExecEstimate:   time.Duration(l.execEWMA.Load()),
+		Limit:        l.limit.Load(),
+		Inflight:     l.inflight.Load(),
+		Waiting:      l.waiting.Load(),
+		Acquires:     l.acquires.Load(),
+		Waits:        l.waits.Load(),
+		Sheds:        l.sheds.Load(),
+		ShedDeadline: l.shedDeadline.Load(),
+		ShedBacklog:  l.shedBacklog.Load(),
+		ShedStorm:    l.shedStorm.Load(),
+		Growths:      l.growths.Load(),
+		Backoffs:     l.backoffs.Load(),
+		Collapses:    l.collapses.Load(),
+		ExecEstimate: time.Duration(l.execEWMA.Load()),
 	}
 }
 
@@ -668,7 +652,6 @@ func (l *Limiter) Reset() {
 	l.shedDeadline.Store(0)
 	l.shedBacklog.Store(0)
 	l.shedStorm.Store(0)
-	l.roBypass.Store(0)
 	l.growths.Store(0)
 	l.backoffs.Store(0)
 	l.collapses.Store(0)

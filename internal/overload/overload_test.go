@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
+	"gstm/internal/race"
 )
 
 // fakeClock is a hand-advanced clock for deterministic window tests.
@@ -65,7 +65,6 @@ func TestNilLimiterIsNoOp(t *testing.T) {
 	l.Release(time.Time{}, true)
 	l.NoteAbort()
 	l.NotePressure()
-	l.NoteReadOnly()
 	if s := l.Stats(); s != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", s)
 	}
@@ -389,7 +388,7 @@ func TestPriClampAndStrings(t *testing.T) {
 // the path taken precisely when the system is drowning — must not
 // allocate.
 func TestShedFastPathAllocFree(t *testing.T) {
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	clk := newFakeClock()

@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"gstm/internal/effect"
+	"gstm/internal/race"
 	"gstm/internal/stamp"
 	"gstm/internal/stamp/stamptest"
 	"gstm/internal/tl2"
@@ -35,7 +35,7 @@ func TestSpinYieldsWhileEmulating(t *testing.T) {
 // Medium run allocates its grid, its STM descriptors and the claimed paths,
 // not a grid copy and a wavefront per plan (those came to ≈ 13 MB).
 func TestPlanningAllocatesOnlyPaths(t *testing.T) {
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector's shadow allocations are not the kernel's")
 	}
 	const limit = 1 << 20

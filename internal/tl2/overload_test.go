@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
+	"gstm/internal/race"
 	"gstm/internal/tts"
 )
 
@@ -101,28 +101,6 @@ func TestOverloadNormalFlowCountsInflight(t *testing.T) {
 	}
 }
 
-func TestOverloadReadOnlyLaneNotCounted(t *testing.T) {
-	lim := stormLimiter(t)
-	s := New(Options{Overload: lim, Manifest: roManifest(5), YieldEvery: -1})
-	v := NewVar(42)
-	// Every Acquire would shed, but the certified read-only ID must
-	// never reach the limiter's counted lane.
-	for i := 0; i < 5; i++ {
-		if err := s.Atomic(0, 5, func(tx *Tx) error {
-			if tx.Read(v) != 42 {
-				t.Error("bad read")
-			}
-			return nil
-		}); err != nil {
-			t.Fatalf("certified read-only call %d: %v", i, err)
-		}
-	}
-	st := lim.Stats()
-	if st.ReadOnlyBypass != 5 || st.Acquires != 0 || st.Sheds != 0 {
-		t.Fatalf("read-only lane ledger: %+v", st)
-	}
-}
-
 func TestAtomicPriPriorityReachesLimiter(t *testing.T) {
 	// A saturated limiter with a parked queue sheds PriLow but lets
 	// PriCritical wait: observable end-to-end through AtomicPri.
@@ -167,7 +145,7 @@ func TestAtomicPriPriorityReachesLimiter(t *testing.T) {
 }
 
 func TestOverloadShedPathAllocFree(t *testing.T) {
-	if effect.RaceEnabled {
+	if race.Enabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
 	lim := stormLimiter(t)

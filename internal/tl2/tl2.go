@@ -29,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
 	"gstm/internal/tts"
@@ -113,7 +112,7 @@ type Options struct {
 	// Driver options, documented on the txn.Config field of the same
 	// name: retry bound, access-yield interval, escalation threshold and
 	// age, plain-Atomic deadline, livelock-watchdog window, scheduler
-	// hook, read-only manifest and its guard, admission limiter.
+	// hook, admission limiter.
 	MaxRetries      int
 	YieldEvery      int
 	EscalateAfter   int
@@ -121,8 +120,6 @@ type Options struct {
 	DefaultDeadline time.Duration
 	WatchdogWindow  time.Duration
 	Yield           func()
-	Manifest        *effect.Manifest
-	ROGuard         effect.GuardMode
 	Overload        *overload.Limiter
 }
 
@@ -142,12 +139,6 @@ type Mutations struct {
 	// letting transactions commit against stale reads — a strict-
 	// serializability violation (write skew becomes observable).
 	SkipReadSetValidation bool
-	// SkipROValidation disables the per-read inline validation on
-	// certified-readonly attempts only. The certified fast path commits
-	// on the strength of exactly that validation (it keeps no read set
-	// to re-validate), so this knockout turns the validation-only
-	// commit into an opacity violation the explorer must catch.
-	SkipROValidation bool
 }
 
 // DefaultEscalateAfter is the escalation abort threshold when
@@ -161,12 +152,14 @@ const DefaultEscalateAfter = txn.DefaultEscalateAfter
 // STM at a time.
 type STM struct {
 	txn.Core
-	// clock is advanced by every writing commit, so it sits alone on
-	// its cache line: sharing one with the read-mostly fields below
-	// would bounce that line between cores on every access.
-	_     [64]byte
+	// clock is advanced by every writing commit, so it sits alone in
+	// its 128-byte block, whatever txn.Core's size: sharing a line, or
+	// the adjacent line the hardware prefetches with it, with the
+	// read-mostly fields around it would bounce them between cores on
+	// every commit. TestClockLayout pins this.
+	_     [128]byte
 	clock atomic.Uint64
-	_     [56]byte
+	_     [120]byte
 	cm    atomic.Pointer[cmBox]
 	opts  Options
 }
@@ -181,19 +174,16 @@ func New(opts Options) *STM {
 	}
 	s := &STM{}
 	opts.YieldEvery = s.Init(txn.Config{
-		ErrRetryLimit:        ErrRetryLimit,
-		ErrDeadline:          ErrDeadline,
-		ErrReadOnlyViolation: ErrReadOnlyViolation,
-		MaxRetries:           opts.MaxRetries,
-		YieldEvery:           opts.YieldEvery,
-		EscalateAfter:        opts.EscalateAfter,
-		EscalateTime:         opts.EscalateTime,
-		DefaultDeadline:      opts.DefaultDeadline,
-		WatchdogWindow:       opts.WatchdogWindow,
-		Yield:                opts.Yield,
-		Manifest:             opts.Manifest,
-		ROGuard:              opts.ROGuard,
-		Overload:             opts.Overload,
+		ErrRetryLimit:   ErrRetryLimit,
+		ErrDeadline:     ErrDeadline,
+		MaxRetries:      opts.MaxRetries,
+		YieldEvery:      opts.YieldEvery,
+		EscalateAfter:   opts.EscalateAfter,
+		EscalateTime:    opts.EscalateTime,
+		DefaultDeadline: opts.DefaultDeadline,
+		WatchdogWindow:  opts.WatchdogWindow,
+		Yield:           opts.Yield,
+		Overload:        opts.Overload,
 	}).YieldEvery
 	s.opts = opts
 	return s
@@ -217,11 +207,6 @@ var ErrRetryLimit = errors.New("tl2: transaction exceeded retry limit")
 // the transaction commits. The returned error wraps both ErrDeadline
 // and the context's own error, so errors.Is works against either.
 var ErrDeadline = errors.New("tl2: transaction deadline exceeded")
-
-// ErrReadOnlyViolation is returned (wrapped, naming the site key) when
-// a transaction certified readonly by Options.Manifest issues a write
-// and the soundness guard is in trap mode.
-var ErrReadOnlyViolation = errors.New("tl2: write under a certified-readonly transaction")
 
 type writeEntry struct {
 	v   *Var
@@ -257,9 +242,6 @@ type Tx struct {
 	// mon is the armed per-operation monitor, loaded once per attempt
 	// (nil when off); see SetMonitor.
 	mon Monitor
-	// roCert marks a txn.Certified attempt: Read keeps no read set,
-	// commit is validation-only, and Write trips the soundness guard.
-	roCert bool
 	// irrev marks a txn.Irrevocable (escalated serial) attempt: reads and
 	// writes lock Vars at encounter time and cannot abort. ilocked,
 	// iprev and iprevWho track the acquired locks and their pre-lock
@@ -371,12 +353,7 @@ func (tx *Tx) Read(v *Var) int64 {
 	}
 	x := v.val.Load()
 	l2 := v.lock.Load()
-	if !tx.roCert {
-		// Certified-readonly attempts keep no read set: the inline
-		// validation below is the entire commit obligation, so commit
-		// has nothing left to visit.
-		tx.reads = append(tx.reads, v)
-	}
+	tx.reads = append(tx.reads, v)
 	tx.validateRead(v, l1, l2)
 	tx.monRead(v, x)
 	return x
@@ -386,28 +363,14 @@ func (tx *Tx) Read(v *Var) int64 {
 // lock-word pair: a stable word whose version is no newer than the
 // begin-time clock sample.
 func (tx *Tx) validateRead(v *Var, l1, l2 uint64) {
-	if (l1 != l2 || l2>>1 > tx.rv) && !tx.skipReadCheck() {
+	if (l1 != l2 || l2>>1 > tx.rv) && !tx.stm.opts.Mutate.SkipReadPostCheck {
 		tx.abort(v.who.Load())
 	}
-}
-
-// skipReadCheck gathers the mutation knockouts that disable Read's
-// inline validation; off the mutation paths it folds to two false
-// flags. Only consulted when the validation would have failed.
-func (tx *Tx) skipReadCheck() bool {
-	m := &tx.stm.opts.Mutate
-	return m.SkipReadPostCheck || (m.SkipROValidation && tx.roCert)
 }
 
 // Write buffers a transactional store of x into v (write-back: shared
 // memory is untouched until commit).
 func (tx *Tx) Write(v *Var, x int64) {
-	if tx.roCert {
-		// Soundness guard: the manifest certified this transaction ID
-		// readonly, so no write may ever reach here. Trap before
-		// anything is buffered; the driver decides the consequence.
-		panic(txn.ROViolation{})
-	}
 	tx.maybeYield()
 	if tx.mon != nil {
 		tx.mon.OnTxWrite(tx.instance, v, x)
@@ -475,9 +438,7 @@ func (policy) Commit(tx *Tx) {
 	}
 	if len(tx.writes) == 0 {
 		// Read-only fast path: per-read validation against rv already
-		// guarantees a consistent snapshot at rv. Certified attempts
-		// always land here (Write is trapped), with the read-set append
-		// skipped too — the validation-only commit.
+		// guarantees a consistent snapshot at rv.
 		tx.cmCommit()
 		return
 	}
@@ -625,7 +586,6 @@ func (p policy) Begin(tx *Tx, instance uint64, mon txn.Monitor, mode txn.Mode) {
 	tx.instance = instance
 	tx.rv = p.clock.Load()
 	tx.mon = mon
-	tx.roCert = mode == txn.Certified
 	tx.irrev = mode == txn.Irrevocable
 	tx.ops = 0
 	tx.yielding = p.opts.YieldEvery > 0

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/progress"
 	"gstm/internal/trace"
 	"gstm/internal/tts"
@@ -42,9 +41,6 @@ type Core struct {
 	// before taking their first write lock.
 	Irrev Token
 
-	ro    *effect.ROSet
-	roLog effect.ViolationLog
-
 	// Written only on a deadline miss or a shed.
 	deadlineMiss atomic.Uint64
 	sheds        atomic.Uint64
@@ -56,7 +52,7 @@ type Core struct {
 	instances atomic.Uint64
 	_         [120]byte
 	stripes   [coreStripes]coreStripe
-	_         [32]byte // with the last stripe's tail, 128 bytes to the embedder's next field
+	_         [24]byte // with the last stripe's tail, 128 bytes to the embedder's next field
 }
 
 // coreStripes is the number of per-thread counter stripes; a power of
@@ -68,8 +64,8 @@ const coreStripes = 16
 // prefetch pair. Thread IDs past the array alias modulo its length, so
 // the adds stay atomic; the readers sum every stripe.
 type coreStripe struct {
-	commits, roCommits, aborts, escalations atomic.Uint64
-	_                                       [128 - 4*8]byte
+	commits, aborts, escalations atomic.Uint64
+	_                            [128 - 3*8]byte
 }
 
 // stripe returns the counter stripe of the given thread.
@@ -78,14 +74,13 @@ func (c *Core) stripe(thread uint16) *coreStripe {
 }
 
 // counts is the stripes' sum: one pass, no stop of the writers.
-type counts struct{ commits, roCommits, aborts, escalations uint64 }
+type counts struct{ commits, aborts, escalations uint64 }
 
 func (c *Core) counts() counts {
 	var n counts
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		n.commits += s.commits.Load()
-		n.roCommits += s.roCommits.Load()
 		n.aborts += s.aborts.Load()
 		n.escalations += s.escalations.Load()
 	}
@@ -122,7 +117,6 @@ func (c *Core) Init(cfg Config) Config {
 	}
 	c.cfg = cfg
 	c.Irrev.yield = cfg.Yield
-	c.ro = effect.NewROSet(cfg.Manifest)
 	c.escThreshold.Store(cfg.threshold())
 	if cfg.WatchdogWindow >= 0 {
 		c.watchdog = progress.NewWatchdog(cfg.WatchdogWindow)
@@ -178,41 +172,23 @@ func (c *Core) NoteCommit(instance uint64, p tts.Pair) {
 	c.hooks.Load().tracer.OnCommit(instance, p)
 }
 
-// Commits returns the number of committed transactions, certified
-// read-only ones included (those are counted in their own counter, one
-// atomic add per commit either way).
-func (c *Core) Commits() uint64 {
-	n := c.counts()
-	return n.commits + n.roCommits
-}
+// Commits returns the number of committed transactions.
+func (c *Core) Commits() uint64 { return c.counts().commits }
 
 // Aborts returns the number of aborted transaction attempts.
 func (c *Core) Aborts() uint64 { return c.counts().aborts }
 
-// ROCommits returns how many commits ran in Certified mode.
-func (c *Core) ROCommits() uint64 { return c.counts().roCommits }
-
 // ResetCounters zeroes every per-run counter (between runs): commits,
-// certified commits, aborts and sheds. Progress counters
-// (ProgressStats) and the violation log describe the STM's lifetime
-// and are kept.
+// aborts and sheds. Progress counters (ProgressStats) describe the
+// STM's lifetime and are kept.
 func (c *Core) ResetCounters() {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.commits.Store(0)
-		s.roCommits.Store(0)
 		s.aborts.Store(0)
 	}
 	c.sheds.Store(0)
 }
-
-// ROViolations returns how many writes the certified-readonly
-// soundness guard has trapped.
-func (c *Core) ROViolations() uint64 { return c.roLog.Total() }
-
-// ROViolationKeys returns the sampled distinct site keys whose
-// certified transactions issued writes.
-func (c *Core) ROViolationKeys() []string { return c.roLog.Keys() }
 
 // ProgressStats snapshots the progress-guarantee counters.
 func (c *Core) ProgressStats() progress.Stats {
@@ -223,12 +199,6 @@ func (c *Core) ProgressStats() progress.Stats {
 		EscalateThreshold: c.escThreshold.Load(),
 		Sheds:             c.sheds.Load(),
 	}
-}
-
-// certified reports whether txID currently holds a read-only
-// certificate.
-func (c *Core) certified(txID uint16) bool {
-	return c.ro != nil && c.ro.Certified(txID)
 }
 
 // deadlineErr counts and builds the ErrDeadline-wrapping error.
@@ -248,11 +218,11 @@ func (c *Core) shouldEscalate(attempts int, t0 time.Time) bool {
 	return et > 0 && time.Since(t0) >= et
 }
 
-// progressCounts is the watchdog's reading: commits (certified ones
-// included) and aborts, summed over the stripes.
+// progressCounts is the watchdog's reading: commits and aborts, summed
+// over the stripes.
 func (c *Core) progressCounts() (commits, aborts uint64) {
 	n := c.counts()
-	return n.commits + n.roCommits, n.aborts
+	return n.commits, n.aborts
 }
 
 // observeWatchdog feeds the livelock watchdog from the abort path and

@@ -32,7 +32,6 @@ func TestCoreLayout(t *testing.T) {
 	read = append(read, words("hooks", unsafe.Offsetof(c.hooks), unsafe.Sizeof(c.hooks))...)
 	read = append(read, words("escThreshold", unsafe.Offsetof(c.escThreshold), unsafe.Sizeof(c.escThreshold))...)
 	read = append(read, words("Irrev", unsafe.Offsetof(c.Irrev), unsafe.Sizeof(c.Irrev))...)
-	read = append(read, words("ro", unsafe.Offsetof(c.ro), unsafe.Sizeof(c.ro))...)
 
 	written := words("instances", unsafe.Offsetof(c.instances), unsafe.Sizeof(c.instances))
 	for i := 0; i < coreStripes; i++ {
@@ -42,7 +41,6 @@ func TestCoreLayout(t *testing.T) {
 			off  uintptr
 		}{
 			{"commits", unsafe.Offsetof(s.commits)},
-			{"roCommits", unsafe.Offsetof(s.roCommits)},
 			{"aborts", unsafe.Offsetof(s.aborts)},
 			{"escalations", unsafe.Offsetof(s.escalations)},
 		} {

@@ -3,7 +3,6 @@ package txn
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"gstm/internal/overload"
@@ -52,12 +51,7 @@ func RunCtx[T any](ctx context.Context, c *Core, p Policy[T], pair tts.Pair, pri
 	var cl call[T]
 	cl.c, cl.p, cl.pair = c, p, pair
 	if lim := c.cfg.Overload; lim != nil {
-		if c.certified(pair.Tx) {
-			// Certified read-only transactions ride the non-counted
-			// lane: they cannot cause the aborts that collapse the
-			// system, so the limiter neither charges nor sheds them.
-			lim.NoteReadOnly()
-		} else if err := lim.Acquire(ctx, pri); err != nil {
+		if err := lim.Acquire(ctx, pri); err != nil {
 			if !errors.Is(err, overload.ErrShed) {
 				// The context expired while waiting for a token: the
 				// usual deadline outcome, just decided in the queue.
@@ -68,9 +62,8 @@ func RunCtx[T any](ctx context.Context, c *Core, p Policy[T], pair tts.Pair, pri
 				sg.NoteShed(pair)
 			}
 			return err
-		} else {
-			cl.lim, cl.admitted = lim, lim.Now()
 		}
+		cl.lim, cl.admitted = lim, lim.Now()
 	}
 	cl.done = ctx.Done()
 	cl.tx = p.Acquire(pair, cl.done)
@@ -101,7 +94,7 @@ type call[T any] struct {
 	pair tts.Pair
 	done <-chan struct{} // the call's ctx.Done()
 	// lim is the limiter this call holds an admission token from, nil
-	// if none (no limiter, or the certified lane).
+	// if none.
 	lim      *overload.Limiter
 	admitted time.Time
 }
@@ -131,13 +124,8 @@ func (cl *call[T]) loop(ctx context.Context, fn func(T) error, t0 time.Time) err
 			if ig, ok := h.gate.(IrrevocableGate); ok {
 				ig.AdmitIrrevocable(cl.pair)
 			}
-		} else {
-			if h.gate != nil {
-				h.gate.Admit(cl.pair)
-			}
-			if c.certified(cl.pair.Tx) {
-				mode = Certified
-			}
+		} else if h.gate != nil {
+			h.gate.Admit(cl.pair)
 		}
 		inst, mon := c.instances.Add(1), h.mon
 		cl.p.Begin(cl.tx, inst, mon, mode)
@@ -150,15 +138,11 @@ func (cl *call[T]) loop(ctx context.Context, fn func(T) error, t0 time.Time) err
 			if mon != nil {
 				mon.OnTxCommit(inst)
 			}
-			switch st := c.stripe(cl.pair.Thread); mode {
-			case Certified:
-				st.roCommits.Add(1)
-			case Irrevocable:
+			st := c.stripe(cl.pair.Thread)
+			if mode == Irrevocable {
 				st.escalations.Add(1)
-				fallthrough
-			default:
-				st.commits.Add(1)
 			}
+			st.commits.Add(1)
 			c.hooks.Load().tracer.OnCommit(inst, cl.pair)
 			return nil
 		}
@@ -206,8 +190,6 @@ func (cl *call[T]) attempt(fn func(T) error, mode Mode) (committed bool, killer 
 		case nil: // the body returned an error
 		case Abort:
 			killer = sig.Killer
-		case ROViolation:
-			err = cl.roViolation()
 		default:
 			cl.releaseToken(false)
 			panic(sig)
@@ -218,19 +200,4 @@ func (cl *call[T]) attempt(fn func(T) error, mode Mode) (committed bool, killer 
 	}
 	cl.p.Commit(cl.tx)
 	return true, 0, nil
-}
-
-// roViolation applies Config.ROGuard to a write trapped under a
-// Certified attempt: trap mode returns the caller-visible error;
-// recover mode decertifies the ID, so the retry runs the full protocol.
-func (cl *call[T]) roViolation() error {
-	c, id := cl.c, cl.pair.Tx
-	key := c.ro.Key(id)
-	c.roLog.Note(key)
-	if c.cfg.ROGuard.Traps() {
-		return fmt.Errorf("%w: site %s (tx %d) issued a transactional write; the manifest is stale or the effect analysis was bypassed",
-			c.cfg.ErrReadOnlyViolation, key, id)
-	}
-	c.ro.Decertify(id)
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"gstm/internal/effect"
 	"gstm/internal/libtm"
 	"gstm/internal/progress"
 	"gstm/internal/tl2"
@@ -21,11 +20,11 @@ type stm struct {
 	// rmw increments the runtime's one location on the given thread,
 	// panicking with panicWith (if non-nil) after the write.
 	rmw   func(thread uint16, panicWith any) error
-	scan  func() error // certified read-only transaction (ID 9)
+	scan  func() error // read-only transaction (ID 9)
 	value func() int64
 
-	commits, roCommits, aborts func() uint64
-	reset                      func()
+	commits, aborts func() uint64
+	reset           func()
 }
 
 var libtmModes = map[string]libtm.Mode{
@@ -39,10 +38,9 @@ var libtmModes = map[string]libtm.Mode{
 // Retries are bounded and escalation and the watchdog are off, so a
 // leaked lock shows up as ErrRetryLimit instead of a hang.
 func runtimes() []stm {
-	m := &effect.Manifest{Sites: []effect.Site{{Key: "test.scan", Tx: "scan", TxID: 9, Class: effect.ReadOnly}}}
 	var out []stm
 	{
-		s := tl2.New(tl2.Options{MaxRetries: 50, EscalateAfter: -1, WatchdogWindow: -1, Manifest: m})
+		s := tl2.New(tl2.Options{MaxRetries: 50, EscalateAfter: -1, WatchdogWindow: -1})
 		v := tl2.NewVar(0)
 		out = append(out, stm{
 			name: "tl2",
@@ -57,11 +55,11 @@ func runtimes() []stm {
 			},
 			scan:    func() error { return s.Atomic(0, 9, func(tx *tl2.Tx) error { _ = tx.Read(v); return nil }) },
 			value:   v.Value,
-			commits: s.Commits, roCommits: s.ROCommits, aborts: s.Aborts, reset: s.ResetCounters,
+			commits: s.Commits, aborts: s.Aborts, reset: s.ResetCounters,
 		})
 	}
 	for name, mode := range libtmModes {
-		s := libtm.New(libtm.Options{Mode: mode, MaxRetries: 50, EscalateAfter: -1, WatchdogWindow: -1, Manifest: m})
+		s := libtm.New(libtm.Options{Mode: mode, MaxRetries: 50, EscalateAfter: -1, WatchdogWindow: -1})
 		o := libtm.NewObj(0)
 		out = append(out, stm{
 			name: "libtm/" + name,
@@ -76,7 +74,7 @@ func runtimes() []stm {
 			},
 			scan:    func() error { return s.Atomic(0, 9, func(tx *libtm.Tx) error { _ = tx.Read(o); return nil }) },
 			value:   o.Value,
-			commits: s.Commits, roCommits: s.ROCommits, aborts: s.Aborts, reset: s.ResetCounters,
+			commits: s.Commits, aborts: s.Aborts, reset: s.ResetCounters,
 		})
 	}
 	return out
@@ -114,8 +112,8 @@ func TestBodyPanicReleasesLocks(t *testing.T) {
 }
 
 // TestCommitCountersOneRule: Commits() counts every committed
-// transaction, certified read-only ones included, on both runtimes;
-// ROCommits() is the certified subset; ResetCounters zeroes both.
+// transaction, read-only ones included, on both runtimes; ResetCounters
+// zeroes it.
 func TestCommitCountersOneRule(t *testing.T) {
 	for _, s := range runtimes() {
 		s := s
@@ -130,12 +128,12 @@ func TestCommitCountersOneRule(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if s.commits() != 5 || s.roCommits() != 2 {
-				t.Errorf("Commits=%d ROCommits=%d after 3 writers + 2 certified scans, want 5 and 2", s.commits(), s.roCommits())
+			if s.commits() != 5 {
+				t.Errorf("Commits=%d after 3 writers + 2 scans, want 5", s.commits())
 			}
 			s.reset()
-			if s.commits() != 0 || s.roCommits() != 0 || s.aborts() != 0 {
-				t.Errorf("after ResetCounters: Commits=%d ROCommits=%d Aborts=%d, want all 0", s.commits(), s.roCommits(), s.aborts())
+			if s.commits() != 0 || s.aborts() != 0 {
+				t.Errorf("after ResetCounters: Commits=%d Aborts=%d, want both 0", s.commits(), s.aborts())
 			}
 		})
 	}
@@ -144,14 +142,13 @@ func TestCommitCountersOneRule(t *testing.T) {
 // TestCoreCountersExact: counters striped per thread add up exactly. Twice
 // as many goroutines as stripes, so thread IDs alias, each run plain
 // commits, commits after forced aborts, escalations (forced aborts up to
-// the threshold) and certified scans on a location of their own. The body
+// the threshold) and read-only scans on a location of their own. The body
 // counts its attempts, so the expected totals include any abort the
 // runtime adds on its own: every attempt but a call's last aborted, and a
 // call escalated exactly when it aborted escalateAfter times.
 func TestCoreCountersExact(t *testing.T) {
 	const escalateAfter, rounds = 3, 40
 	threads := 2 * txn.CoreStripes
-	m := &effect.Manifest{Sites: []effect.Site{{Key: "test.scan", Tx: "scan", TxID: 9, Class: effect.ReadOnly}}}
 
 	type counted struct {
 		name string
@@ -160,13 +157,12 @@ func TestCoreCountersExact(t *testing.T) {
 		atomic      func(thread, tx uint16, write bool, body func()) error
 		progress    func() progress.Stats
 		commits     func() uint64
-		roCommits   func() uint64
 		aborts      func() uint64
 		resetCounts func()
 	}
 	var rts []counted
 	{
-		s := tl2.New(tl2.Options{EscalateAfter: escalateAfter, WatchdogWindow: -1, Manifest: m})
+		s := tl2.New(tl2.Options{EscalateAfter: escalateAfter, WatchdogWindow: -1})
 		vars := make([]*tl2.Var, threads)
 		for i := range vars {
 			vars[i] = tl2.NewVar(0)
@@ -180,10 +176,10 @@ func TestCoreCountersExact(t *testing.T) {
 				}
 				return nil
 			})
-		}, s.ProgressStats, s.Commits, s.ROCommits, s.Aborts, s.ResetCounters})
+		}, s.ProgressStats, s.Commits, s.Aborts, s.ResetCounters})
 	}
 	{
-		s := libtm.New(libtm.Options{Mode: libtm.FullyOptimistic, EscalateAfter: escalateAfter, WatchdogWindow: -1, Manifest: m})
+		s := libtm.New(libtm.Options{Mode: libtm.FullyOptimistic, EscalateAfter: escalateAfter, WatchdogWindow: -1})
 		objs := make([]*libtm.Obj, threads)
 		for i := range objs {
 			objs[i] = libtm.NewObj(0)
@@ -197,13 +193,13 @@ func TestCoreCountersExact(t *testing.T) {
 				}
 				return nil
 			})
-		}, s.ProgressStats, s.Commits, s.ROCommits, s.Aborts, s.ResetCounters})
+		}, s.ProgressStats, s.Commits, s.Aborts, s.ResetCounters})
 	}
 
 	for _, rt := range rts {
 		rt := rt
 		t.Run(rt.name, func(t *testing.T) {
-			var commits, roCommits, aborts, escalations, forced atomic.Uint64
+			var commits, scans, aborts, escalations, forced atomic.Uint64
 			// call runs one call that forces the given number of aborts
 			// and tallies what its attempts say about it.
 			call := func(thread, tx uint16, write bool, force int) error {
@@ -215,14 +211,12 @@ func TestCoreCountersExact(t *testing.T) {
 					}
 				})
 				aborts.Add(uint64(n - 1))
+				commits.Add(1)
 				switch {
 				case n-1 >= escalateAfter:
 					escalations.Add(1)
-					commits.Add(1)
 				case !write:
-					roCommits.Add(1)
-				default:
-					commits.Add(1)
+					scans.Add(1)
 				}
 				return err
 			}
@@ -253,16 +247,13 @@ func TestCoreCountersExact(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if forced.Load() == 0 || escalations.Load() < uint64(threads*rounds) || roCommits.Load() == 0 {
-				t.Fatalf("vacuous run: forced %d aborts, %d escalations, %d certified commits",
-					forced.Load(), escalations.Load(), roCommits.Load())
+			if forced.Load() == 0 || escalations.Load() < uint64(threads*rounds) || scans.Load() == 0 {
+				t.Fatalf("vacuous run: forced %d aborts, %d escalations, %d read-only commits",
+					forced.Load(), escalations.Load(), scans.Load())
 			}
-			want := commits.Load() + roCommits.Load()
+			want := commits.Load()
 			if got := rt.commits(); got != want || want != uint64(4*threads*rounds) {
 				t.Errorf("Commits = %d, want %d (%d calls)", got, want, 4*threads*rounds)
-			}
-			if got := rt.roCommits(); got != roCommits.Load() {
-				t.Errorf("ROCommits = %d, want %d", got, roCommits.Load())
 			}
 			if got := rt.aborts(); got != aborts.Load() {
 				t.Errorf("Aborts = %d, want %d (%d forced)", got, aborts.Load(), forced.Load())
@@ -272,8 +263,8 @@ func TestCoreCountersExact(t *testing.T) {
 			}
 
 			rt.resetCounts()
-			if c, ro, a := rt.commits(), rt.roCommits(), rt.aborts(); c != 0 || ro != 0 || a != 0 {
-				t.Errorf("after ResetCounters: Commits=%d ROCommits=%d Aborts=%d, want all 0", c, ro, a)
+			if c, a := rt.commits(), rt.aborts(); c != 0 || a != 0 {
+				t.Errorf("after ResetCounters: Commits=%d Aborts=%d, want both 0", c, a)
 			}
 			// Escalations are a progress counter: they describe the STM's
 			// lifetime and survive the per-run reset.

@@ -1,12 +1,10 @@
 // Package txn is the transaction driver both STM runtimes share. The
 // paper instruments TL2 and LibTM with one mechanism — a gate consulted
 // at TxBegin and a tracer fed at commit/abort — and this package is
-// that mechanism, written once: overload admission and shed, the
-// certified-read-only lane, gate admission, instance numbering,
-// monitor/tracer/counter accounting, the retry limit, deadlines,
-// watchdog-driven escalation onto the irrevocable serial path, the
-// read-only-violation guard, the latency recorder and descriptor
-// release.
+// that mechanism, written once: overload admission and shed, gate
+// admission, instance numbering, monitor/tracer/counter accounting, the
+// retry limit, deadlines, watchdog-driven escalation onto the
+// irrevocable serial path, the latency recorder and descriptor release.
 //
 // A runtime (internal/tl2, internal/libtm) supplies only its conflict
 // protocol, as a Policy: how an attempt begins, commits, releases what
@@ -19,10 +17,9 @@
 // # The release rule
 //
 // Every exit from an attempt that is not a commit — a conflict abort, a
-// user error, a trapped read-only violation, and a panic that is not
-// the driver's own — runs Policy.Release before anything else happens,
-// so no write lock, reader registration or irrevocable token outlives
-// the attempt that took it. The admission token follows the same rule.
+// user error, and a panic that is not the driver's own — runs
+// Policy.Release before anything else happens, so no write lock, reader
+// registration or irrevocable token outlives the attempt that took it. The admission token follows the same rule.
 // A foreign panic is then re-raised and its descriptor is dropped, not
 // recycled: the body that panicked may have leaked the pointer.
 package txn
@@ -30,7 +27,6 @@ package txn
 import (
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/overload"
 	"gstm/internal/tts"
 )
@@ -83,12 +79,6 @@ type Monitor interface {
 // unknown), which the driver hands to the tracer for attribution.
 type Abort struct{ Killer uint64 }
 
-// ROViolation is the signal a runtime's Write panics with when issued
-// under a Certified attempt: the manifest proved this transaction ID
-// read-only, so the write must not be buffered. The driver applies
-// Config.ROGuard.
-type ROViolation struct{}
-
 // Mode is how one attempt runs.
 type Mode uint8
 
@@ -96,10 +86,6 @@ type Mode uint8
 const (
 	// Optimistic is the runtime's ordinary protocol.
 	Optimistic Mode = iota
-	// Certified is an attempt under a transaction ID the manifest
-	// certified read-only: the runtime may run a leaner read protocol
-	// and must trap writes with ROViolation.
-	Certified
 	// Irrevocable is the escalated serial attempt: the driver holds
 	// the token, every access locks at encounter time, and the attempt
 	// cannot abort.
@@ -147,12 +133,11 @@ const defaultYieldEvery = 4
 // beside these) and converts it in New; the semantics below are
 // implemented here and nowhere else.
 type Config struct {
-	// ErrRetryLimit, ErrDeadline and ErrReadOnlyViolation are the
-	// runtime's sentinels. They stay distinct per runtime so errors.Is
-	// tells a tl2 failure from a libtm one.
-	ErrRetryLimit        error
-	ErrDeadline          error
-	ErrReadOnlyViolation error
+	// ErrRetryLimit and ErrDeadline are the runtime's sentinels. They
+	// stay distinct per runtime so errors.Is tells a tl2 failure from a
+	// libtm one.
+	ErrRetryLimit error
+	ErrDeadline   error
 
 	// MaxRetries bounds conflict retries per Atomic call; 0 means
 	// unbounded.
@@ -199,19 +184,6 @@ type Config struct {
 	// through the hook: a parked goroutine is invisible to a
 	// cooperative scheduler.
 	Yield func()
-	// Manifest registers a sealed static-effect manifest (produced by
-	// `gstmlint -manifest`, loaded with effect.ReadFile). Attempts
-	// under transaction IDs whose every static site proved read-only
-	// run in Certified mode and bypass the overload limiter on its
-	// non-counted lane. Nil costs one pointer check per attempt.
-	Manifest *effect.Manifest
-	// ROGuard selects the consequence of a write under a Certified
-	// attempt: trap the Atomic call with ErrReadOnlyViolation, or
-	// decertify the ID and retry uncertified. The zero value
-	// (effect.GuardAuto) traps under -race builds and recovers in
-	// production. Either way a wrong manifest can cost throughput,
-	// never correctness.
-	ROGuard effect.GuardMode
 	// Overload, when non-nil, attaches an adaptive admission controller
 	// (internal/overload) in front of every Atomic call: in-flight
 	// transactions are capped by its AIMD limit, and calls that cannot

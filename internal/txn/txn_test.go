@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gstm/internal/effect"
 	"gstm/internal/fault"
 	"gstm/internal/overload"
 	"gstm/internal/tts"
@@ -22,7 +21,6 @@ import (
 var (
 	errRetry = errors.New("fake: retry limit")
 	errDead  = errors.New("fake: deadline")
-	errRO    = errors.New("fake: read-only violation")
 	errUser  = errors.New("user error")
 )
 
@@ -49,7 +47,7 @@ func (f *fake) count(s string) (n int) {
 func (f *fake) Acquire(tts.Pair, <-chan struct{}) *fakeTx { f.note("acquire"); return &fakeTx{} }
 func (f *fake) Begin(tx *fakeTx, _ uint64, _ Monitor, m Mode) {
 	tx.mode = m
-	f.note("begin:" + [...]string{"optimistic", "certified", "irrevocable"}[m])
+	f.note("begin:" + [...]string{"optimistic", "irrevocable"}[m])
 }
 func (f *fake) Commit(tx *fakeTx) {
 	if tx.mode != Irrevocable && f.aborts > 0 {
@@ -77,17 +75,13 @@ func (t *tracerProbe) OnCommit(uint64, tts.Pair) { t.commits++ }
 func (t *tracerProbe) OnAbort(tts.Pair, uint64)  { t.aborts++ }
 
 func newCore(cfg Config) *Core {
-	cfg.ErrRetryLimit, cfg.ErrDeadline, cfg.ErrReadOnlyViolation = errRetry, errDead, errRO
+	cfg.ErrRetryLimit, cfg.ErrDeadline = errRetry, errDead
 	if cfg.WatchdogWindow == 0 {
 		cfg.WatchdogWindow = -1
 	}
 	c := &Core{}
 	c.Init(cfg)
 	return c
-}
-
-func roManifest(id uint16) *effect.Manifest {
-	return &effect.Manifest{Sites: []effect.Site{{Key: "fake.site", Tx: "ro", TxID: int(id), Class: effect.ReadOnly}}}
 }
 
 func TestDriverConformance(t *testing.T) {
@@ -206,48 +200,6 @@ func TestDriverConformance(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "certified ID", body: ok, limit: true,
-			cfg:     Config{Manifest: roManifest(5)},
-			wantLog: "acquire begin:certified commit recycle",
-			check: func(t *testing.T, c *Core, _ *gateProbe, _ *tracerProbe, lim *overload.Limiter) {
-				if st := lim.Stats(); st.ReadOnlyBypass != 1 || st.Acquires != 0 {
-					t.Errorf("limiter saw %d bypasses and %d acquires, want 1 and 0 (no token)", st.ReadOnlyBypass, st.Acquires)
-				}
-				if c.ROCommits() != 1 || c.Commits() != 1 {
-					t.Errorf("ROCommits=%d Commits=%d, want 1 1", c.ROCommits(), c.Commits())
-				}
-			},
-		},
-		{
-			name: "read-only violation trapped", limit: true,
-			cfg:     Config{Manifest: roManifest(5), ROGuard: effect.GuardTrap},
-			body:    func(*fakeTx) error { panic(ROViolation{}) },
-			wantErr: []error{errRO},
-			wantLog: "acquire begin:certified release recycle",
-			check: func(t *testing.T, c *Core, _ *gateProbe, _ *tracerProbe, _ *overload.Limiter) {
-				if c.ROViolations() != 1 || len(c.ROViolationKeys()) != 1 || c.ROViolationKeys()[0] != "fake.site" {
-					t.Errorf("violations=%d keys=%v, want 1 [fake.site]", c.ROViolations(), c.ROViolationKeys())
-				}
-			},
-		},
-		{
-			name: "read-only violation recovered", limit: true,
-			cfg: Config{Manifest: roManifest(5), ROGuard: effect.GuardRecover},
-			body: func(tx *fakeTx) error {
-				if tx.mode == Certified {
-					panic(ROViolation{})
-				}
-				return nil
-			},
-			wantLog: "acquire begin:certified release backoff begin:optimistic commit recycle",
-			check: func(t *testing.T, c *Core, _ *gateProbe, _ *tracerProbe, _ *overload.Limiter) {
-				if c.ROViolations() != 1 || c.ROCommits() != 0 || c.Commits() != 1 || c.Aborts() != 1 {
-					t.Errorf("violations=%d ROCommits=%d Commits=%d Aborts=%d, want 1 0 1 1",
-						c.ROViolations(), c.ROCommits(), c.Commits(), c.Aborts())
-				}
-			},
-		},
 	}
 	for _, r := range rows {
 		r := r
@@ -356,7 +308,7 @@ func TestWatchdogHalvesAndRestoresThreshold(t *testing.T) {
 		t.Fatalf("trips = %d, want 1", got)
 	}
 	c.stripe(1).commits.Add(2)
-	c.stripe(coreStripes - 1).roCommits.Add(1)
+	c.stripe(coreStripes - 1).commits.Add(1)
 	time.Sleep(2 * time.Millisecond)
 	c.observeWatchdog() // healthy window: restore the configured value
 	if th := c.escThreshold.Load(); th != 64 {

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# bench.sh — records benchmark baselines into BENCH_baseline.json and
-# BENCH_rofast.json (plus the online, overload and scale documents
-# described below).
+# bench.sh — records benchmark baselines into BENCH_baseline.json (plus
+# the online, overload and scale documents described below).
 #
 # Runs the micro-benchmarks (STM primitives, mode matrix, gate
 # overhead) with -benchmem and writes one JSON document capturing the
@@ -9,16 +8,13 @@
 # allocs/op. The committed BENCH_baseline.json is the reference point
 # a perf-sensitive PR diffs its own run against (re-run this script,
 # compare, and refresh the file when a deliberate change moves the
-# numbers). A second stanza records the certified read-only fast-path
-# suite (^BenchmarkROFast) into BENCH_rofast.json at a longer benchtime
-# — those benchmarks assert single-digit-ns deltas, so they need the
-# extra settling time. A third stanza records the online-guidance
+# numbers). A second stanza records the online-guidance
 # overheads (^BenchmarkOnline) into BENCH_online.json: the streaming
 # accumulator's per-event enqueue, the amortized epoch build + model
 # swap, and the end-to-end gated commit path with the learner attached
 # (diff against BenchmarkGateOverhead in BENCH_baseline.json — the
 # delta is the online controller's whole commit-path footprint).
-# A fourth stanza records the overload-control suite
+# A third stanza records the overload-control suite
 # (^BenchmarkOverload) into BENCH_overload.json: the shed fast paths
 # (deadline forecast and injected storm, both pinned at 0 allocs/op),
 # the healthy acquire/release baseline, and the contention-collapse
@@ -26,7 +22,7 @@
 # each oversubscription factor, captured from the benchmarks' custom
 # ReportMetric columns (which the shared writer cannot see, so this
 # stanza has its own).
-# A fifth stanza records the multi-core scalability suite
+# A fourth stanza records the multi-core scalability suite
 # (^BenchmarkScale) into BENCH_scale.json: both runtimes' commit paths
 # under -cpu 1,2,4,8 — TL2, LibTM's pooled descriptors and the
 # guide-gated path — with each row carrying its core count and its
@@ -44,7 +40,6 @@
 #                       than one 100ms sample (default: 3; see
 #                       scripts/benchdiff.sh, which compares the same
 #                       statistic)
-#   GSTM_ROFAST_BENCHTIME  -benchtime for the ROFast suite (default: 2s)
 #   GSTM_ONLINE_BENCHTIME  -benchtime for the Online suite (default: 1s)
 #   GSTM_OVERLOAD_BENCHTIME  -benchtime for the Overload suite (default: 1s)
 #   GSTM_SCALE_BENCHTIME  -benchtime for the Scale suite (default: 100ms)
@@ -53,22 +48,19 @@
 #                       -benchtime=1x (slow; report-shaped, not latency-
 #                       shaped, so they are excluded from the default set)
 #   $1                  output path        (default: BENCH_baseline.json)
-#   $2                  ROFast output path (default: BENCH_rofast.json)
-#   $3                  Online output path (default: BENCH_online.json)
-#   $4                  Overload output path (default: BENCH_overload.json)
-#   $5                  Scale output path   (default: BENCH_scale.json)
+#   $2                  Online output path (default: BENCH_online.json)
+#   $3                  Overload output path (default: BENCH_overload.json)
+#   $4                  Scale output path   (default: BENCH_scale.json)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_baseline.json}"
-rofast_out="${2:-BENCH_rofast.json}"
-online_out="${3:-BENCH_online.json}"
-overload_out="${4:-BENCH_overload.json}"
-scale_out="${5:-BENCH_scale.json}"
+online_out="${2:-BENCH_online.json}"
+overload_out="${3:-BENCH_overload.json}"
+scale_out="${4:-BENCH_scale.json}"
 bench="${GSTM_BENCH:-^(BenchmarkTL2|BenchmarkLibTMModesRMW|BenchmarkGateOverhead|BenchmarkSynQuakeFrame)}"
 benchtime="${GSTM_BENCHTIME:-100ms}"
 bench_count="${GSTM_BENCH_COUNT:-3}"
-rofast_benchtime="${GSTM_ROFAST_BENCHTIME:-2s}"
 online_benchtime="${GSTM_ONLINE_BENCHTIME:-1s}"
 overload_benchtime="${GSTM_OVERLOAD_BENCHTIME:-1s}"
 scale_benchtime="${GSTM_SCALE_BENCHTIME:-100ms}"
@@ -214,12 +206,6 @@ fi
 
 echo "$raw" | write_json "$benchtime" "$out"
 echo "== wrote $out =="
-
-echo "== bench: certified read-only fast path (benchtime $rofast_benchtime) =="
-rofast_raw="$(go test -run='^$' -bench '^BenchmarkROFast' -benchtime "$rofast_benchtime" -benchmem .)"
-echo "$rofast_raw"
-echo "$rofast_raw" | write_json "$rofast_benchtime" "$rofast_out"
-echo "== wrote $rofast_out =="
 
 echo "== bench: online guidance overhead (benchtime $online_benchtime) =="
 online_raw="$(go test -run='^$' -bench '^BenchmarkOnline' -benchtime "$online_benchtime" -benchmem .)"

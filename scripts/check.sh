@@ -26,15 +26,11 @@
 # Preempt scheduling test (it once failed about 1 run in 60) and of the
 # fault matrix's snapshot-abort case (it once failed about 1 run in 100),
 # and
-# gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm011, including the
+# gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm010, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
 # stage runs -fix -diff as a dry-run gate too — any machine-applicable
 # fix left unapplied in the tree fails the build with the diff it
-# would make. A manifest-freshness
-# gate then regenerates the effect manifest (gstmlint -manifest) over
-# the same packages and fails if it differs from the committed
-# MANIFEST.gsm — a stale certificate is a soundness hazard, not just
-# drift. Finally scripts/benchdiff.sh re-runs the micro-benchmark set
+# would make. Finally scripts/benchdiff.sh re-runs the micro-benchmark set
 # against the committed BENCH_baseline.json: >15% ns/op regressions
 # fail (GSTM_BENCHDIFF_TOL to adjust; GSTM_BENCHDIFF_SKIP_NS=1 on
 # hardware that did not record the baseline), and any allocation on a
@@ -133,16 +129,6 @@ fixdiff=$(go run ./cmd/gstmlint -fix -diff ./... || true)
 if [ -n "$fixdiff" ]; then
     echo "gstmlint -fix would change the tree; apply or waive:" >&2
     echo "$fixdiff" >&2
-    exit 1
-fi
-
-echo "== manifest freshness (gstmlint -manifest vs MANIFEST.gsm) =="
-manifest=$(mktemp)
-trap 'rm -f "$manifest"' EXIT
-go run ./cmd/gstmlint -manifest "$manifest" ./examples/... ./cmd/synquake/...
-if ! cmp -s "$manifest" MANIFEST.gsm; then
-    echo "MANIFEST.gsm is stale against the current sources; regenerate with:" >&2
-    echo "  go run ./cmd/gstmlint -manifest MANIFEST.gsm ./examples/... ./cmd/synquake/..." >&2
     exit 1
 fi
 
