@@ -28,6 +28,9 @@ const DefaultTfactor = 4.0
 
 // Node is one TSA state and its outbound transition counts.
 type Node struct {
+	// Key is the state's canonical key, the node's key in TSA.Nodes.
+	// AddRun indexes Out with it, so an edge shares the key's bytes.
+	Key string
 	// State is the decoded thread transactional state.
 	State tts.State
 	// Out maps destination state key → observed transition count.
@@ -123,18 +126,25 @@ func Build(threads int, runs ...[]tts.State) *TSA {
 }
 
 // AddRun folds one profile run's transaction sequence into the model.
+// A state and transition the model already holds cost two map
+// operations and no allocation: the key is built in a reused buffer and
+// looked up without a copy, and the previous state's node is carried,
+// not looked up again.
 func (m *TSA) AddRun(seq []tts.State) {
-	var prevKey string
-	for i, st := range seq {
-		key := st.Key()
-		node := m.ensure(key, st)
-		if i > 0 {
-			from := m.Nodes[prevKey]
-			from.Out[key]++
-			from.Total++
+	var scratch [64]byte // a key of up to 15 aborts; longer ones grow onto the heap
+	buf := scratch[:0]
+	var prev *Node
+	for _, st := range seq {
+		buf = st.AppendKey(buf[:0])
+		n := m.Nodes[string(buf)]
+		if n == nil {
+			n = m.ensure(string(buf), st)
 		}
-		_ = node
-		prevKey = key
+		if prev != nil {
+			prev.Out[n.Key]++
+			prev.Total++
+		}
+		prev = n
 	}
 }
 
@@ -143,7 +153,7 @@ func (m *TSA) ensure(key string, st tts.State) *Node {
 	if !ok {
 		cp := tts.State{Commit: st.Commit, Aborts: append([]tts.Pair(nil), st.Aborts...)}
 		cp.Canonicalize()
-		n = &Node{State: cp, Out: make(map[string]int)}
+		n = &Node{Key: key, State: cp, Out: make(map[string]int)}
 		m.Nodes[key] = n
 	}
 	return n

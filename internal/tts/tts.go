@@ -12,9 +12,10 @@
 package tts
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -59,14 +60,14 @@ type State struct {
 // then thread) so that equal states always produce equal keys. It
 // returns the receiver for chaining.
 func (s *State) Canonicalize() *State {
-	sort.Slice(s.Aborts, func(i, j int) bool {
-		a, b := s.Aborts[i], s.Aborts[j]
-		if a.Tx != b.Tx {
-			return a.Tx < b.Tx
-		}
-		return a.Thread < b.Thread
-	})
+	slices.SortFunc(s.Aborts, comparePairs)
 	return s
+}
+
+// comparePairs orders pairs by tx, then thread: the canonical abort
+// order, and the order of their Key values.
+func comparePairs(a, b Pair) int {
+	return cmp.Compare(a.Key(), b.Key())
 }
 
 // pairBytes is the encoded width of one Pair.
@@ -77,32 +78,24 @@ const pairBytes = 4
 // 4 bytes big-endian. Key does not mutate the receiver; the abort list
 // is sorted into a scratch copy if needed.
 func (s State) Key() string {
+	var buf [16 * pairBytes]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the state's Key to dst and returns the extended
+// buffer. It allocates only when dst lacks the room or the abort list
+// is not in canonical order.
+func (s State) AppendKey(dst []byte) []byte {
 	aborts := s.Aborts
-	if !sort.SliceIsSorted(aborts, func(i, j int) bool {
-		a, b := aborts[i], aborts[j]
-		if a.Tx != b.Tx {
-			return a.Tx < b.Tx
-		}
-		return a.Thread < b.Thread
-	}) {
-		aborts = append([]Pair(nil), aborts...)
-		sort.Slice(aborts, func(i, j int) bool {
-			a, b := aborts[i], aborts[j]
-			if a.Tx != b.Tx {
-				return a.Tx < b.Tx
-			}
-			return a.Thread < b.Thread
-		})
+	if !slices.IsSortedFunc(aborts, comparePairs) {
+		aborts = slices.Clone(aborts)
+		slices.SortFunc(aborts, comparePairs)
 	}
-	buf := make([]byte, pairBytes*(1+len(aborts)))
-	binary.BigEndian.PutUint16(buf[0:], s.Commit.Tx)
-	binary.BigEndian.PutUint16(buf[2:], s.Commit.Thread)
-	for i, a := range aborts {
-		off := pairBytes * (i + 1)
-		binary.BigEndian.PutUint16(buf[off:], a.Tx)
-		binary.BigEndian.PutUint16(buf[off+2:], a.Thread)
+	dst = binary.BigEndian.AppendUint32(dst, s.Commit.Key())
+	for _, a := range aborts {
+		dst = binary.BigEndian.AppendUint32(dst, a.Key())
 	}
-	return string(buf)
+	return dst
 }
 
 // ParseKey decodes a canonical key produced by State.Key.

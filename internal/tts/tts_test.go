@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"gstm/internal/race"
 )
 
 func TestPairKeyRoundtrip(t *testing.T) {
@@ -159,5 +161,23 @@ func TestEqualDisregardsOrderOnly(t *testing.T) {
 	}
 	if a.Equal(c) {
 		t.Error("different abort sets must differ")
+	}
+}
+
+// TestAppendKey: AppendKey extends dst by exactly Key, sorted or not,
+// and into a buffer with room it allocates nothing.
+func TestAppendKey(t *testing.T) {
+	s := State{Commit: Pair{Tx: 3, Thread: 1}, Aborts: []Pair{{Tx: 2, Thread: 0}, {Tx: 1, Thread: 5}}}
+	prefix := []byte("xy")
+	if got := s.AppendKey(prefix); string(got) != "xy"+s.Key() {
+		t.Errorf("AppendKey = %q, want %q", got, "xy"+s.Key())
+	}
+	s.Canonicalize()
+	buf := make([]byte, 0, 64)
+	if race.Enabled {
+		return // race instrumentation allocates; AllocsPerRun is meaningless under -race
+	}
+	if avg := testing.AllocsPerRun(100, func() { buf = s.AppendKey(buf[:0]) }); avg != 0 {
+		t.Errorf("AppendKey allocates %.1f times, want 0", avg)
 	}
 }

@@ -7,7 +7,8 @@
 # the race detector over both STM runtimes plus the fault matrix
 # (injected aborts/stalls must never deadlock the gate) and the shared
 # driver's per-thread counter stripes (exact totals on both runtimes,
-# thread IDs aliasing, five times over), a race-mode
+# thread IDs aliasing, five times over) and the sharded trace
+# Collector with the model fold (five times over), a race-mode
 # smoke of the schedule explorer and its oracle/scheduler stack
 # (-short trims the schedule budgets), a bounded online-controller
 # soak under the race detector (the streaming learner building epoch
@@ -69,10 +70,11 @@ echo "== build + tests (shuffled) =="
 go build ./...
 go test -shuffle=on ./...
 
-echo "== race detector (STM runtimes + fault matrix) =="
+echo "== race detector (STM runtimes + fault matrix + trace capture) =="
 go test -race ./internal/tl2 ./internal/libtm
 go test -race -run TestFaultMatrix ./internal/harness
 go test -race -count=5 -run TestCoreCountersExact ./internal/txn
+go test -race -count=5 ./internal/trace ./internal/model
 
 echo "== explorer smoke (scheduler + oracle, race mode) =="
 go test -race -short ./internal/sched ./internal/oracle ./internal/explorer
