@@ -5,9 +5,8 @@
 //
 // Usage:
 //
-//	gstmlint [-checks gstm001,gstm003] [-skip gstm010] [-list] [-json] [-v] [packages...]
+//	gstmlint [-checks gstm001,gstm003] [-skip gstm009] [-list] [-json] [-v] [packages...]
 //	gstmlint -fix [-diff] [packages...]
-//	gstmlint -footprint [-json] [packages...]
 //
 // Packages are directories or "dir/..." wildcards (default "./...").
 // The exit code is the CI contract: 0 clean, 1 diagnostics found,
@@ -28,15 +27,6 @@
 // dropped error, gstm007's dead read, gstm008's Atomic→AtomicCtx) and
 // rewrites the files gofmt-clean; with -diff it prints the rewrites as
 // unified diffs instead of writing anything — the CI dry-run gate.
-//
-// -footprint skips linting and instead prints the static transaction
-// footprint report: for every Atomic call site, the may-read/may-write
-// sets of transactional storage (propagated through helper calls), and
-// the static conflict graph those sets induce — the compile-time
-// analogue of the TSA model's abort edges. Module-local imports of the
-// named packages are loaded too, so footprints of an entry point
-// include the workload packages it calls into. Add -lint to run the
-// checks over the same loaded packages too.
 package main
 
 import (
@@ -61,9 +51,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	checks := fs.String("checks", "", "comma-separated check IDs or names to run (default: all)")
 	skip := fs.String("skip", "", "comma-separated check IDs or names to exclude from the selected set")
 	list := fs.Bool("list", false, "list registered checks and exit")
-	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic (or the footprint graph as JSON with -footprint)")
-	footprint := fs.Bool("footprint", false, "print static transaction footprints and the conflict graph instead of linting")
-	lintToo := fs.Bool("lint", false, "also run the lint checks when -footprint is given")
+	jsonOut := fs.Bool("json", false, "emit one JSON object per diagnostic")
 	fix := fs.Bool("fix", false, "apply machine-applicable suggested fixes (rewrites files gofmt-clean)")
 	diff := fs.Bool("diff", false, "with -fix: print the rewrites as diffs instead of writing files")
 	verbose := fs.Bool("v", false, "also print type-check warnings for packages that do not fully type-check")
@@ -145,15 +133,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 		return 2
 	}
-	// Footprints follow calls into workload packages, so that mode pulls
-	// in module-local dependencies of the named entry points. The
-	// footprint report and -lint share this one load pass; lint.Run
-	// skips the dependency-only packages itself.
-	load := loader.Load
-	if *footprint {
-		load = loader.LoadWithDeps
-	}
-	pkgs, err := load(patterns...)
+	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 		return 2
@@ -164,21 +144,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			for _, terr := range pkg.TypeErrors {
 				fmt.Fprintf(stderr, "gstmlint: typecheck %s: %v\n", pkg.Path, terr)
 			}
-		}
-	}
-
-	if *footprint {
-		g := lint.Footprint(pkgs, loader.ModuleRoot)
-		if *jsonOut {
-			if err := g.RenderJSON(stdout); err != nil {
-				fmt.Fprintf(stderr, "gstmlint: %v\n", err)
-				return 2
-			}
-		} else {
-			g.RenderText(stdout)
-		}
-		if !*lintToo {
-			return 0
 		}
 	}
 

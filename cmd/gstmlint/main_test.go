@@ -109,6 +109,10 @@ func TestSkipFlag(t *testing.T) {
 	if code, _, stderr := runCapture(t, "-skip", "nosuch", fixture); code != 2 || !strings.Contains(stderr, "unknown check") {
 		t.Errorf("unknown -skip id: code = %d, stderr = %q; want usage error 2", code, stderr)
 	}
+	// A retired check's ID is unknown too.
+	if code, _, stderr := runCapture(t, "-checks", "gstm010", fixture); code != 2 || !strings.Contains(stderr, "unknown check") {
+		t.Errorf("retired -checks id: code = %d, stderr = %q; want usage error 2", code, stderr)
+	}
 }
 
 // TestJSONChain checks that interprocedural findings carry their call
@@ -133,52 +137,6 @@ func TestJSONChain(t *testing.T) {
 	}
 	if !sawChain {
 		t.Errorf("no gstm006 record carried a call chain:\n%s", stdout)
-	}
-}
-
-// TestFootprintFlag smoke-tests the -footprint mode through the CLI:
-// text and JSON renderings of a one-site example.
-func TestFootprintFlag(t *testing.T) {
-	example := filepath.Join("..", "..", "examples", "quickstart")
-	code, stdout, stderr := runCapture(t, "-footprint", example)
-	if code != 0 {
-		t.Fatalf("exit code = %d, want 0; stderr:\n%s", code, stderr)
-	}
-	for _, want := range []string{"static transaction footprints (1 sites)", "quickstart.main.bank", "static conflict graph"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("text output missing %q:\n%s", want, stdout)
-		}
-	}
-
-	code, stdout, _ = runCapture(t, "-footprint", "-json", example)
-	if code != 0 {
-		t.Fatalf("json exit code = %d, want 0", code)
-	}
-	var g struct {
-		Sites []struct {
-			Reads  []string `json:"reads"`
-			Writes []string `json:"writes"`
-		} `json:"sites"`
-		Edges []struct{ A, B int } `json:"edges"`
-	}
-	if err := json.Unmarshal([]byte(stdout), &g); err != nil {
-		t.Fatalf("footprint JSON invalid: %v", err)
-	}
-	if len(g.Sites) != 1 || len(g.Edges) != 1 {
-		t.Errorf("got %d sites / %d edges, want 1 / 1", len(g.Sites), len(g.Edges))
-	}
-
-	// -lint shares the footprint's load pass: the fixture's findings
-	// still surface (exit 1) after the report.
-	fixture := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "deadread")
-	code, stdout, _ = runCapture(t, "-footprint", "-lint", "-checks", "gstm007", fixture)
-	if code != 1 {
-		t.Fatalf("-lint exit code = %d, want 1 (fixture has findings)", code)
-	}
-	for _, want := range []string{"static transaction footprints", "gstm007"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("combined run lacks %q:\n%s", want, stdout)
-		}
 	}
 }
 

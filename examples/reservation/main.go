@@ -105,8 +105,7 @@ func main() {
 	// book (free + sold == total), concurrent with the clients. They
 	// run under a transaction ID of their own (10), so a profiled
 	// model tells the auditor's scans apart from the clients' bookings
-	// (ID 0) and cancellations (ID 1), and the footprint report lists
-	// this site alone, with an empty write set.
+	// (ID 0) and cancellations (ID 1).
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -309,8 +309,8 @@ func TL2Program(cfg TL2Config) func(yield func()) sched.Program {
 // tl2Bodies constructs the workload's worker functions over a TL2
 // instance. The returned errs slice is written by worker w at index w;
 // the scheduler's Run waits for every worker before Check reads it.
-//
-//gstm:ignore gstm010 -- every workload shares locs on purpose: conflicting schedules are the subject under test
+// Every workload shares locs on purpose: conflicting schedules are the
+// subject under test.
 func tl2Bodies(s *tl2.STM, cfg TL2Config, rounds int, locs []*tl2.Var) ([]func(), []error) {
 	switch cfg.Workload {
 	case WorkloadPair:
@@ -485,8 +485,8 @@ func LibTMProgram(cfg LibTMConfig) func(yield func()) sched.Program {
 // libtmBodies constructs the workload's worker functions over a LibTM
 // instance (same shapes as tl2Bodies; LibTM has no public irrevocable
 // entry point, so escalation coverage comes from EscalateAfter=1).
-//
-//gstm:ignore gstm010 -- every workload shares locs on purpose: conflicting schedules are the subject under test
+// Every workload shares locs on purpose: conflicting schedules are the
+// subject under test.
 func libtmBodies(s *libtm.STM, cfg LibTMConfig, rounds int, locs []*libtm.Obj) ([]func(), []error) {
 	switch cfg.Workload {
 	case WorkloadPair:

@@ -71,7 +71,7 @@ func TestFrozenModelTripsLadderOnShift(t *testing.T) {
 	if gs.UnknownPasses == 0 {
 		t.Fatalf("post-shift states should be unknown to the frozen model: %+v", gs)
 	}
-	if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+	if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 		t.Errorf("admit partition broken: %+v", gs)
 	}
 }

@@ -83,7 +83,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Error("stalled gate prevented all commits")
 		}
 		gs := out.Guided.Guide
-		if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+		if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 			t.Errorf("stats inconsistent under stalls: admits=%d immediate=%d holds=%d",
 				gs.Admits, gs.ImmediateAdmits, gs.Holds)
 		}
@@ -250,7 +250,7 @@ func TestFaultMatrix(t *testing.T) {
 		if gs.IrrevocableAdmits == 0 {
 			t.Errorf("no irrevocable admits recorded (escalations=%d)", res.Progress.Escalations)
 		}
-		if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+		if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 			t.Errorf("gate stats inconsistent under escalation: admits=%d immediate=%d holds=%d",
 				gs.Admits, gs.ImmediateAdmits, gs.Holds)
 		}
@@ -279,7 +279,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Errorf("swaps landed without the stall firing: %s", e.Inject.Counts())
 		}
 		gs := res.Guide
-		if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+		if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 			t.Errorf("admit partition broken under swap stalls: %+v", gs)
 		}
 	})

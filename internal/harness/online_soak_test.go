@@ -39,7 +39,7 @@ func TestOnlineSoak(t *testing.T) {
 	if gs.ModelSwaps != st.Swaps {
 		t.Errorf("gate saw %d swaps, learner made %d", gs.ModelSwaps, st.Swaps)
 	}
-	if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+	if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 		t.Errorf("admit partition broken under online soak: %+v", gs)
 	}
 	if gs.Level == guide.LevelPassthrough && !st.Quarantined {

@@ -1,16 +1,15 @@
 package lint
 
 // Interprocedural layer: a module-wide view over every package loaded
-// into one Run (or one footprint analysis), indexing function bodies
-// across package boundaries so checkers can follow call chains out of
-// a transaction body into plain helpers.
+// into one Run, indexing function bodies across package boundaries so
+// checkers can follow call chains out of a transaction body into plain
+// helpers.
 //
 // Static calls (direct function calls and method calls on concrete
 // receivers) resolve precisely. Dynamic dispatch — interface methods,
 // func values, bound method values — cannot be resolved without a
-// whole-program pointer analysis, so it is handled conservatively:
-// traversals stop there and the footprint analyzer records the call as
-// an *analysis horizon* instead of guessing.
+// whole-program pointer analysis, so traversals stop there instead of
+// guessing.
 
 import (
 	"go/ast"
@@ -26,12 +25,6 @@ type program struct {
 	funcs map[string]*funcNode
 	// terminals memoizes gstm006's reachable-effect computation.
 	terminals map[*funcNode][]effectTerminal
-	// summaries memoizes the footprint analyzer's per-function access
-	// summaries.
-	summaries map[*funcNode]*fpSummary
-	// hot memoizes gstm010's module-wide writer index, keyed by storage
-	// label (built lazily by hotspots).
-	hot map[string]*hotspotInfo
 }
 
 // funcNode is one declared function (or method) with its body and the
@@ -68,14 +61,12 @@ func funcKey(fn *types.Func) string {
 }
 
 // newProgram indexes every function declaration in pkgs. Earlier
-// packages win on key collisions, so callers should list full lint
-// targets (loaded with their test files) before dependency packages.
+// packages win on key collisions.
 func newProgram(pkgs []*Package) *program {
 	pr := &program{
 		pkgs:      pkgs,
 		funcs:     map[string]*funcNode{},
 		terminals: map[*funcNode][]effectTerminal{},
-		summaries: map[*funcNode]*fpSummary{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -148,7 +139,7 @@ func (pr *program) traversable(callee *types.Func) *funcNode {
 }
 
 // atomicSite is one Atomic/AtomicIrrevocable call expression, with the
-// static transaction ID argument decoded when it is constant.
+// static transaction ID argument rendered when it is constant.
 type atomicSite struct {
 	call *ast.CallExpr
 	// body is the transaction-body argument (AtomicCtx shifts it one
@@ -161,10 +152,6 @@ type atomicSite struct {
 	// the constant when the argument is a named constant ("TxMove"),
 	// the literal value when constant ("2"), "?" otherwise.
 	txLabel string
-	// txID is the constant transaction ID, -1 when not constant.
-	txID int
-	// irrevocable marks AtomicIrrevocable sites.
-	irrevocable bool
 }
 
 // atomicSitesIn finds every Atomic/AtomicCtx call site in pkg
@@ -193,17 +180,13 @@ func atomicSitesIn(pkg *Package) []*atomicSite {
 			if len(call.Args) < 3+shift {
 				return true
 			}
-			site := &atomicSite{call: call, body: call.Args[2+shift], txLabel: "?", txID: -1, irrevocable: name == "AtomicIrrevocable"}
+			site := &atomicSite{call: call, body: call.Args[2+shift], txLabel: "?"}
 			if fl, ok := ast.Unparen(site.body).(*ast.FuncLit); ok {
 				site.closure = fl
 			}
 			txArg := ast.Unparen(call.Args[1+shift])
 			if tv, ok := pkg.Info.Types[txArg]; ok && tv.Value != nil {
 				site.txLabel = tv.Value.ExactString()
-				site.txID = -1
-				if v, exact := constantInt(tv.Value.ExactString()); exact {
-					site.txID = v
-				}
 			}
 			if name := constName(pkg, txArg); name != "" {
 				site.txLabel = name
@@ -231,21 +214,6 @@ func constName(pkg *Package, e ast.Expr) string {
 		return c.Name()
 	}
 	return ""
-}
-
-// constantInt parses a decimal constant rendering ("7") into an int.
-func constantInt(s string) (int, bool) {
-	if s == "" {
-		return 0, false
-	}
-	v := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, false
-		}
-		v = v*10 + int(r-'0')
-	}
-	return v, true
 }
 
 // closureLabels maps each Atomic closure body in pkg to a short label

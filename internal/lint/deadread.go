@@ -47,7 +47,7 @@ var readOnlyDataMethods = map[string]bool{
 	"Len":      true,
 }
 
-func (c deadRead) Check(p *Pass) {
+func (deadRead) Check(p *Pass) {
 	for _, ctx := range p.STMContexts() {
 		p.inspectIgnoringNestedContexts(ctx.body, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
@@ -59,14 +59,9 @@ func (c deadRead) Check(p *Pass) {
 				return true
 			}
 			fn := p.calleeFunc(call)
-			if fn == nil {
+			if fn == nil || !snapshotRead(p.Pkg, fn, call) {
 				return true
 			}
-			sig, _ := fn.Type().(*types.Signature)
-			if sig == nil || sig.Recv() == nil {
-				return true
-			}
-			recv := sig.Recv().Type()
 			// Deleting the statement is the mechanical fix: it removes the
 			// read-set widening. Deliberate widening is spelled `_ =` and
 			// never reaches this report.
@@ -74,25 +69,35 @@ func (c deadRead) Check(p *Pass) {
 				Message: "delete the dead read",
 				Edits:   []TextEdit{p.edit(stmt.Pos(), stmt.End(), "")},
 			}
-			switch {
-			case readOnlyTxMethods[fn.Name()] && isTxPointer(recv):
+			if name, ok := isSTMDataType(fn.Type().(*types.Signature).Recv().Type()); ok {
+				p.ReportFixf(call.Pos(), fix, "result of %s.%s is discarded: the dead read still enters the read set, turning every writer into a false conflict; use the value or document deliberate read-set widening with `_ =`", name, fn.Name())
+			} else {
 				p.ReportFixf(call.Pos(), fix, "result of %s is discarded: the dead read still enters the read set, turning every writer of that word into a false conflict; use the value or document deliberate read-set widening with `_ =`", callName(fn))
-			case readOnlyDataMethods[fn.Name()] && c.takesTxArg(p, call):
-				if name, ok := isSTMDataType(recv); ok {
-					p.ReportFixf(call.Pos(), fix, "result of %s.%s is discarded: the dead read still enters the read set, turning every writer into a false conflict; use the value or document deliberate read-set widening with `_ =`", name, fn.Name())
-				}
 			}
 			return true
 		})
 	}
 }
 
-// takesTxArg reports whether any argument of call is a transaction
-// handle (distinguishing transactional Get/Contains/Len from the raw
-// setup-time accessors gstm003 covers).
-func (deadRead) takesTxArg(p *Pass, call *ast.CallExpr) bool {
+// snapshotRead reports whether call is a read-only transactional
+// primitive: a Tx read, or a Get/Contains/Len on transactional storage
+// that is handed the transaction handle (the raw setup-time accessors
+// are gstm003's). Within one attempt such a call answers the same every
+// time.
+func snapshotRead(pkg *Package, fn *types.Func, call *ast.CallExpr) bool {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if isTxPointer(recv) {
+		return readOnlyTxMethods[fn.Name()]
+	}
+	if _, ok := isSTMDataType(recv); !ok || !readOnlyDataMethods[fn.Name()] {
+		return false
+	}
 	for _, arg := range call.Args {
-		if isTxPointer(p.exprType(arg)) {
+		if isTxPointer(pkg.exprType(arg)) {
 			return true
 		}
 	}

@@ -64,8 +64,8 @@ func TestApplyFixesGolden(t *testing.T) {
 
 // TestFixedGoldensAreFixedPoints re-lints the fixed packages: a second
 // pass must find nothing left to fix (diagnostics without fixes — the
-// go/defer forms, hotspots — may remain; that is the point of only
-// attaching fixes where the rewrite is mechanical).
+// go/defer forms — may remain; that is the point of only attaching
+// fixes where the rewrite is mechanical).
 func TestFixedGoldensAreFixedPoints(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {

@@ -42,6 +42,11 @@ func TestIgnoreDirectiveEdgeCases(t *testing.T) {
 			t.Errorf("diagnostic %d at line %d, want 24 (the `bogus999`-only directive)", i, diags[i].Position.Line)
 		}
 	}
+	// The hygiene warning names the ID no registered check owns (a
+	// retired check's waiver reads the same).
+	if want := "bogus999 is not a registered check (retired or misspelt)"; !strings.Contains(diags[1].Message, want) {
+		t.Errorf("gstm000 message = %q, want it to say %q", diags[1].Message, want)
+	}
 }
 
 // TestIgnoreDirectiveDoesNotLeakAcrossPackages guards the dogfood run:

@@ -10,7 +10,7 @@
 // the model is built from. Package lint makes those patterns
 // unwritable at build time: a registry of STM-aware checkers walks
 // type-checked packages and reports diagnostics with stable check IDs
-// (gstm001..gstm010) that CI gates on via cmd/gstmlint.
+// (gstm000..gstm009) that CI gates on via cmd/gstmlint.
 //
 // Diagnostics can be suppressed with an inline directive naming the
 // check(s) being waived:
@@ -154,11 +154,9 @@ func (p *Pass) ReportChainf(pos token.Pos, chain []string, format string, args .
 // Run executes the given checkers (all registered ones if nil) over
 // the packages and returns the surviving diagnostics, sorted by
 // position, deduplicated, and filtered through //gstm:ignore
-// directives. Packages marked Dep (loaded only to complete the module
-// view, see Loader.LoadWithDeps) inform the call graph and footprints
-// but are not themselves checked. When the gstm000 hygiene check is
-// among the selected checkers, directives that suppressed nothing are
-// reported after filtering.
+// directives. When the gstm000 hygiene check is among the selected
+// checkers, directives that suppressed nothing are reported after
+// filtering.
 func Run(pkgs []*Package, checkers []Checker) []Diagnostic {
 	if checkers == nil {
 		checkers = Checkers()
@@ -171,9 +169,6 @@ func Run(pkgs []*Package, checkers []Checker) []Diagnostic {
 	tracker := newDirectiveTracker()
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		if pkg.Dep {
-			continue
-		}
 		ctxs := new([]*txContext)
 		for _, c := range checkers {
 			pass := &Pass{Fset: pkg.Fset, Pkg: pkg, checker: c, diags: &diags, prog: prog, contexts: ctxs}
@@ -336,9 +331,9 @@ func (tr *directiveTracker) suppress(diags []Diagnostic, pkg *Package) []Diagnos
 
 // warnings reports directive hygiene (gstm000): bare directives, and
 // directives that suppressed nothing even though every check they name
-// ran (an unknown ID counts as "ran" — it can never suppress). A
-// directive naming a registered check that was deselected this run is
-// given the benefit of the doubt.
+// ran (an unknown ID counts as "ran" — it can never suppress, and the
+// warning names it). A directive naming a registered check that was
+// deselected this run is given the benefit of the doubt.
 func (tr *directiveTracker) warnings(ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	warn := func(pos token.Position, format string, args ...any) {
@@ -352,15 +347,22 @@ func (tr *directiveTracker) warnings(ran map[string]bool) []Diagnostic {
 		if d.used {
 			continue
 		}
-		decided := true
+		decided, unknown := true, ""
 		for _, id := range d.ids {
 			c, known := Lookup(id)
+			if !known && unknown == "" {
+				unknown = id
+			}
 			if known && !ran[c.ID()] {
 				decided = false // that check did not run; the directive may still be load-bearing
 				break
 			}
 		}
-		if decided {
+		switch {
+		case !decided:
+		case unknown != "":
+			warn(d.pos, "//gstm:ignore %s suppressed no diagnostic: %s is not a registered check (retired or misspelt); remove the directive or fix it", strings.Join(d.ids, ", "), unknown)
+		default:
 			warn(d.pos, "//gstm:ignore %s suppressed no diagnostic: the finding is gone or the ID is wrong; remove the directive or fix it", strings.Join(d.ids, ", "))
 		}
 	}

@@ -2,7 +2,9 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,7 +22,6 @@ var fixtureDirs = []string{
 	"deadread",
 	"ctxatomic",
 	"unboundedloop",
-	"hotspot",
 	"hygiene",
 	"clean",
 }
@@ -182,7 +183,27 @@ func TestRegistry(t *testing.T) {
 	if _, ok := Lookup("no-such-check"); ok {
 		t.Error("Lookup of unknown check succeeded")
 	}
+
+	// The README's rule table documents exactly the registered checks,
+	// one `| gstmNNN | name |` row each, in ID order.
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	var rows, regs []string
+	for _, m := range readmeRuleRE.FindAllStringSubmatch(string(readme), -1) {
+		rows = append(rows, m[1]+" "+m[2])
+	}
+	for _, c := range cs {
+		regs = append(regs, c.ID()+" "+c.Name())
+	}
+	if !reflect.DeepEqual(rows, regs) {
+		t.Errorf("README rule table rows = %v, want the registry in ID order %v", rows, regs)
+	}
 }
+
+// readmeRuleRE matches a README rule-table row: `| gstm001 | retry-unsafe |`.
+var readmeRuleRE = regexp.MustCompile(`(?m)^\| (gstm\d{3}) \| ([a-z-]+) \|`)
 
 // TestLoaderModuleResolution exercises the module-aware loader
 // directly: root detection, wildcard expansion, and in-module import

@@ -30,14 +30,6 @@ type Package struct {
 	// TypeErrors collects type-checking problems. Lint results for a
 	// package that does not type-check are best-effort.
 	TypeErrors []error
-	// Dep marks a package loaded only as a dependency of the named
-	// targets (see Loader.LoadWithDeps): it completes the module view
-	// for call-graph and footprint analyses but is not itself checked.
-	Dep bool
-
-	// assigns caches the single-assignment index used by the footprint
-	// analyzer's alias tracing (built lazily by assignIndex).
-	assigns *assignState
 }
 
 // Loader loads module-local packages from source. Imports within the
@@ -126,55 +118,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
 		}
 		pkgs = append(pkgs, loaded...)
-	}
-	return pkgs, nil
-}
-
-// LoadWithDeps loads the patterns as lint targets and then chases
-// module-local imports breadth-first, loading every dependency's base
-// package (non-test files) with full type info so whole-program
-// analyses — the call graph, the footprint analyzer — see function
-// bodies across the module even when the user only names an entry
-// point. Dependencies are appended after the targets; test files of
-// dependencies are deliberately excluded so test-only Atomic sites do
-// not pollute footprints of production entry points.
-func (l *Loader) LoadWithDeps(patterns ...string) ([]*Package, error) {
-	pkgs, err := l.Load(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	loaded := map[string]bool{}
-	for _, p := range pkgs {
-		loaded[p.Path] = true
-	}
-	queue := append([]*Package{}, pkgs...)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, f := range p.Files {
-			for _, imp := range f.Imports {
-				path := strings.Trim(imp.Path.Value, `"`)
-				if path != l.ModulePath && !strings.HasPrefix(path, l.ModulePath+"/") {
-					continue // stdlib: opaque to module analyses
-				}
-				if loaded[path] {
-					continue
-				}
-				loaded[path] = true
-				dir := l.ModuleRoot
-				if path != l.ModulePath {
-					dir = filepath.Join(l.ModuleRoot, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/")))
-				}
-				base, _, _, err := l.parseDir(dir)
-				if err != nil || len(base) == 0 {
-					continue // missing dep surfaces as a type error on the importer
-				}
-				dep := l.check(path, dir, base)
-				dep.Dep = true
-				pkgs = append(pkgs, dep)
-				queue = append(queue, dep)
-			}
-		}
 	}
 	return pkgs, nil
 }

@@ -7,7 +7,7 @@ import (
 	"gstm/internal/tl2"
 )
 
-func positives(s *gstm.STM, v *gstm.Var) { // want "gstm010"
+func positives(s *gstm.STM, v *gstm.Var) {
 	s.Atomic(0, 0, func(tx *gstm.Tx) error { // want "gstm005"
 		tx.Write(v, tx.Read(v)+1)
 		return nil

@@ -13,6 +13,8 @@ func cases(s *gstm.STM, v *gstm.Var) {
 		tx.Read(v) //gstm:ignore -- bare; want "gstm000" "gstm007"
 		// Stale directive: gstm003 ran but has no finding here.
 		x := tx.Read(v) //gstm:ignore gstm003 -- stale; want "gstm000"
+		// Retired or misspelt ID: no registered check can ever match it.
+		tx.Write(v, x) //gstm:ignore gstm010 -- retired; want "gstm000"
 		// Healthy directive: names the check it actually suppresses.
 		tx.Read(v) //gstm:ignore gstm007 -- deliberate widening demo
 		tx.Write(v, x)

@@ -134,21 +134,10 @@ func condMayVary(pkg *Package, f *ast.ForStmt) bool {
 			if pkg.calleeBuiltin(n) != "" {
 				return true // len/cap of a term judged by its idents
 			}
-			fn := pkg.calleeFunc(n)
-			if fn == nil {
-				varies = true // dynamic call: unknown
-				return false
-			}
-			if ops, ok := stmPrimitive(pkg, fn, n); ok {
-				for _, op := range ops {
-					if op.write {
-						varies = true // e.g. Pop in the condition
-						return false
-					}
-				}
+			if fn := pkg.calleeFunc(n); fn != nil && snapshotRead(pkg, fn, n) {
 				return true // pure snapshot read: stable within an attempt
 			}
-			varies = true // arbitrary call: may observe anything
+			varies = true // dynamic call, write (e.g. Pop) or arbitrary call: may observe anything
 			return false
 		}
 		return true

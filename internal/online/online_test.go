@@ -272,7 +272,7 @@ func TestSnapshotAbortDegradesToPassthrough(t *testing.T) {
 		ctrl.Admit(tts.Pair{Tx: uint16(i % 8), Thread: uint16(i % 8)})
 	}
 	gs := ctrl.Stats()
-	if gs.Admits != gs.ImmediateAdmits+gs.Holds+gs.ReadOnlyAdmits {
+	if gs.Admits != gs.ImmediateAdmits+gs.Holds {
 		t.Errorf("admit partition broken under faults: %+v", gs)
 	}
 }

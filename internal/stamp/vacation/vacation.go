@@ -47,7 +47,8 @@ type Workload struct {
 	cfg stamp.Config
 	p   params
 
-	//gstm:ignore gstm010 -- STAMP vacation's point: every reservation type contends on the capacity rows
+	// STAMP vacation's point: every reservation type contends on the
+	// capacity rows.
 	free     [numTables]*tl2.Array // remaining capacity per row
 	reserved [numTables]*tl2.Array // outstanding reservations per row
 	added    *tl2.Var              // total capacity added by tx 2

@@ -45,7 +45,7 @@ type Workload struct {
 	cavities [][]int // per-item cavity cell indices
 	children [][]int // per-item child item IDs
 
-	//gstm:ignore gstm010 -- the shared refinement work queue is yada's documented bottleneck
+	// The shared refinement work queue is yada's documented bottleneck.
 	work      *tl2.Queue
 	grid      *tl2.Array // refinement counters per cell
 	done      *tl2.Array // per-item done flag

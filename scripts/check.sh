@@ -27,7 +27,7 @@
 # Preempt scheduling test (it once failed about 1 run in 60) and of the
 # fault matrix's snapshot-abort case (it once failed about 1 run in 100),
 # and
-# gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm010, including the
+# gstmlint (the STM-aware transaction-safety linter, checks gstm000..gstm009, including the
 # interprocedural gstm006 over the module-wide call graph). The lint
 # stage runs -fix -diff as a dry-run gate too — any machine-applicable
 # fix left unapplied in the tree fails the build with the diff it
