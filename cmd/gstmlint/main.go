@@ -41,6 +41,10 @@ import (
 	"gstm/internal/lint"
 )
 
+// newLoader builds the loader run lints with; the tests swap in one
+// loader shared across runs.
+var newLoader = lint.NewLoader
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -128,7 +132,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		patterns = []string{"./..."}
 	}
 
-	loader, err := lint.NewLoader(".")
+	loader, err := newLoader(".")
 	if err != nil {
 		fmt.Fprintf(stderr, "gstmlint: %v\n", err)
 		return 2

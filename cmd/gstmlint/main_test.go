@@ -5,8 +5,25 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"gstm/internal/lint"
 )
+
+// The tests' runs only read fixtures, so they share one loader: each
+// loader's first Load type-checks the standard library from source.
+func init() {
+	var (
+		once   sync.Once
+		loader *lint.Loader
+		err    error
+	)
+	newLoader = func(dir string) (*lint.Loader, error) {
+		once.Do(func() { loader, err = lint.NewLoader(dir) })
+		return loader, err
+	}
+}
 
 // runCapture invokes run() with stdout/stderr redirected to temp files
 // and returns the exit code and both streams.

@@ -18,26 +18,27 @@ package libtm
 // mutex; elsewhere the lock is one CAS.
 func (tx *Tx) lockIrrev(o *Obj) {
 	vis := tx.stm.opts.Mode.Reads == VisibleReads
+	own := tx.lockWord()
 	for {
-		w := o.owner.Load()
-		if w == tx.instance {
+		m := o.meta.Load()
+		if m == own {
 			return
 		}
-		if w != 0 {
+		if m&1 != 0 {
 			tx.stm.yield()
 			continue
 		}
 		if !vis {
-			if o.owner.CompareAndSwap(0, tx.instance) {
-				tx.locked = append(tx.locked, o)
+			if o.meta.CompareAndSwap(m, own) {
+				tx.locked = append(tx.locked, lockEntry{o, m})
 				return
 			}
 			continue
 		}
 		o.mu.Lock()
-		if o.owner.Load() == 0 {
+		if m := o.meta.Load(); m&1 == 0 {
 			o.doomReaders(tx)
-			tx.ownAndUnlock(o)
+			tx.ownAndUnlock(o, m)
 			return
 		}
 		o.mu.Unlock()
@@ -50,14 +51,13 @@ func (tx *Tx) lockIrrev(o *Obj) {
 // hooks are intentionally not consulted — an injected CommitAbort must
 // not be able to abort a guaranteed-to-commit transaction.
 func (tx *Tx) commitIrrev() {
-	track := tx.stm.opts.Mode.Reads == InvisibleReads
 	for _, w := range tx.writes {
-		w.o.publish(w.val, tx.instance, track)
+		w.o.publish(w.val, tx.instance<<1)
 	}
-	// Release read-only locks without a version bump (values unchanged,
-	// so concurrent invisible-read validation is undisturbed); the
-	// written objects are already released, and releaseLocks leaves an
-	// object another writer has since locked alone.
+	// Release read-only locks by restoring their pre-lock words (values
+	// unchanged, so concurrent invisible-read validation is undisturbed);
+	// the written objects are already released, and releaseLocks leaves
+	// an object another writer has since locked alone.
 	tx.releaseLocks()
 	tx.releaseVisibleReads()
 }

@@ -154,12 +154,12 @@ type Mutations struct {
 	// SkipReadValidation disables commit-time validation of invisible
 	// reads, letting a transaction commit on top of a torn snapshot.
 	SkipReadValidation bool
-	// SkipVersionBump publishes commit-time writes without advancing
-	// the object's version — LibTM's per-object analogue of a broken
-	// clock merge. Invisible readers validating against the stale
-	// version cannot see that their snapshot was overwritten, so torn
-	// snapshots commit — an opacity violation the explorer's mutation
-	// harness must catch.
+	// SkipVersionBump publishes commit-time writes by restoring the
+	// object's pre-lock word instead of stamping the writer's instance
+	// — LibTM's per-object analogue of a broken clock merge. Invisible
+	// readers validating against the stale word cannot see that their
+	// snapshot was overwritten, so torn snapshots commit — an opacity
+	// violation the explorer's mutation harness must catch.
 	SkipVersionBump bool
 }
 
@@ -212,19 +212,23 @@ func (s *STM) yield() {
 
 // Obj is one transactional object holding an int64. Create with NewObj
 // and never copy it after first use (enforced by `go vet -copylocks`
-// and gstmlint's gstm003).
+// and gstmlint's gstm003). An Obj must only be used through a single
+// STM: its lock word names attempts by instance, and instances are
+// unique only within one STM.
 //
-// Its metadata follows TL2's discipline (see DESIGN.md, "LibTM object
-// metadata"): the four words are atomic, a reader only loads them, and
-// a writer owns them from taking owner to the store that clears it. The
-// mutex and the reader registry exist for visible readers only;
-// invisible-read modes never touch them.
+// Its metadata is one atomic lock word beside the value, TL2's
+// discipline (see DESIGN.md, "LibTM object metadata"). While attempt i
+// holds the write lock the word is i<<1|1; when free it is w<<1, w the
+// instance of the latest committed writer (0: never written). Instances
+// are unique, so a free word is also the object's version, and a word
+// that moved names who moved it. A reader only loads the word; a
+// writer owns the object from the CAS that locks it to the store that
+// frees it. The mutex and the reader registry exist for visible readers
+// only; invisible-read modes never touch them.
 type Obj struct {
-	_     noCopy
-	owner atomic.Uint64 // instance holding the write lock (0 = free)
-	ver   atomic.Uint64 // committed writes to this object
-	last  atomic.Uint64 // instance of the latest committed writer
-	val   atomic.Int64
+	_    noCopy
+	meta atomic.Uint64 // lock word: holder<<1|1 locked, writer<<1 free
+	val  atomic.Int64
 
 	// mu guards readers: registration, the writer-side resolution of
 	// registered readers and their dooming. In VisibleReads mode every
@@ -263,21 +267,21 @@ func (o *Obj) StoreFloat(f float64) {
 	o.Store(int64(math.Float64bits(f)))
 }
 
-// publish installs a committed value under the held write lock and
-// releases it: value, then writer, then version, then owner. A reader
-// that sees the new version therefore finds this writer (or a later
-// one) in last, and a validator that sees owner clear sees the version
-// already moved. ver and last exist for invisible-read validation
-// alone, so track is false where nothing validates — visible-read
-// modes — and under the SkipVersionBump mutation, which is what leaves
-// the version where it was.
-func (o *Obj) publish(x int64, inst uint64, track bool) {
-	o.val.Store(x)
-	if track {
-		o.last.Store(inst)
-		o.ver.Add(1)
+// holder returns the instance holding o's write lock, 0 when free.
+func (o *Obj) holder() uint64 {
+	if m := o.meta.Load(); m&1 != 0 {
+		return m >> 1
 	}
-	o.owner.Store(0)
+	return 0
+}
+
+// publish installs a committed value under the held write lock and
+// releases it: the value, then the free word m (the writer's
+// instance<<1). A reader that sees the word move therefore sees the
+// value it vouches for, and a validator finds the writer in the word.
+func (o *Obj) publish(x int64, m uint64) {
+	o.val.Store(x)
+	o.meta.Store(m)
 }
 
 // doomReaders aborts every registered visible reader other than tx,
@@ -302,14 +306,23 @@ var ErrRetryLimit = errors.New("libtm: transaction exceeded retry limit")
 // and the context's own error.
 var ErrDeadline = errors.New("libtm: transaction deadline exceeded")
 
+// readEntry is one invisible read: the object and the free word the
+// value was read under.
 type readEntry struct {
-	o   *Obj
-	ver uint64
+	o *Obj
+	m uint64
 }
 
 type writeEntry struct {
 	o   *Obj
 	val int64
+}
+
+// lockEntry is one held write lock and the free word it replaced, which
+// a release without a publish restores.
+type lockEntry struct {
+	o    *Obj
+	prev uint64
 }
 
 // Tx is one transaction attempt.
@@ -321,15 +334,21 @@ type Tx struct {
 	invReads []readEntry // invisible-read validation set
 	visReads []*Obj      // objects we registered on as visible readers
 	writes   []writeEntry
-	locked   []*Obj // objects whose write lock we hold (encounter mode)
+	// locked holds the write locks taken, in order. Outside irrevocable
+	// attempts they are exactly the write set's objects, in the same
+	// order: writes[i].o == locked[i].o for every lock taken.
+	locked []lockEntry
 
 	// doomed is set by a writer that abort-readers'ed us; killer is its
-	// instance.
+	// instance. Only visible-read registrations are doomed.
 	doomed atomic.Bool
 	killer atomic.Uint64
 
-	// ops counts transactional accesses for YieldEvery interleaving.
-	ops int
+	// ops counts transactional accesses for YieldEvery interleaving;
+	// yielding caches opts.YieldEvery > 0 so maybeYield's off switch
+	// inlines into Read and Write.
+	ops      int
+	yielding bool
 	// done is the AtomicCtx context's Done channel (nil = no deadline).
 	done <-chan struct{}
 	// irrev marks a txn.Irrevocable (escalated serial) attempt: reads and
@@ -353,20 +372,23 @@ func (tx *Tx) ctxDone() bool {
 }
 
 // maybeYield emulates multicore interleaving of transactional code on
-// under-provisioned hosts (see Options.YieldEvery).
+// under-provisioned hosts (see Options.YieldEvery). It is split so that
+// with interleaving off Read and Write pay one flag test, not a call.
 func (tx *Tx) maybeYield() {
-	ye := tx.stm.opts.YieldEvery
-	if ye <= 0 {
-		return
+	if tx.yielding {
+		tx.yieldEvery()
 	}
+}
+
+func (tx *Tx) yieldEvery() {
 	tx.ops++
-	if tx.ops%ye == 0 {
+	if tx.ops%tx.stm.opts.YieldEvery == 0 {
 		tx.stm.yield()
 	}
 }
 
-// Pair returns the (transaction, thread) identity of the attempt.
-func (tx *Tx) Pair() tts.Pair { return tx.pair }
+// lockWord is the lock word of an object this attempt holds.
+func (tx *Tx) lockWord() uint64 { return tx.instance<<1 | 1 }
 
 func (tx *Tx) abort(killer uint64) {
 	panic(txn.Abort{Killer: killer})
@@ -420,26 +442,25 @@ func (tx *Tx) Read(o *Obj) int64 {
 	return v
 }
 
-// readInvisible takes a (version, value) snapshot of o with loads only
-// and records it for commit-time validation. The owner re-check after
-// the value load is what makes the pair consistent — a writer stores
-// the value before it moves the version, so only a free lock on both
-// sides of an unchanged version vouches for the value — and it aborts
-// at the read itself, naming the holder, when a writer locked o while
-// we read. A version that moved with the lock free again means a writer
-// published in between; read again.
+// readInvisible takes a (word, value) snapshot of o with loads only and
+// records it for commit-time validation: the lock word, the value, the
+// lock word again. A writer stores the value before it frees the word
+// with its own instance, so only the same free word on both sides
+// vouches for the value. A lock seen by the second load aborts at the
+// read itself, naming the holder (never this attempt: the objects it
+// holds are in its write set, which Read consults first). A word that
+// moved and is free again is a publish that completed in between; read
+// again.
 func (tx *Tx) readInvisible(o *Obj) int64 {
 	for {
-		if w := o.owner.Load(); w != 0 && w != tx.instance {
-			tx.abort(w)
-		}
-		ver := o.ver.Load()
+		m0 := o.meta.Load()
 		v := o.val.Load()
-		if w := o.owner.Load(); w != 0 && w != tx.instance {
-			tx.abort(w)
+		m := o.meta.Load()
+		if m&1 != 0 {
+			tx.abort(m >> 1)
 		}
-		if o.ver.Load() == ver {
-			tx.invReads = append(tx.invReads, readEntry{o, ver})
+		if m == m0 {
+			tx.invReads = append(tx.invReads, readEntry{o, m})
 			return v
 		}
 	}
@@ -448,10 +469,10 @@ func (tx *Tx) readInvisible(o *Obj) int64 {
 // readVisible registers tx as a reader of o under o's mutex, so a
 // writer resolving readers (lockForWrite, lockIrrev) sees it. Every
 // write-lock acquisition in this mode holds the same mutex, so a free
-// owner here stays free until the value is loaded.
+// word here stays free until the value is loaded.
 func (tx *Tx) readVisible(o *Obj) int64 {
 	o.mu.Lock()
-	if w := o.owner.Load(); w != 0 && w != tx.instance {
+	if w := o.holder(); w != 0 && w != tx.instance {
 		o.mu.Unlock()
 		tx.abort(w)
 	}
@@ -514,43 +535,44 @@ func (tx *Tx) lockForWrite(o *Obj) {
 	if len(tx.locked) == 0 {
 		tx.stm.Irrev.Quiesce()
 	}
+	own := tx.lockWord()
 	if tx.stm.opts.Mode.Reads == InvisibleReads {
-		// No reader registers in this mode: the lock is one CAS. A CAS
-		// lost to a writer that has already released again is no
-		// conflict, so it is retried.
+		// No reader registers in this mode: the lock is one CAS from the
+		// free word. A CAS lost to a writer that has already released
+		// again is no conflict, so it is retried.
 		for {
-			w := o.owner.Load()
-			if w == tx.instance {
+			m := o.meta.Load()
+			if m == own {
 				return // already ours
 			}
-			if w != 0 {
-				tx.abort(w) // writer-writer: newcomer yields
+			if m&1 != 0 {
+				tx.abort(m >> 1) // writer-writer: newcomer yields
 			}
-			if o.owner.CompareAndSwap(0, tx.instance) {
-				tx.locked = append(tx.locked, o)
+			if o.meta.CompareAndSwap(m, own) {
+				tx.locked = append(tx.locked, lockEntry{o, m})
 				return
 			}
 		}
 	}
 	for spin := 0; ; spin++ {
 		o.mu.Lock()
-		w := o.owner.Load()
-		if w == tx.instance {
+		m := o.meta.Load()
+		if m == own {
 			o.mu.Unlock()
 			return // already ours
 		}
-		if w != 0 {
+		if m&1 != 0 {
 			o.mu.Unlock()
-			tx.abort(w) // writer-writer: newcomer yields
+			tx.abort(m >> 1) // writer-writer: newcomer yields
 		}
 		if !o.hasOtherReaders(tx) || tx.stm.opts.Mutate.SkipReaderWait {
-			tx.ownAndUnlock(o)
+			tx.ownAndUnlock(o, m)
 			return
 		}
 		switch tx.stm.opts.Mode.Resolution {
 		case AbortReaders:
 			o.doomReaders(tx)
-			tx.ownAndUnlock(o)
+			tx.ownAndUnlock(o, m)
 			return
 		case WaitForReaders:
 			o.mu.Unlock()
@@ -576,12 +598,12 @@ func (o *Obj) hasOtherReaders(tx *Tx) bool {
 	return n > 0
 }
 
-// ownAndUnlock makes tx o's owner and releases o.mu, which the caller
-// holds with o's owner free. Under the mutex nobody else can be taking
-// the lock, so a plain store does.
-func (tx *Tx) ownAndUnlock(o *Obj) {
-	o.owner.Store(tx.instance)
-	tx.locked = append(tx.locked, o)
+// ownAndUnlock locks o for tx and releases o.mu, which the caller holds
+// with o's word free and equal to prev. Under the mutex nobody else can
+// be taking the lock, so a plain store does.
+func (tx *Tx) ownAndUnlock(o *Obj, prev uint64) {
+	o.meta.Store(tx.lockWord())
+	tx.locked = append(tx.locked, lockEntry{o, prev})
 	o.mu.Unlock()
 }
 
@@ -596,7 +618,7 @@ func (policy) Commit(tx *Tx) {
 	// Suspension point between body and commit protocol (see
 	// Options.YieldEvery): guarantees overlap windows for short
 	// transactions on under-provisioned hosts.
-	if tx.stm.opts.YieldEvery > 0 {
+	if tx.yielding {
 		tx.stm.yield()
 	}
 	if inj := tx.stm.opts.Inject; inj != nil {
@@ -611,19 +633,23 @@ func (policy) Commit(tx *Tx) {
 		}
 	}
 	tx.checkDoomed()
-	// Validate invisible reads: no foreign writer and the version
-	// unchanged, two loads per entry. A moved version (possibly on an
-	// object we hold ourselves) names the writer that published it, never
-	// ourselves. The mutation knockout (oracle sensitivity harness) skips
-	// this loop wholesale, committing on top of whatever snapshot the
-	// reads saw.
+	// Validate invisible reads, one load per entry: an unchanged word
+	// passes. On an object we hold, the word our lock replaced stands in
+	// for it. Anything else aborts naming the word's instance: the
+	// foreign holder, or the writer that published since the read —
+	// never ourselves. The mutation knockout (oracle sensitivity
+	// harness) skips this loop wholesale, committing on top of whatever
+	// snapshot the reads saw.
 	if !tx.stm.opts.Mutate.SkipReadValidation {
+		own, at := tx.lockWord(), 0
 		for _, r := range tx.invReads {
-			if w := r.o.owner.Load(); w != 0 && w != tx.instance {
-				tx.abort(w) // a foreign writer holds the lock
+			m := r.o.meta.Load()
+			if m == own {
+				at = tx.lockIndex(r.o, at)
+				m = tx.locked[at].prev
 			}
-			if r.o.ver.Load() != r.ver {
-				tx.abort(r.o.last.Load())
+			if m != r.m {
+				tx.abort(m >> 1)
 			}
 		}
 	}
@@ -634,14 +660,35 @@ func (policy) Commit(tx *Tx) {
 		inj.Sleep(fault.LockReleaseDelay)
 	}
 	// Publish writes, releasing their locks. The SkipVersionBump
-	// mutation (oracle sensitivity harness) publishes the value without
-	// moving the version, blinding concurrent invisible-read validation.
-	track := tx.stm.opts.Mode.Reads == InvisibleReads && !tx.stm.opts.Mutate.SkipVersionBump
-	for _, w := range tx.writes {
-		w.o.publish(w.val, tx.instance, track)
+	// mutation (oracle sensitivity harness) publishes the value under
+	// the pre-lock word, blinding concurrent invisible-read validation.
+	m := tx.instance << 1
+	for i, w := range tx.writes {
+		if tx.stm.opts.Mutate.SkipVersionBump {
+			m = tx.locked[i].prev
+		}
+		w.o.publish(w.val, m)
 	}
 	tx.locked = tx.locked[:0]
 	tx.releaseVisibleReads()
+}
+
+// lockIndex returns the index in tx.locked of o, which tx holds,
+// searching from i onward and wrapping around. Validation passes the
+// last index found back in: reads and writes of the same objects
+// usually come in the same order, so its lookups cost one pass over
+// locked in all rather than one per own-locked read.
+func (tx *Tx) lockIndex(o *Obj, i int) int {
+	n := len(tx.locked)
+	for k := 0; k < n; k, i = k+1, i+1 {
+		if i == n {
+			i = 0
+		}
+		if tx.locked[i].o == o {
+			return i
+		}
+	}
+	panic("libtm: lock word names this attempt on an object outside its lock set")
 }
 
 // cleanupAfterAbort releases everything a non-committing attempt still
@@ -653,10 +700,13 @@ func (tx *Tx) cleanupAfterAbort() {
 	tx.releaseVisibleReads()
 }
 
-// releaseLocks drops the write locks tx still owns without publishing.
+// releaseLocks drops the write locks tx still holds without publishing,
+// restoring each object's pre-lock word exactly: a reader that read
+// before the lock then validates as if it had never been taken.
 func (tx *Tx) releaseLocks() {
-	for _, o := range tx.locked {
-		o.owner.CompareAndSwap(tx.instance, 0)
+	own := tx.lockWord()
+	for _, l := range tx.locked {
+		l.o.meta.CompareAndSwap(own, l.prev)
 	}
 	tx.locked = tx.locked[:0]
 }
@@ -711,8 +761,14 @@ func (policy) Begin(tx *Tx, instance uint64, mon txn.Monitor, mode txn.Mode) {
 	tx.invReads = tx.invReads[:0]
 	tx.writes = tx.writes[:0]
 	tx.ops = 0
-	tx.doomed.Store(false)
-	tx.killer.Store(0)
+	tx.yielding = tx.stm.opts.YieldEvery > 0
+	// Only a writer resolving visible readers dooms, and the previous
+	// attempt deleted every registration under the object's mutex before
+	// it ended, so nothing can doom tx between this load and the stores.
+	if tx.doomed.Load() {
+		tx.doomed.Store(false)
+		tx.killer.Store(0)
+	}
 	tx.mon = mon
 	tx.irrev = mode == txn.Irrevocable
 }

@@ -284,7 +284,7 @@ func TestRetryLimit(t *testing.T) {
 	s := New(Options{Mode: FullyOptimistic, MaxRetries: 2})
 	o := NewObj(0)
 	// White box: park a foreign write lock on the object.
-	o.owner.Store(99)
+	o.meta.Store(99<<1 | 1)
 	err := s.Atomic(0, 0, func(tx *Tx) error {
 		_ = tx.Read(o)
 		return nil

@@ -14,7 +14,7 @@ import (
 //
 // Pooling is safe for writing transactions too, because no object keeps
 // the descriptor past the Atomic call. A write lock names its holder by
-// instance number (Obj's owner word), never by pointer, and commit,
+// instance number (Obj's lock word), never by pointer, and commit,
 // commitIrrev and cleanupAfterAbort clear it on every exit (the driver's
 // release rule, package txn, runs cleanupAfterAbort on every exit that
 // does not commit). The one place an object holds the pointer is a visible-reader
@@ -39,11 +39,17 @@ func putTx(tx *Tx) {
 	tx.instance = 0
 	tx.pair = tts.Pair{}
 	tx.ops = 0
+	tx.yielding = false
 	tx.invReads = tx.invReads[:0]
 	tx.writes = tx.writes[:0]
 	tx.visReads = tx.visReads[:0]
 	tx.locked = tx.locked[:0]
-	tx.doomed.Store(false)
-	tx.killer.Store(0)
+	// A doom reaches only registered visible readers, and every
+	// registration is gone before the call returns: the doom words can
+	// only be set here if doomed is, so a clear pair costs one load.
+	if tx.doomed.Load() {
+		tx.doomed.Store(false)
+		tx.killer.Store(0)
+	}
 	txPool.Put(tx)
 }

@@ -81,7 +81,7 @@ func TestPutTxScrubs(t *testing.T) {
 	tx.invReads = append(tx.invReads, readEntry{o, 1})
 	tx.visReads = append(tx.visReads, o)
 	tx.writes = append(tx.writes, writeEntry{o: o, val: 2})
-	tx.locked = append(tx.locked, o)
+	tx.locked = append(tx.locked, lockEntry{o, 0})
 	tx.doomed.Store(true)
 	tx.killer.Store(42)
 

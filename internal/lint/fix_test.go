@@ -20,10 +20,7 @@ var fixGoldens = []string{"droppederr", "deadread", "ctxatomic"}
 // checked-in fixed packages.
 func TestApplyFixesGolden(t *testing.T) {
 	update := os.Getenv("GSTM_UPDATE_GOLDEN") != ""
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	for _, name := range fixGoldens {
 		t.Run(name, func(t *testing.T) {
 			pkgs, err := loader.Load(filepath.Join("testdata", "src", name))
@@ -67,10 +64,7 @@ func TestApplyFixesGolden(t *testing.T) {
 // go/defer forms — may remain; that is the point of only attaching
 // fixes where the rewrite is mechanical).
 func TestFixedGoldensAreFixedPoints(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	for _, name := range fixGoldens {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", "fixed", name)
@@ -144,10 +138,7 @@ func TestRenderDiff(t *testing.T) {
 // diagnostics of a single load — positions, checks and messages — with
 // directives honored once, not twice.
 func TestDuplicateLoadPathsCollapse(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	dir := filepath.Join("testdata", "src", "ignore")
 	once, err := loader.Load(dir)
 	if err != nil {

@@ -11,10 +11,7 @@ import (
 // multi-line statement below it, a directive mixing a valid ID with a
 // bogus one, and a directive whose IDs do not match the finding.
 func TestIgnoreDirectiveEdgeCases(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	pkgs, err := loader.Load(filepath.Join("testdata", "src", "ignore"))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -54,10 +51,7 @@ func TestIgnoreDirectiveEdgeCases(t *testing.T) {
 // fixture package must not swallow diagnostics from any other package
 // loaded in the same Run.
 func TestIgnoreDirectiveDoesNotLeakAcrossPackages(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	inFile := func(diags []Diagnostic, substr string) int {
 		n := 0
 		for _, d := range diags {

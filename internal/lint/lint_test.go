@@ -7,8 +7,27 @@ import (
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The tests only read their fixtures, so they share one loader per test
+// binary: each loader's first Load type-checks the standard library from
+// source, which dominates a fixture test's time.
+var (
+	loaderOnce   sync.Once
+	sharedLoader *Loader
+	loaderErr    error
+)
+
+func fixtureLoader(t *testing.T) *Loader {
+	t.Helper()
+	loaderOnce.Do(func() { sharedLoader, loaderErr = NewLoader(".") })
+	if loaderErr != nil {
+		t.Fatalf("NewLoader: %v", loaderErr)
+	}
+	return sharedLoader
+}
 
 // fixtureDirs lists the golden fixture packages: one positive package
 // per checker plus the clean negative package.
@@ -34,10 +53,7 @@ var wantRE = regexp.MustCompile(`want((?:\s+"[^"]+")+)`)
 // fixtures' `// want "gstmNNN"` comments — in both directions: an
 // unexpected diagnostic fails, and an unmatched expectation fails.
 func TestFixtures(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	var patterns []string
 	for _, d := range fixtureDirs {
 		patterns = append(patterns, filepath.Join("testdata", "src", d))
@@ -114,10 +130,7 @@ func TestFixtures(t *testing.T) {
 // the clean package (including its //gstm:ignore'd probe) yields zero
 // diagnostics.
 func TestCleanFixtureIsClean(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	pkgs, err := loader.Load(filepath.Join("testdata", "src", "clean"))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
@@ -134,10 +147,7 @@ func TestCleanFixtureIsClean(t *testing.T) {
 // in the fixture corpus (positive case) and the corpus contains
 // negative material it stays silent on.
 func TestEveryCheckerHasFixtureCoverage(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	var patterns []string
 	for _, d := range fixtureDirs {
 		patterns = append(patterns, filepath.Join("testdata", "src", d))
@@ -209,10 +219,7 @@ var readmeRuleRE = regexp.MustCompile(`(?m)^\| (gstm\d{3}) \| ([a-z-]+) \|`)
 // directly: root detection, wildcard expansion, and in-module import
 // resolution through the internal packages.
 func TestLoaderModuleResolution(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	if loader.ModulePath != "gstm" {
 		t.Fatalf("module path = %q, want gstm", loader.ModulePath)
 	}
@@ -241,10 +248,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide lint skipped in -short mode")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
+	loader := fixtureLoader(t)
 	pkgs, err := loader.Load(loader.ModuleRoot + "/...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)

@@ -139,9 +139,6 @@ func New(cfg Config) (*Game, error) {
 // gates).
 func (g *Game) STM() *libtm.STM { return g.stm }
 
-// Scenario returns the active quest layout.
-func (g *Game) Scenario() Scenario { return g.scenario }
-
 // cellOf maps coordinates to a grid cell index, clamping to the map.
 func (g *Game) cellOf(x, y float64) int {
 	cx := int(x) / g.cfg.CellSize

@@ -57,10 +57,6 @@ func (tx *Tx) consultCM(v *Var, attempt int) bool {
 // the "investment" Karma-style managers arbitrate on.
 func (tx *Tx) Work() int { return len(tx.reads) + len(tx.writes) }
 
-// Instance returns the attempt's unique instance ID (its birth order),
-// the timestamp Greedy-style managers arbitrate on.
-func (tx *Tx) Instance() uint64 { return tx.instance }
-
 // ---------------------------------------------------------------------------
 // Polite: exponential randomized backoff before retrying, aborting
 // after a bounded number of collisions (Herlihy et al., PODC'03).

@@ -81,9 +81,6 @@ func NewMap(n int) *Map {
 	}
 }
 
-// Cap returns the slot capacity of the table.
-func (m *Map) Cap() int { return m.keys.Len() }
-
 func hash64(x int64) uint64 {
 	z := uint64(x) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

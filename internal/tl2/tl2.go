@@ -295,9 +295,6 @@ func (tx *Tx) Preempt() {
 
 const writeIdxThreshold = 64
 
-// Pair returns the (transaction, thread) identity of this attempt.
-func (tx *Tx) Pair() tts.Pair { return tx.pair }
-
 // abort abandons the attempt on a conflict with the given instance,
 // telling the contention manager first (tx.Work is still intact here).
 func (tx *Tx) abort(killer uint64) {

@@ -37,7 +37,8 @@
 # hardware that did not record the baseline), and any allocation on a
 # benchmark the baseline pins at zero allocs/op fails unconditionally
 # — the zero-alloc commit paths are a contract, not a tuning knob. An
-# inlining pin follows: TL2's Tx.maybeYield and Tx.Preempt must still
+# inlining pin follows: TL2's Tx.maybeYield and Tx.Preempt, and LibTM's Tx.maybeYield
+# and Tx.readInvisible, must still
 # inline, and nothing
 # from the shared transaction driver (internal/txn) may be inlined into
 # either runtime's Tx.Read or Tx.Write — the driver is entered per
@@ -149,6 +150,12 @@ for pkg in tl2 libtm; do
         echo "internal/tl2: (*Tx).Preempt no longer inlines; stamp.Spin now pays a call per preemption point with interleaving off" >&2
         exit 1
     fi
+    for fn in maybeYield readInvisible; do
+        if [ "$pkg" = libtm ] && ! grep -qF "can inline (*Tx).$fn" <<<"$trace"; then
+            echo "internal/libtm: (*Tx).$fn no longer inlines; Read now pays a call per access" >&2
+            exit 1
+        fi
+    done
     # The compiler reports every call it inlined, transitively, at the
     # position of the outermost call site; keep those inside Read/Write.
     leaked=$(awk -v src="$src" '
