@@ -33,6 +33,7 @@ func metaVictim(t *testing.T, s *STM, body func(tx *Tx, first bool)) (killers, c
 func TestAbortedLockRestoresWord(t *testing.T) {
 	s := New(parityOpts(FullyOptimistic))
 	o := NewObj(5)
+	o.meta.Store(55 << 1) // a word some earlier writer left
 	killers, _ := metaVictim(t, s, func(tx *Tx, first bool) {
 		_ = tx.Read(o)
 		if !first {
