@@ -446,9 +446,9 @@ func (tx *Tx) Read(o *Obj) int64 {
 // records it for commit-time validation: the lock word, the value, the
 // lock word again. A writer stores the value before it frees the word
 // with its own instance, so only the same free word on both sides
-// vouches for the value. A lock seen by the second load aborts at the
-// read itself, naming the holder (never this attempt: the objects it
-// holds are in its write set, which Read consults first). A word that
+// vouches for the value. A lock seen by either load aborts at the read
+// itself, naming the first holder seen (never this attempt: the objects
+// it holds are in its write set, which Read consults first). A word that
 // moved and is free again is a publish that completed in between; read
 // again.
 func (tx *Tx) readInvisible(o *Obj) int64 {
@@ -456,6 +456,9 @@ func (tx *Tx) readInvisible(o *Obj) int64 {
 		m0 := o.meta.Load()
 		v := o.val.Load()
 		m := o.meta.Load()
+		if m0&1 != 0 {
+			m = m0
+		}
 		if m&1 != 0 {
 			tx.abort(m >> 1)
 		}
